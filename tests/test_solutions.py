@@ -10,6 +10,8 @@ from intervalgames import (
     GeneratedCoreWitness,
     Interval,
     IntervalGame,
+    LinearSystem,
+    border_games,
     core_coincidence,
     core_nonempty,
     core_system,
@@ -39,6 +41,7 @@ from intervalgames import (
     strong_core_witness,
     verify_selection_core_witness,
 )
+from intervalgames import solutions
 from intervalgames.lpcore import feasible
 from helpers import (
     endpoint_selections,
@@ -71,6 +74,43 @@ TIGHT = IntervalGame.from_map(
         (1, 2, 3): (6, 6),
     },
 )
+
+
+def test_system_rows_for_the_band_game():
+    # rows, their order and the nonnegativity marks decide which vertex the
+    # simplex returns, so every builder is pinned row by row
+    lower, _ = border_games(BAND)
+    sums = solutions._coalition_sums((F(2), F(2)))
+    assert core_system(lower) == LinearSystem(
+        dim=2, equalities=(((1, 1), 1),), inequalities=(((1, 0), 1), ((0, 1), 1))
+    )
+    assert selection_core_system(BAND) == LinearSystem(
+        dim=2, inequalities=(((1, 1), 1), ((-1, -1), -4), ((1, 0), 1), ((0, 1), 1))
+    )
+    assert solutions._lower_system(BAND, sums) == LinearSystem(
+        dim=2,
+        equalities=(((1, 1), 3),),
+        inequalities=(((-1, 0), -1), ((0, -1), -1), ((-1, -1), -3)),
+        nonneg=frozenset({0, 1}),
+    )
+    assert solutions._upper_system(BAND, sums) == LinearSystem(
+        dim=2,
+        equalities=(((1, 1), 0),),
+        inequalities=(((1, 0), 1), ((0, 1), 1), ((1, 1), 0)),
+        nonneg=frozenset({0, 1}),
+    )
+    assert generated_core_system(BAND, (2, 2)) == LinearSystem(
+        dim=4,
+        equalities=(((1, 1, 0, 0), 3), ((0, 0, 1, 1), 0)),
+        inequalities=(
+            ((-1, 0, 0, 0), -1), ((0, -1, 0, 0), -1), ((-1, -1, 0, 0), -3),
+            ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1), ((0, 0, 1, 1), 0),
+        ),
+        nonneg=frozenset(range(4)),
+    )
+    assert strong_core_system(BAND) == LinearSystem(
+        dim=2, equalities=(((1, 1), 1), ((1, 1), 4)), inequalities=(((1, 0), 3), ((0, 1), 3))
+    )
 
 
 class TestClassicalSolutions:
