@@ -16,6 +16,12 @@ here.  ``selection_class_oracle`` ignores the collapse and enumerates every
 endpoint selection outright, which is an independent (and for the same
 reason exhaustive) route to the same answer.
 
+One kernel per property takes the two borders ``(lo, up)``.  A classical
+property is the lo = up case of its selection kernel: a classical game,
+and each endpoint selection the oracle tries, passes its worths as both
+borders.  Additivity, which no selection class uses, is the one
+classical-only check.
+
 All comparisons are made on integers after rescaling a game's worths by a
 common denominator, which preserves every inequality exactly.
 """
@@ -69,70 +75,27 @@ def _scaled_borders(w: IntervalGame) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lo, up
 
 
-def _monotonic(vals, n: int) -> bool:
-    for s in range(1 << n):
-        vs = vals[s]
-        t = (s - 1) & s
-        while True:
-            if vals[t] > vs:
-                return False
-            if t == 0:
-                break
-            t = (t - 1) & s
-    return True
-
-
-def _superadditive(vals, n: int) -> bool:
-    full = (1 << n) - 1
-    for s in range(1, full + 1):
-        comp = full & ~s
-        vs = vals[s]
-        t = comp
-        while t:
-            if t < s and vs + vals[t] > vals[s | t]:
-                return False
-            t = (t - 1) & comp
-    return True
-
-
 def _additive(vals, n: int) -> bool:
-    full = (1 << n) - 1
-    for s in range(1, full + 1):
-        comp = full & ~s
-        vs = vals[s]
-        t = comp
-        while t:
-            if t < s and vs + vals[t] != vals[s | t]:
-                return False
-            t = (t - 1) & comp
+    # peeling off the lowest player, every worth must be the sum of its
+    # singletons, which is additivity over all disjoint coalition pairs
+    for s in range(1, 1 << n):
+        low = s & -s
+        if vals[s] != vals[s ^ low] + vals[low]:
+            return False
     return True
-
-
-def _supermodular(vals, n: int) -> bool:
-    size = 1 << n
-    for s in range(1, size):
-        vs = vals[s]
-        for t in range(s + 1, size):
-            u = s | t
-            if u == s or u == t:
-                continue  # nested pairs satisfy the inequality trivially
-            if vs + vals[t] > vals[u] + vals[s & t]:
-                return False
-    return True
-
-
-_CLASSICAL_KERNELS = {
-    ClassicalProperty.MONOTONIC: _monotonic,
-    ClassicalProperty.SUPERADDITIVE: _superadditive,
-    ClassicalProperty.ADDITIVE: _additive,
-    ClassicalProperty.CONVEX: _supermodular,
-}
 
 
 @lru_cache(maxsize=256)
 def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
-    """Exact check of a classical property over all relevant coalition pairs."""
-    return _CLASSICAL_KERNELS[prop](_scaled_values(v), v.n)
+    """Exact check of a classical property.
+
+    Monotonicity, superadditivity and convexity run the selection kernel
+    with both borders set to v; additivity is one pass over the coalitions.
+    """
+    vals = _scaled_values(v)
+    if prop is ClassicalProperty.ADDITIVE:
+        return _additive(vals, v.n)
+    return _KERNELS[prop](vals, vals, v.n)
 
 
 def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
@@ -161,7 +124,7 @@ def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
     raise ValueError(f"unknown interval class: {cls!r}")
 
 
-def _selection_monotonic(lo, up, n: int) -> bool:
+def _monotonic(lo, up, n: int) -> bool:
     # every strict subset's upper endpoint stays below the superset's lower one
     for t in range(1, 1 << n):
         floor = lo[t]
@@ -175,7 +138,7 @@ def _selection_monotonic(lo, up, n: int) -> bool:
     return True
 
 
-def _selection_superadditive(lo, up, n: int) -> bool:
+def _superadditive(lo, up, n: int) -> bool:
     full = (1 << n) - 1
     for s in range(1, full + 1):
         comp = full & ~s
@@ -188,7 +151,7 @@ def _selection_superadditive(lo, up, n: int) -> bool:
     return True
 
 
-def _selection_convex_pairs(lo, up, n: int) -> bool:
+def _convex_pairs(lo, up, n: int) -> bool:
     size = 1 << n
     for s in range(1, size):
         us = up[s]
@@ -201,7 +164,7 @@ def _selection_convex_pairs(lo, up, n: int) -> bool:
     return True
 
 
-def _selection_convex_marginal(lo, up, n: int, single_only: bool) -> bool:
+def _convex_marginal(lo, up, n: int, single_only: bool) -> bool:
     # adding a fixed nonempty coalition U to a strictly larger base coalition
     # must never pay worse than adding it to the smaller one
     full = (1 << n) - 1
@@ -225,16 +188,26 @@ def _selection_convex_marginal(lo, up, n: int, single_only: bool) -> bool:
     return True
 
 
+_KERNELS = {
+    ClassicalProperty.MONOTONIC: _monotonic,
+    ClassicalProperty.SUPERADDITIVE: _superadditive,
+    ClassicalProperty.CONVEX: _convex_pairs,
+}
+
+_SELECTION_TO_CLASSICAL = {
+    SelectionClass.MONOTONIC: ClassicalProperty.MONOTONIC,
+    SelectionClass.SUPERADDITIVE: ClassicalProperty.SUPERADDITIVE,
+    SelectionClass.CONVEX: ClassicalProperty.CONVEX,
+}
+
+
 def check_selection_class(w: IntervalGame, cls: SelectionClass) -> bool:
     """Endpoint characterization of a selection class."""
     lo, up = _scaled_borders(w)
-    if cls is SelectionClass.MONOTONIC:
-        return _selection_monotonic(lo, up, w.n)
-    if cls is SelectionClass.SUPERADDITIVE:
-        return _selection_superadditive(lo, up, w.n)
-    if cls is SelectionClass.CONVEX:
-        return _selection_convex_pairs(lo, up, w.n)
-    raise ValueError(f"unknown selection class: {cls!r}")
+    prop = _SELECTION_TO_CLASSICAL.get(cls)
+    if prop is None:
+        raise ValueError(f"unknown selection class: {cls!r}")
+    return _KERNELS[prop](lo, up, w.n)
 
 
 def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
@@ -247,19 +220,12 @@ def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
     """
     lo, up = _scaled_borders(w)
     if variant == "pairs":
-        return _selection_convex_pairs(lo, up, w.n)
+        return _convex_pairs(lo, up, w.n)
     if variant == "marginal":
-        return _selection_convex_marginal(lo, up, w.n, single_only=False)
+        return _convex_marginal(lo, up, w.n, single_only=False)
     if variant == "marginal-single":
-        return _selection_convex_marginal(lo, up, w.n, single_only=True)
+        return _convex_marginal(lo, up, w.n, single_only=True)
     raise ValueError(f"unknown variant {variant!r}; expected one of {SELECTION_CONVEX_VARIANTS}")
-
-
-_SELECTION_TO_CLASSICAL = {
-    SelectionClass.MONOTONIC: ClassicalProperty.MONOTONIC,
-    SelectionClass.SUPERADDITIVE: ClassicalProperty.SUPERADDITIVE,
-    SelectionClass.CONVEX: ClassicalProperty.CONVEX,
-}
 
 
 def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
@@ -273,13 +239,13 @@ def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
             f"endpoint selection oracle supports at most {ORACLE_MAX_PLAYERS} players, got {w.n}"
         )
     lo, up = _scaled_borders(w)
-    kernel = _CLASSICAL_KERNELS[_SELECTION_TO_CLASSICAL[cls]]
+    kernel = _KERNELS[_SELECTION_TO_CLASSICAL[cls]]
     n = w.n
     m = (1 << n) - 1
     vals = [0] * (m + 1)
     for pick in range(1 << m):
         for c in range(1, m + 1):
             vals[c] = up[c] if (pick >> (c - 1)) & 1 else lo[c]
-        if not kernel(vals, n):
+        if not kernel(vals, vals, n):
             return False
     return True

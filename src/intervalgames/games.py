@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GameFormatError
-from .numerics import Interval, ZERO_INTERVAL, format_scalar, parse_interval, parse_scalar
+from .numerics import (
+    Interval,
+    ZERO_INTERVAL,
+    as_fraction,
+    format_scalar,
+    parse_interval,
+    parse_scalar,
+)
 
 Coalition = int
 
@@ -43,6 +50,8 @@ def grand_coalition(n: int) -> int:
 
 
 def _check_n(n: int) -> None:
+    if isinstance(n, (bool, float)):
+        raise TypeError(f"player count must be an int, got {type(n).__name__} {n!r}")
     if not isinstance(n, int) or not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be between 1 and {MAX_PLAYERS}, got {n!r}")
 
@@ -66,7 +75,7 @@ class ClassicalGame:
 
     def __post_init__(self):
         _check_n(self.n)
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(as_fraction(v) for v in self.values)
         if len(vals) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} worths, got {len(vals)}")
         if vals[0] != 0:
@@ -83,7 +92,7 @@ class ClassicalGame:
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], object]) -> "ClassicalGame":
         _check_n(n)
-        return cls(n, tuple(Fraction(fn(m)) if m else Fraction(0) for m in range(1 << n)))
+        return cls(n, tuple(as_fraction(fn(m)) if m else Fraction(0) for m in range(1 << n)))
 
     @classmethod
     def from_map(cls, n: int, worth: Mapping) -> "ClassicalGame":
@@ -94,12 +103,12 @@ class ClassicalGame:
         for key, val in worth.items():
             mask = _as_mask(key, n)
             if mask == 0:
-                if Fraction(val) != 0:
+                if as_fraction(val) != 0:
                     raise ValueError("the empty coalition must be worth 0")
                 continue
             if values[mask] is not None:
                 raise ValueError(f"coalition {members(mask)} given twice")
-            values[mask] = Fraction(val)
+            values[mask] = as_fraction(val)
         for m in range(1, 1 << n):
             if values[m] is None:
                 raise ValueError(f"missing worth for coalition {members(m)}")

@@ -17,6 +17,8 @@ for bulk polyhedral computation.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .numerics import as_fraction
+
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
@@ -31,10 +33,10 @@ class InfeasibleSystemError(RuntimeError):
 def _norm_rows(rows, dim: int) -> tuple[Row, ...]:
     out = []
     for coeffs, rhs in rows:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(as_fraction(c) for c in coeffs)
         if len(coeffs) != dim:
             raise ValueError(f"row has {len(coeffs)} coefficients, expected {dim}")
-        out.append((coeffs, Fraction(rhs)))
+        out.append((coeffs, as_fraction(rhs)))
     return tuple(out)
 
 
@@ -65,7 +67,7 @@ class LinearSystem:
 
 def satisfies(system: LinearSystem, x) -> bool:
     """Exact check of a candidate point against every row of the system."""
-    point = tuple(Fraction(v) for v in x)
+    point = tuple(as_fraction(v) for v in x)
     if len(point) != system.dim:
         raise ValueError(f"point has {len(point)} coordinates, expected {system.dim}")
     for coeffs, rhs in system.equalities:
@@ -286,7 +288,8 @@ def _solve_max(system: LinearSystem, objective) -> tuple[str, Fraction | None, t
 
 def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact maximum of ``objective . x`` over the system, with an argmax."""
-    if len(tuple(objective)) != system.dim:
+    objective = tuple(as_fraction(c) for c in objective)
+    if len(objective) != system.dim:
         raise ValueError("objective length must match the system dimension")
     status, value, x = _solve_max(system, objective)
     if status == "infeasible":

@@ -14,6 +14,17 @@ _SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:\s*/\s*[0-9]+)?\Z")
 _INTERVAL_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
 
 
+def as_fraction(value) -> Fraction:
+    """``Fraction(value)`` for exact input; floats and bools raise ``TypeError``.
+
+    A float such as 0.1 would silently become its binary approximation and a
+    bool would pass for 0 or 1, so both are refused rather than coerced.
+    """
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
+    return Fraction(value)
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (integers, q positive) into an exact rational."""
     token = text.strip()
@@ -33,8 +44,9 @@ def format_scalar(value) -> str:
 class Interval:
     """Closed interval of rationals; degenerate when both endpoints agree.
 
-    Endpoints accept anything ``Fraction`` accepts (ints, strings, other
-    Fractions).  A single argument builds the degenerate interval.
+    Endpoints accept anything ``as_fraction`` accepts (ints, strings, other
+    Fractions; not floats or bools).  A single argument builds the
+    degenerate interval.
     """
 
     __slots__ = ("lower", "upper")
@@ -43,8 +55,8 @@ class Interval:
     upper: Fraction
 
     def __init__(self, lower, upper=None):
-        lo = Fraction(lower)
-        hi = lo if upper is None else Fraction(upper)
+        lo = as_fraction(lower)
+        hi = lo if upper is None else as_fraction(upper)
         if lo > hi:
             raise ValueError(f"invalid interval: lower {lo} exceeds upper {hi}")
         object.__setattr__(self, "lower", lo)
@@ -79,7 +91,7 @@ class Interval:
         """Scalar membership, or subset containment for an interval item."""
         if isinstance(item, Interval):
             return self.lower <= item.lower and item.upper <= self.upper
-        value = Fraction(item)
+        value = as_fraction(item)
         return self.lower <= value <= self.upper
 
     def __add__(self, other):
@@ -95,30 +107,6 @@ class Interval:
             return NotImplemented
         # [a,b] - [c,d] = [a,b] + [-d,-c]
         return Interval(self.lower - other.upper, self.upper - other.lower)
-
-    def __mul__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        products = (
-            self.lower * other.lower,
-            self.lower * other.upper,
-            self.upper * other.lower,
-            self.upper * other.upper,
-        )
-        return Interval(min(products), max(products))
-
-    def __truediv__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        if other.lower <= 0 <= other.upper:
-            raise ValueError(f"division by an interval containing zero: {other}")
-        quotients = (
-            self.lower / other.lower,
-            self.lower / other.upper,
-            self.upper / other.lower,
-            self.upper / other.upper,
-        )
-        return Interval(min(quotients), max(quotients))
 
 
 ZERO_INTERVAL = Interval(0)

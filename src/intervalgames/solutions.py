@@ -20,7 +20,15 @@ exact linear feasibility).  Interval side, three competing readings of
   coalition-rational for their respective borders.  The l-rows and u-rows
   share no variables, so feasibility splits into two independent systems;
   we solve the halves and re-verify the assembled witness against the
-  joint system.
+  joint system, which stacks the two halves block-diagonally.
+
+Each witness and counterexample is verified once, here, before it is
+returned: the simplex checks every point it returns against its system,
+``generated_core_witness`` checks the slack pair against the joint system,
+``selection_core_witness`` checks its sub-game with
+``verify_selection_core_witness``, and ``core_coincidence`` checks its
+counterexample with the closed-form selection-core test.  Callers,
+the command line included, use the results without checking them again.
 
 The coincidence question asks whether the generated set equals SC.  The
 generated set is the projection of a polyhedron (the joint system with x
@@ -48,7 +56,7 @@ from .games import (
     grand_coalition,
 )
 from .lpcore import LinearSystem, enumerate_vertices, feasible, satisfies
-from .numerics import Interval, Scalar, weakly_better
+from .numerics import Interval, Scalar, as_fraction, weakly_better
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,8 @@ class GeneratedCoreWitness:
     u: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(Fraction(v) for v in self.l))
-        object.__setattr__(self, "u", tuple(Fraction(v) for v in self.u))
+        object.__setattr__(self, "l", tuple(as_fraction(v) for v in self.l))
+        object.__setattr__(self, "u", tuple(as_fraction(v) for v in self.u))
         if len(self.l) != len(self.u):
             raise ValueError("slack vectors must have equal length")
         if any(v < 0 for v in self.l) or any(v < 0 for v in self.u):
@@ -92,7 +100,7 @@ class CoincidenceVerdict:
 
 
 def _payoff(x, n: int) -> tuple[Fraction, ...]:
-    point = tuple(Fraction(v) for v in x)
+    point = tuple(as_fraction(v) for v in x)
     if len(point) != n:
         raise ValueError(f"payoff vector has {len(point)} entries, expected {n}")
     return point
@@ -114,8 +122,9 @@ def _coalition_sums(x: tuple[Fraction, ...]) -> list[Fraction]:
     return sums
 
 
-def _indicator(mask: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if mask >> i & 1 else Fraction(0) for i in range(n))
+def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
+    """One row ``sign * x(S) >= rhs(S)`` (or ``=``) per coalition S in masks."""
+    return tuple((tuple(sign if m >> i & 1 else 0 for i in range(n)), rhs(m)) for m in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +151,11 @@ def is_core_member(v: ClassicalGame, x) -> bool:
 
 def core_system(v: ClassicalGame) -> LinearSystem:
     """Core of a classical game as an exact linear system over payoffs."""
-    n = v.n
-    full = grand_coalition(n)
-    ones = tuple(Fraction(1) for _ in range(n))
-    rows = [(_indicator(m, n), v.worth(m)) for m in range(1, full)]
+    full = grand_coalition(v.n)
     return LinearSystem(
-        dim=n,
-        equalities=((ones, v.worth(full)),),
-        inequalities=tuple(rows),
+        dim=v.n,
+        equalities=_rows(v.n, [full], v.worth),
+        inequalities=_rows(v.n, range(1, full), v.worth),
     )
 
 
@@ -213,7 +219,10 @@ def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
         original = w.worth(m)
         return Interval(original.lower, min(sums[m], original.upper))
 
-    return IntervalGame.from_function(w.n, worth)
+    witness = IntervalGame.from_function(w.n, worth)
+    if not verify_selection_core_witness(w, point, witness):
+        raise AssertionError("internal error: witness sub-game failed verification")
+    return witness
 
 
 def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
@@ -232,14 +241,13 @@ def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
 
 def selection_core_system(w: IntervalGame) -> LinearSystem:
     """The SC polytope over payoff vectors, as inequality rows."""
-    n = w.n
-    full = grand_coalition(n)
-    ones = tuple(Fraction(1) for _ in range(n))
-    grand = w.worth(full)
-    rows = [(ones, grand.lower), (tuple(-c for c in ones), -grand.upper)]
-    for m in range(1, full):
-        rows.append((_indicator(m, n), w.worth(m).lower))
-    return LinearSystem(dim=n, inequalities=tuple(rows))
+    full = grand_coalition(w.n)
+    return LinearSystem(
+        dim=w.n,
+        inequalities=_rows(w.n, [full], lambda m: w.worth(m).lower)
+        + _rows(w.n, [full], lambda m: -w.worth(m).upper, sign=-1)
+        + _rows(w.n, range(1, full), lambda m: w.worth(m).lower),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,65 +286,45 @@ def is_interval_core_member(w: IntervalGame, payoff) -> bool:
 
 def _lower_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
     """Feasibility of the sink slacks l: x - l must sit in the lower border core."""
-    n = w.n
-    full = grand_coalition(n)
-    ones = tuple(Fraction(1) for _ in range(n))
-    rows = []
-    for m in range(1, full + 1):
-        coeffs = tuple(-c for c in _indicator(m, n))
-        rows.append((coeffs, w.worth(m).lower - sums[m]))
+    full = grand_coalition(w.n)
     return LinearSystem(
-        dim=n,
-        equalities=((ones, sums[full] - w.worth(full).lower),),
-        inequalities=tuple(rows),
-        nonneg=frozenset(range(n)),
+        dim=w.n,
+        equalities=_rows(w.n, [full], lambda m: sums[m] - w.worth(m).lower),
+        inequalities=_rows(w.n, range(1, full + 1), lambda m: w.worth(m).lower - sums[m], sign=-1),
+        nonneg=frozenset(range(w.n)),
     )
 
 
 def _upper_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
     """Feasibility of the rise slacks u: x + u must sit in the upper border core."""
-    n = w.n
-    full = grand_coalition(n)
-    ones = tuple(Fraction(1) for _ in range(n))
-    rows = []
-    for m in range(1, full + 1):
-        rows.append((_indicator(m, n), w.worth(m).upper - sums[m]))
+    full = grand_coalition(w.n)
     return LinearSystem(
-        dim=n,
-        equalities=((ones, w.worth(full).upper - sums[full]),),
-        inequalities=tuple(rows),
-        nonneg=frozenset(range(n)),
+        dim=w.n,
+        equalities=_rows(w.n, [full], lambda m: w.worth(m).upper - sums[m]),
+        inequalities=_rows(w.n, range(1, full + 1), lambda m: w.worth(m).upper - sums[m]),
+        nonneg=frozenset(range(w.n)),
     )
 
 
 def generated_core_system(w: IntervalGame, x) -> LinearSystem:
     """Joint system over (l, u) certifying that x is generated by the interval core.
 
-    Kept as a single 2n-variable system for verification; the solver-facing
-    path uses the two independent halves.
+    The lower and upper halves stacked block-diagonally: a single
+    2n-variable system for verification, while the solver-facing path uses
+    the two independent halves.
     """
-    point = _payoff(x, w.n)
-    sums = _coalition_sums(point)
-    n = w.n
-    full = grand_coalition(n)
-    zero = tuple(Fraction(0) for _ in range(n))
-    ones = tuple(Fraction(1) for _ in range(n))
-    eqs = (
-        (ones + zero, sums[full] - w.worth(full).lower),
-        (zero + ones, w.worth(full).upper - sums[full]),
-    )
-    rows = []
-    for m in range(1, full + 1):
-        ind = _indicator(m, n)
-        rows.append((tuple(-c for c in ind) + zero, w.worth(m).lower - sums[m]))
-    for m in range(1, full + 1):
-        ind = _indicator(m, n)
-        rows.append((zero + ind, w.worth(m).upper - sums[m]))
+    sums = _coalition_sums(_payoff(x, w.n))
+    lower, upper = _lower_system(w, sums), _upper_system(w, sums)
+    zero = (0,) * w.n
+
+    def stack(left, right):
+        return tuple((c + zero, b) for c, b in left) + tuple((zero + c, b) for c, b in right)
+
     return LinearSystem(
-        dim=2 * n,
-        equalities=eqs,
-        inequalities=tuple(rows),
-        nonneg=frozenset(range(2 * n)),
+        dim=2 * w.n,
+        equalities=stack(lower.equalities, upper.equalities),
+        inequalities=stack(lower.inequalities, upper.inequalities),
+        nonneg=frozenset(range(2 * w.n)),
     )
 
 
@@ -388,6 +376,8 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
         )
     for vertex in enumerate_vertices(selection_core_system(w)):
         if not is_generated_core_member(w, vertex):
+            if not is_selection_core_member(w, vertex):
+                raise AssertionError("internal error: counterexample lies outside the selection core")
             return CoincidenceVerdict(coincident=False, counterexample=vertex)
     return CoincidenceVerdict(coincident=True)
 
@@ -424,15 +414,12 @@ def is_strong_core_member(w: IntervalGame, x) -> bool:
 
 def strong_core_system(w: IntervalGame) -> LinearSystem:
     """The strong core as a linear system; infeasible when w(N) is non-degenerate."""
-    n = w.n
-    full = grand_coalition(n)
-    ones = tuple(Fraction(1) for _ in range(n))
-    grand = w.worth(full)
-    rows = [(_indicator(m, n), w.worth(m).upper) for m in range(1, full)]
+    full = grand_coalition(w.n)
     return LinearSystem(
-        dim=n,
-        equalities=((ones, grand.lower), (ones, grand.upper)),
-        inequalities=tuple(rows),
+        dim=w.n,
+        equalities=_rows(w.n, [full], lambda m: w.worth(m).lower)
+        + _rows(w.n, [full], lambda m: w.worth(m).upper),
+        inequalities=_rows(w.n, range(1, full), lambda m: w.worth(m).upper),
     )
 
 

@@ -60,6 +60,40 @@ def convex_by_marginals(v: ClassicalGame) -> bool:
     return True
 
 
+def monotonic_by_pairs(v: ClassicalGame) -> bool:
+    """Plain scan of every nested pair S within T."""
+    size = 1 << v.n
+    return all(
+        v.values[s] <= v.values[t] for s in range(size) for t in range(size) if s & t == s
+    )
+
+
+def superadditive_by_pairs(v: ClassicalGame) -> bool:
+    """Plain scan of every disjoint pair S, T."""
+    size = 1 << v.n
+    return all(
+        v.values[s] + v.values[t] <= v.values[s | t]
+        for s in range(size) for t in range(size) if not s & t
+    )
+
+
+def additive_by_pairs(v: ClassicalGame) -> bool:
+    """Plain scan of every disjoint pair S, T."""
+    size = 1 << v.n
+    return all(
+        v.values[s] + v.values[t] == v.values[s | t]
+        for s in range(size) for t in range(size) if not s & t
+    )
+
+
+PAIR_ORACLES = {
+    ClassicalProperty.MONOTONIC: monotonic_by_pairs,
+    ClassicalProperty.SUPERADDITIVE: superadditive_by_pairs,
+    ClassicalProperty.ADDITIVE: additive_by_pairs,
+    ClassicalProperty.CONVEX: convex_by_marginals,
+}
+
+
 def nested_pairs_only(v: ClassicalGame) -> bool:
     """The supermodular inequality restricted to comparable pairs."""
     full = grand_coalition(v.n)
@@ -113,6 +147,23 @@ class TestClassicalProperties:
             assert verdict == convex_by_marginals(v)
             seen[verdict] += 1
         assert seen[True] and seen[False]
+
+    def test_every_property_agrees_with_its_plain_scan(self):
+        rng = random.Random(14)
+        makers = (
+            lambda n: rand_classical(rng, n),
+            lambda n: rand_additive_classical(rng, n),
+            lambda n: rand_additive_classical(rng, n, lo=0),
+            lambda n: rand_convex_classical(rng, n),
+        )
+        seen = {prop: {True: 0, False: 0} for prop in ClassicalProperty}
+        for k in range(200):
+            v = makers[k % len(makers)](rng.randint(1, 5))
+            for prop, oracle in PAIR_ORACLES.items():
+                verdict = check_classical(v, prop)
+                assert verdict == oracle(v), (prop, v.values)
+                seen[prop][verdict] += 1
+        assert all(counts[True] and counts[False] for counts in seen.values()), seen
 
     def test_comparable_pairs_constrain_nothing(self):
         # the supermodular inequality is an identity on nested pairs, so a

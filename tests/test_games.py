@@ -70,6 +70,20 @@ class TestClassicalGame:
         with pytest.raises(ValueError):
             ClassicalGame(2, (0, 1, 2))
 
+    def test_floats_and_bools_are_refused(self):
+        with pytest.raises(TypeError):
+            ClassicalGame(1, (0, 0.5))
+        with pytest.raises(TypeError):
+            ClassicalGame(True, (0, 1))
+        with pytest.raises(TypeError):
+            ClassicalGame(2.0, (0, 1, 1, 2))
+        with pytest.raises(TypeError):
+            ClassicalGame.from_map(1, {(1,): 0.5})
+        with pytest.raises(TypeError):
+            ClassicalGame.from_map(1, {(): 0.0, (1,): 1})
+        with pytest.raises(TypeError):
+            ClassicalGame.from_function(1, lambda m: 0.5)
+
 
 class TestIntervalGame:
     def test_coercion_of_worths(self):
@@ -84,6 +98,14 @@ class TestIntervalGame:
     def test_empty_coalition_must_be_zero(self):
         with pytest.raises(ValueError):
             IntervalGame(1, (Interval(0, 1), Interval(0, 1)))
+
+    def test_floats_and_bools_are_refused(self):
+        with pytest.raises(TypeError):
+            IntervalGame.from_map(1, {(1,): (0, 0.5)})
+        with pytest.raises(TypeError):
+            IntervalGame(True, (0, 1))
+        with pytest.raises(TypeError):
+            IntervalGame(1, (0, True))
 
 
 class TestBordersAndLength:

@@ -1,8 +1,7 @@
 """Byte-exact CLI output for a fixed set of commands.
 
-``golden_cli.json`` holds the stdout and exit code each case produced
-before the row builders, class kernels and witness checks were merged into
-one path each; any change to a report's text, order or verdict shows here.
+``golden_cli.json`` holds the stdout and exit code of each case, so any
+change to a report's text, key order, verdict or witness shows here.
 """
 
 import json

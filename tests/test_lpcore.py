@@ -186,6 +186,23 @@ class TestMaximize:
         with pytest.raises(UnboundedRegionError):
             maximize(LinearSystem(dim=2, nonneg={0, 1}), (1, 0))
 
+    def test_objective_may_be_an_iterator(self):
+        sys_ = LinearSystem(dim=2, inequalities=[([-1, 0], -3), ([0, -1], -5)], nonneg={0, 1})
+        assert maximize(sys_, (c for c in [1, 1])) == (8, (3, 5))
+
+    def test_floats_and_bools_are_refused(self):
+        with pytest.raises(TypeError):
+            LinearSystem(dim=1, inequalities=[([0.5], 0)])
+        with pytest.raises(TypeError):
+            LinearSystem(dim=1, equalities=[([1], 0.5)])
+        with pytest.raises(TypeError):
+            LinearSystem(dim=1, inequalities=[([True], 0)])
+        sys_ = LinearSystem(dim=1, inequalities=[([-1], -3)], nonneg={0})
+        with pytest.raises(TypeError):
+            satisfies(sys_, (1.0,))
+        with pytest.raises(TypeError):
+            maximize(sys_, (1.0,))
+
     def test_agrees_with_vertex_scan(self):
         rng = random.Random(32)
         checked = 0

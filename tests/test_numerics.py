@@ -60,6 +60,15 @@ class TestInterval:
         assert x.lower == Fraction(1, 2)
         assert x.upper == 2
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+    def test_rejects_floats_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            Interval(bad)
+        with pytest.raises(TypeError):
+            Interval(-5, bad)
+        with pytest.raises(TypeError):
+            bad in Interval(-5, 5)
+
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             Interval(2, 1)
@@ -99,19 +108,6 @@ class TestInterval:
     def test_neg(self):
         assert -Interval(-1, 3) == Interval(-3, 1)
 
-    def test_mul_spans_sign_changes(self):
-        assert Interval(-1, 2) * Interval(3, 4) == Interval(-4, 8)
-        assert Interval(-2, -1) * Interval(-3, -2) == Interval(2, 6)
-
-    def test_div(self):
-        assert Interval(1, 2) / Interval(2, 4) == Interval(Fraction(1, 4), 1)
-
-    def test_div_through_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Interval(1, 2) / Interval(-1, 1)
-        with pytest.raises(ValueError):
-            Interval(1, 2) / Interval(0, 1)
-
     @given(st_interval(), st_interval())
     def test_add_commutes(self, x, y):
         assert x + y == y + x
@@ -123,10 +119,6 @@ class TestInterval:
     @given(st_interval(), st_interval())
     def test_sub_is_add_of_negation(self, x, y):
         assert x - y == x + (-y)
-
-    @given(st_interval(), st_interval())
-    def test_mul_commutes(self, x, y):
-        assert x * y == y * x
 
     @given(st_interval(), st_interval())
     def test_width_adds(self, x, y):

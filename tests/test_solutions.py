@@ -148,6 +148,20 @@ class TestClassicalSolutions:
         with pytest.raises(ValueError):
             is_core_member(v, (1, 0))
 
+    def test_floats_and_bools_are_refused(self):
+        v = ClassicalGame.from_map(2, {(1,): 0, (2,): 0, (1, 2): 2})
+        assert is_core_member(v, (1, 1))
+        with pytest.raises(TypeError):
+            is_core_member(v, (1.0, 1.0))
+        with pytest.raises(TypeError):
+            is_selection_core_member(BAND, (2, True))
+        with pytest.raises(TypeError):
+            generated_core_witness(BAND, (2.0, 2))
+        with pytest.raises(TypeError):
+            GeneratedCoreWitness(l=(0.5, 0), u=(0, 0))
+        with pytest.raises(TypeError):
+            GeneratedCoreWitness(l=(0, 0), u=(0, True))
+
 
 class TestSelectionMembership:
     def test_band_game_points(self):
