@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from intervalgames import IntervalGame, embed_classical, family, format_game
+from intervalgames import FAMILY_KINDS, IntervalGame, embed_classical, family, format_game
 from intervalgames.cli import main
 from helpers import majority_game
 from test_cli import BAND, TIGHT, UNIT
@@ -48,19 +48,25 @@ COMMANDS = [
     ("strong", "band", []),
     ("strong", "tight", ["--payoff", "2,2,2"]),
     ("strong", "tight", ["--payoff", "3,2,1"]),
+    ("oracle", "band", []),
+    ("oracle", "sel-convex-3", []),
 ]
 
+# ``family`` reads no game and has no --format option, so it runs once
 CASES = [
     (" ".join([command, game, *args, fmt]), command, game, args, fmt)
     for command, game, args in COMMANDS
     for fmt in ("text", "json")
-]
+] + [(f"family {kind} 3", "family", None, [kind, "3"], None) for kind in FAMILY_KINDS]
 
 
 def run_case(command, game, args, fmt, directory: Path, capsys) -> dict:
-    path = directory / f"{game}.game"
-    path.write_text(format_game(GAMES[game]), encoding="utf-8")
-    code = main([command, str(path), *args, "--format", fmt])
+    argv = [command, *args]
+    if game is not None:
+        path = directory / f"{game}.game"
+        path.write_text(format_game(GAMES[game]), encoding="utf-8")
+        argv = [command, str(path), *args, "--format", fmt]
+    code = main(argv)
     out, _ = capsys.readouterr()
     return {"code": code, "stdout": out}
 
