@@ -3,11 +3,17 @@
 Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
 nonnegativity marks on individual variables.  Everything runs on
 ``fractions.Fraction``: feasibility and optimization use a dense two-phase
-simplex with Bland's rule (so no cycling, no tolerances), and vertex
-enumeration walks all independent subsets of tight rows, solving each
-candidate basis exactly and keeping the solutions that satisfy the whole
-system.  Vertex output is deduplicated and sorted lexicographically, so
-identical systems always enumerate identically.
+simplex with Bland's rule (so no cycling, no tolerances).  Each call builds
+one tableau for its system and runs phase one on it once; every point the
+simplex returns is checked against the system in ``_Tableau.solution``.
+
+Vertex enumeration first proves the region bounded by maximizing each
+``+x_j`` and ``-x_j`` as phase-two runs on that one tableau (Bland's rule
+terminates from any feasible basis, so each run starts where the previous
+one stopped).  It then walks all independent subsets of tight rows, solving
+each candidate basis exactly and keeping the solutions that satisfy the
+whole system.  Vertex output is deduplicated and sorted lexicographically,
+so identical systems always enumerate identically.
 
 The basis walk is exponential in the number of rows choose the dimension;
 it is meant for desk-scale systems (games with a handful of players), not
@@ -54,12 +60,16 @@ class LinearSystem:
     nonneg: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if isinstance(self.dim, bool):
+            raise TypeError(f"dimension must be an int, got bool {self.dim!r}")
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "equalities", _norm_rows(self.equalities, self.dim))
         object.__setattr__(self, "inequalities", _norm_rows(self.inequalities, self.dim))
         idx = frozenset(self.nonneg)
         for j in idx:
+            if isinstance(j, bool):
+                raise TypeError(f"nonnegative-variable index must be an int, got bool {j!r}")
             if not isinstance(j, int) or not 0 <= j < self.dim:
                 raise ValueError(f"nonnegative-variable index out of range: {j!r}")
         object.__setattr__(self, "nonneg", idx)
@@ -99,51 +109,35 @@ class _Tableau:
             if j not in system.nonneg:
                 self.neg[j] = col
                 col += 1
-        self.nstruct = col
-        neq = len(system.equalities)
-        nineq = len(system.inequalities)
-        ncols = col + nineq  # structural plus surplus columns
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        needs_art: list[bool] = []
+        ncols = col + len(system.inequalities)  # structural plus surplus columns
+        # (row, rhs, basic surplus column, or None when the row needs an artificial)
+        rows: list[tuple[list[Fraction], Fraction, int | None]] = []
         for coeffs, b in system.equalities:
             row = self._expand(coeffs, ncols)
             if b < 0:
                 row = [-v for v in row]
                 b = -b
-            rows.append(row)
-            rhs.append(b)
-            needs_art.append(True)
+            rows.append((row, b, None))
         for k, (coeffs, b) in enumerate(system.inequalities):
             row = self._expand(coeffs, ncols)
             row[col + k] = Fraction(-1)
             if b > 0:
-                needs_art.append(True)
+                rows.append((row, b, None))
             else:
-                row = [-v for v in row]  # surplus column turns +1 and can be basic
-                b = -b
-                needs_art.append(False)
-            rows.append(row)
-            rhs.append(b)
+                # the surplus column turns +1 and can be basic
+                rows.append(([-v for v in row], -b, col + k))
         self.art_start = ncols
-        art_col = ncols
+        self.ncols = ncols + sum(basic is None for _, _, basic in rows)
         self.basis: list[int] = []
-        for i, row in enumerate(rows):
-            if needs_art[i]:
-                self.basis.append(art_col)
-                art_col += 1
-            else:
-                slack = col + (i - neq)
-                self.basis.append(slack)
-        self.ncols = art_col
         self.T: list[list[Fraction]] = []
-        art_seen = ncols
-        zero = Fraction(0)
-        for i, row in enumerate(rows):
-            full = row + [zero] * (self.ncols - ncols) + [rhs[i]]
-            if needs_art[i]:
-                full[art_seen] = Fraction(1)
-                art_seen += 1
+        art_col = ncols
+        for row, b, basic in rows:
+            full = row + [Fraction(0)] * (self.ncols - ncols) + [b]
+            if basic is None:
+                basic = art_col
+                full[art_col] = Fraction(1)
+                art_col += 1
+            self.basis.append(basic)
             self.T.append(full)
 
     def _expand(self, coeffs, ncols: int) -> list[Fraction]:
@@ -155,7 +149,7 @@ class _Tableau:
                     row[self.neg[j]] = -c
         return row
 
-    def _pivot(self, obj: list[Fraction], r: int, c: int) -> None:
+    def _pivot(self, r: int, c: int, obj: list[Fraction] | None = None) -> None:
         T = self.T
         piv = T[r][c]
         T[r] = [v / piv for v in T[r]]
@@ -165,8 +159,8 @@ class _Tableau:
                 f = T[i][c]
                 if f:
                     T[i] = [a - f * b for a, b in zip(T[i], prow)]
-        f = obj[c]
-        if f:
+        if obj is not None and obj[c]:
+            f = obj[c]
             obj[:] = [a - f * b for a, b in zip(obj, prow)]
         self.basis[r] = c
 
@@ -193,7 +187,7 @@ class _Tableau:
                         leave = i
             if leave < 0:
                 return False
-            self._pivot(obj, leave, enter)
+            self._pivot(leave, enter, obj)
 
     def phase_one(self) -> bool:
         """Drive artificial variables to zero; True when the system is feasible."""
@@ -214,7 +208,6 @@ class _Tableau:
         return True
 
     def _drop_artificials(self) -> None:
-        dummy = [Fraction(0)] * (self.ncols + 1)
         keep: list[int] = []
         for i in range(len(self.T)):
             if self.basis[i] < self.art_start:
@@ -226,7 +219,7 @@ class _Tableau:
                     pivot_col = j
                     break
             if pivot_col >= 0:
-                self._pivot(dummy, i, pivot_col)
+                self._pivot(i, pivot_col)
                 keep.append(i)
             # otherwise the row is redundant (all zeros, rhs zero) and is dropped
         self.T = [self.T[i][: self.art_start] + [self.T[i][-1]] for i in keep]
@@ -234,10 +227,10 @@ class _Tableau:
         self.ncols = self.art_start
 
     def phase_two(self, objective) -> bool:
-        """Maximize ``objective . x``; False when unbounded."""
+        """Maximize ``objective . x`` (Fraction coefficients) from the current
+        feasible basis; False when unbounded."""
         cost = [Fraction(0)] * self.ncols
         for j, c in enumerate(objective):
-            c = Fraction(c)
             if c:
                 cost[self.pos[j]] = c
                 if self.neg[j] is not None:
@@ -252,6 +245,7 @@ class _Tableau:
         return self._run(obj, self.ncols)
 
     def solution(self) -> tuple[Fraction, ...]:
+        """The current basic point, checked exactly against the system."""
         vals = [Fraction(0)] * self.ncols
         for i, b in enumerate(self.basis):
             vals[b] = self.T[i][-1]
@@ -261,7 +255,10 @@ class _Tableau:
             if self.neg[j] is not None:
                 v -= vals[self.neg[j]]
             out.append(v)
-        return tuple(out)
+        point = tuple(out)
+        if not satisfies(self.system, point):
+            raise AssertionError("internal error: simplex point failed verification")
+        return point
 
 
 def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -269,21 +266,7 @@ def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
     tab = _Tableau(system)
     if not tab.phase_one():
         return False, None
-    witness = tab.solution()
-    if not satisfies(system, witness):
-        raise AssertionError("internal error: simplex witness failed verification")
-    return True, witness
-
-
-def _solve_max(system: LinearSystem, objective) -> tuple[str, Fraction | None, tuple | None]:
-    tab = _Tableau(system)
-    if not tab.phase_one():
-        return "infeasible", None, None
-    if not tab.phase_two(objective):
-        return "unbounded", None, None
-    x = tab.solution()
-    value = sum(Fraction(c) * v for c, v in zip(objective, x))
-    return "optimal", value, x
+    return True, tab.solution()
 
 
 def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -291,14 +274,13 @@ def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction,
     objective = tuple(as_fraction(c) for c in objective)
     if len(objective) != system.dim:
         raise ValueError("objective length must match the system dimension")
-    status, value, x = _solve_max(system, objective)
-    if status == "infeasible":
+    tab = _Tableau(system)
+    if not tab.phase_one():
         raise InfeasibleSystemError("system has no feasible point")
-    if status == "unbounded":
+    if not tab.phase_two(objective):
         raise UnboundedRegionError("objective is unbounded over the system")
-    if not satisfies(system, x):
-        raise AssertionError("internal error: simplex optimum failed verification")
-    return value, x
+    x = tab.solution()
+    return sum(c * v for c, v in zip(objective, x)), x
 
 
 def _extend_echelon(echelon, coeffs, rhs, dim):
@@ -338,15 +320,14 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
     when some coordinate direction is unbounded, since an unbounded region
     is not described by its vertices.
     """
-    ok, _ = feasible(system)
-    if not ok:
+    tab = _Tableau(system)
+    if not tab.phase_one():
         return ()
     dim = system.dim
     for j in range(dim):
         for sign in (1, -1):
             direction = tuple(Fraction(sign) if k == j else Fraction(0) for k in range(dim))
-            status, _, _ = _solve_max(system, direction)
-            if status == "unbounded":
+            if not tab.phase_two(direction):
                 name = f"{'+' if sign > 0 else '-'}x{j + 1}"
                 raise UnboundedRegionError(f"region is unbounded in direction {name}")
     echelon = []

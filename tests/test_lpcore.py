@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from intervalgames import lpcore
 from intervalgames.lpcore import (
     InfeasibleSystemError,
     LinearSystem,
@@ -36,6 +37,23 @@ def rand_system(rng, dim):
         coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
         rows.append((coeffs, F(rng.randint(-6, 6))))
     return box(dim, bound=rng.randint(2, 5), extra=rows)
+
+
+def open_system(rng, dim):
+    """Free and nonnegative variables; each bounding row is left out at
+    random, so the region may be unbounded in any coordinate direction."""
+    nonneg = frozenset(j for j in range(dim) if rng.random() < 0.5)
+    rows = []
+    for j in range(dim):
+        unit = tuple(F(k == j) for k in range(dim))
+        if rng.random() < 0.7:
+            rows.append((tuple(-c for c in unit), F(-rng.randint(1, 4))))
+        if j not in nonneg and rng.random() < 0.7:
+            rows.append((unit, F(-rng.randint(0, 4))))
+    for _ in range(rng.randint(0, 2)):
+        rows.append((tuple(F(rng.randint(-2, 2)) for _ in range(dim)), F(rng.randint(-4, 4))))
+    rng.shuffle(rows)
+    return LinearSystem(dim=dim, inequalities=rows, nonneg=nonneg)
 
 
 def brute_vertices(system):
@@ -92,6 +110,12 @@ class TestLinearSystem:
     def test_bad_nonneg_index(self):
         with pytest.raises(ValueError):
             LinearSystem(dim=2, nonneg={2})
+
+    def test_bools_in_the_shape_are_refused(self):
+        with pytest.raises(TypeError):
+            LinearSystem(dim=True, inequalities=[([1], 0)])
+        with pytest.raises(TypeError):
+            LinearSystem(dim=2, nonneg={True})
 
     def test_satisfies(self):
         sys_ = LinearSystem(
@@ -248,6 +272,53 @@ class TestEnumerateVertices:
         with pytest.raises(UnboundedRegionError):
             enumerate_vertices(sys_)
 
+    def test_boundedness_probes_match_fresh_solves(self, monkeypatch):
+        # every probe after the first starts from the basis the previous one
+        # left; record pivots per probe to see that such warm starts occur
+        pivots = [0]
+        probes = []  # (pivots, bounded) per phase-two run
+        pivot, phase_two = lpcore._Tableau._pivot, lpcore._Tableau.phase_two
+
+        def counting_pivot(self, *args):
+            pivots[0] += 1
+            return pivot(self, *args)
+
+        def recording_phase_two(self, objective):
+            before = pivots[0]
+            bounded = phase_two(self, objective)
+            probes.append((pivots[0] - before, bounded))
+            return bounded
+
+        monkeypatch.setattr(lpcore._Tableau, "_pivot", counting_pivot)
+        monkeypatch.setattr(lpcore._Tableau, "phase_two", recording_phase_two)
+        rng = random.Random(37)
+        bounded = warm_unbounded = 0
+        for _ in range(80):
+            sys_ = open_system(rng, rng.randint(1, 3))
+            if not feasible(sys_)[0]:
+                assert enumerate_vertices(sys_) == ()
+                continue
+            probes.clear()
+            try:
+                verts = enumerate_vertices(sys_)
+            except UnboundedRegionError:
+                verts = None
+                # the raising probe is the last one; an earlier probe pivoted
+                warm_unbounded += any(p for p, _ in probes[:-1])
+            fresh_unbounded = False
+            for j in range(sys_.dim):
+                for sign in (1, -1):
+                    try:
+                        maximize(sys_, tuple(sign * (k == j) for k in range(sys_.dim)))
+                    except UnboundedRegionError:
+                        fresh_unbounded = True
+            assert (verts is None) == fresh_unbounded
+            if verts is not None:
+                assert verts == brute_vertices(sys_)
+                bounded += 1
+        assert bounded >= 10
+        assert warm_unbounded >= 10
+
     def test_two_player_core_shape(self):
         # band 1 <= x1 + x2 <= 4 with x_i >= 1: a triangle; the midpoint
         # (2, 2) is feasible but interior, so it must not be listed
@@ -332,3 +403,25 @@ class TestEnumerateVertices:
             assert feasible(hull)[0]
             checked += 1
         assert checked >= 8
+
+
+class TestOnePhaseOne:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_phase_one_per_call(self, dim, monkeypatch):
+        calls = []
+        phase_one = lpcore._Tableau.phase_one
+
+        def counting_phase_one(self):
+            calls.append(self)
+            return phase_one(self)
+
+        monkeypatch.setattr(lpcore._Tableau, "phase_one", counting_phase_one)
+        sys_ = box(dim, extra=[(tuple(F(1) for _ in range(dim)), F(1))])
+        for call in (
+            lambda: feasible(sys_),
+            lambda: maximize(sys_, (1,) * dim),
+            lambda: enumerate_vertices(sys_),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
