@@ -95,7 +95,10 @@ def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
     vals = _scaled_values(v)
     if prop is ClassicalProperty.ADDITIVE:
         return _additive(vals, v.n)
-    return _KERNELS[prop](vals, vals, v.n)
+    kernel = _KERNELS.get(prop)
+    if kernel is None:
+        raise ValueError(f"unknown classical property: {prop!r}")
+    return kernel(vals, vals, v.n)
 
 
 def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
@@ -201,13 +204,17 @@ _SELECTION_TO_CLASSICAL = {
 }
 
 
-def check_selection_class(w: IntervalGame, cls: SelectionClass) -> bool:
-    """Endpoint characterization of a selection class."""
-    lo, up = _scaled_borders(w)
+def _selection_kernel(cls: SelectionClass):
     prop = _SELECTION_TO_CLASSICAL.get(cls)
     if prop is None:
         raise ValueError(f"unknown selection class: {cls!r}")
-    return _KERNELS[prop](lo, up, w.n)
+    return _KERNELS[prop]
+
+
+def check_selection_class(w: IntervalGame, cls: SelectionClass) -> bool:
+    """Endpoint characterization of a selection class."""
+    lo, up = _scaled_borders(w)
+    return _selection_kernel(cls)(lo, up, w.n)
 
 
 def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
@@ -238,8 +245,8 @@ def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
         raise BudgetExceededError(
             f"endpoint selection oracle supports at most {ORACLE_MAX_PLAYERS} players, got {w.n}"
         )
+    kernel = _selection_kernel(cls)
     lo, up = _scaled_borders(w)
-    kernel = _KERNELS[_SELECTION_TO_CLASSICAL[cls]]
     n = w.n
     m = (1 << n) - 1
     vals = [0] * (m + 1)

@@ -66,53 +66,63 @@ def _as_mask(s, n: int) -> int:
     return mask
 
 
+class _Game:
+    """Body shared by the two game types, which differ only in how a worth is
+    coerced (``_coerce``), the empty coalition's worth (``_zero``) and the
+    noun of the length error (``_noun``)."""
+
+    def __post_init__(self):
+        _check_n(self.n)
+        vals = tuple(self._coerce(v) for v in self.values)
+        if len(vals) != 1 << self.n:
+            raise ValueError(f"expected {1 << self.n} {self._noun}, got {len(vals)}")
+        if vals[0] != self._zero:
+            raise ValueError(f"the empty coalition must be worth {self._zero}")
+        object.__setattr__(self, "values", vals)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+    def worth(self, s):
+        """Worth of a coalition given as a mask or an iterable of players."""
+        return self.values[_as_mask(s, self.n)]
+
+    @classmethod
+    def from_function(cls, n: int, fn: Callable[[int], object]) -> "_Game":
+        _check_n(n)
+        return cls(n, tuple(cls._coerce(fn(m)) if m else cls._zero for m in range(1 << n)))
+
+    @classmethod
+    def from_map(cls, n: int, worth: Mapping) -> "_Game":
+        """Build from a map keyed by player iterables; all nonempty coalitions required."""
+        _check_n(n)
+        values: list = [None] * (1 << n)
+        values[0] = cls._zero
+        for key, val in worth.items():
+            mask = _as_mask(key, n)
+            if mask == 0:
+                if cls._coerce(val) != cls._zero:
+                    raise ValueError(f"the empty coalition must be worth {cls._zero}")
+                continue
+            if values[mask] is not None:
+                raise ValueError(f"coalition {members(mask)} given twice")
+            values[mask] = cls._coerce(val)
+        for m in range(1, 1 << n):
+            if values[m] is None:
+                raise ValueError(f"missing worth for coalition {members(m)}")
+        return cls(n, tuple(values))
+
+
 @dataclass(frozen=True, repr=False)
-class ClassicalGame:
+class ClassicalGame(_Game):
     """Characteristic function with one exact rational worth per coalition."""
 
     n: int
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        _check_n(self.n)
-        vals = tuple(as_fraction(v) for v in self.values)
-        if len(vals) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} worths, got {len(vals)}")
-        if vals[0] != 0:
-            raise ValueError("the empty coalition must be worth 0")
-        object.__setattr__(self, "values", vals)
-
-    def __repr__(self):
-        return f"ClassicalGame(n={self.n})"
-
-    def worth(self, s) -> Fraction:
-        """Worth of a coalition given as a mask or an iterable of players."""
-        return self.values[_as_mask(s, self.n)]
-
-    @classmethod
-    def from_function(cls, n: int, fn: Callable[[int], object]) -> "ClassicalGame":
-        _check_n(n)
-        return cls(n, tuple(as_fraction(fn(m)) if m else Fraction(0) for m in range(1 << n)))
-
-    @classmethod
-    def from_map(cls, n: int, worth: Mapping) -> "ClassicalGame":
-        """Build from a map keyed by player iterables; all nonempty coalitions required."""
-        _check_n(n)
-        values: list = [None] * (1 << n)
-        values[0] = Fraction(0)
-        for key, val in worth.items():
-            mask = _as_mask(key, n)
-            if mask == 0:
-                if as_fraction(val) != 0:
-                    raise ValueError("the empty coalition must be worth 0")
-                continue
-            if values[mask] is not None:
-                raise ValueError(f"coalition {members(mask)} given twice")
-            values[mask] = as_fraction(val)
-        for m in range(1, 1 << n):
-            if values[m] is None:
-                raise ValueError(f"missing worth for coalition {members(m)}")
-        return cls(n, tuple(values))
+    _coerce = staticmethod(as_fraction)
+    _zero = Fraction(0)
+    _noun = "worths"
 
 
 def _as_interval(value) -> Interval:
@@ -124,51 +134,15 @@ def _as_interval(value) -> Interval:
 
 
 @dataclass(frozen=True, repr=False)
-class IntervalGame:
+class IntervalGame(_Game):
     """Characteristic function assigning each coalition a rational interval."""
 
     n: int
     values: tuple[Interval, ...]
 
-    def __post_init__(self):
-        _check_n(self.n)
-        vals = tuple(_as_interval(v) for v in self.values)
-        if len(vals) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} worth intervals, got {len(vals)}")
-        if vals[0] != ZERO_INTERVAL:
-            raise ValueError("the empty coalition must be worth [0, 0]")
-        object.__setattr__(self, "values", vals)
-
-    def __repr__(self):
-        return f"IntervalGame(n={self.n})"
-
-    def worth(self, s) -> Interval:
-        return self.values[_as_mask(s, self.n)]
-
-    @classmethod
-    def from_function(cls, n: int, fn: Callable[[int], object]) -> "IntervalGame":
-        _check_n(n)
-        return cls(n, tuple(_as_interval(fn(m)) if m else ZERO_INTERVAL for m in range(1 << n)))
-
-    @classmethod
-    def from_map(cls, n: int, worth: Mapping) -> "IntervalGame":
-        """Build from a map keyed by player iterables; all nonempty coalitions required."""
-        _check_n(n)
-        values: list = [None] * (1 << n)
-        values[0] = ZERO_INTERVAL
-        for key, val in worth.items():
-            mask = _as_mask(key, n)
-            if mask == 0:
-                if _as_interval(val) != ZERO_INTERVAL:
-                    raise ValueError("the empty coalition must be worth [0, 0]")
-                continue
-            if values[mask] is not None:
-                raise ValueError(f"coalition {members(mask)} given twice")
-            values[mask] = _as_interval(val)
-        for m in range(1, 1 << n):
-            if values[m] is None:
-                raise ValueError(f"missing worth for coalition {members(m)}")
-        return cls(n, tuple(values))
+    _coerce = staticmethod(_as_interval)
+    _zero = ZERO_INTERVAL
+    _noun = "worth intervals"
 
 
 def border_games(w: IntervalGame) -> tuple[ClassicalGame, ClassicalGame]:

@@ -20,6 +20,8 @@ def as_fraction(value) -> Fraction:
     A float such as 0.1 would silently become its binary approximation and a
     bool would pass for 0 or 1, so both are refused rather than coerced.
     """
+    if type(value) is Fraction:
+        return value  # immutable, and already exact: no copy needed
     if isinstance(value, (float, bool)):
         raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
     return Fraction(value)
@@ -31,7 +33,7 @@ def parse_scalar(text: str) -> Fraction:
     if not _SCALAR_RE.match(token):
         raise ValueError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(token.replace(" ", ""))
+        return Fraction(re.sub(r"\s", "", token))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 
@@ -98,15 +100,6 @@ class Interval:
         if not isinstance(other, Interval):
             return NotImplemented
         return Interval(self.lower + other.lower, self.upper + other.upper)
-
-    def __neg__(self):
-        return Interval(-self.upper, -self.lower)
-
-    def __sub__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        # [a,b] - [c,d] = [a,b] + [-d,-c]
-        return Interval(self.lower - other.upper, self.upper - other.lower)
 
 
 ZERO_INTERVAL = Interval(0)

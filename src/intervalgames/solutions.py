@@ -6,11 +6,8 @@ exact linear feasibility).  Interval side, three competing readings of
 
 * selection-based point solutions: a payoff vector counts when some
   selection of the interval game accepts it (selection imputations and the
-  selection core SC).  Both have closed forms because a selection is free
-  to pick each coalition's worth independently: the best case for a fixed
-  vector is every proper coalition at its lower endpoint and the grand
-  coalition at the vector's own total.  The closed forms are validated
-  against endpoint-enumeration oracles in the test suite.
+  selection core SC), or when every selection does (the strong imputation
+  and the strong core).
 * interval-valued payoffs: vectors of intervals compared with the
   weakly-better order (interval imputations, interval core).
 * points generated by the interval core: x belongs when it can be fattened
@@ -18,17 +15,30 @@ exact linear feasibility).  Interval side, three competing readings of
   nonnegative slack vectors l, u exist with x - l efficient for the lower
   border game, x + u efficient for the upper one, and both shifted vectors
   coalition-rational for their respective borders.  The l-rows and u-rows
-  share no variables, so feasibility splits into two independent systems;
-  we solve the halves and re-verify the assembled witness against the
-  joint system, which stacks the two halves block-diagonally.
+  share no variables, so feasibility splits into two independent systems,
+  which are solved separately; ``generated_core_system`` stacks them
+  block-diagonally into the joint system as a reference.
+
+Every point concept is one test on a pair of borders (lo, up):
+lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper coalition S (a
+core) or for every singleton S (an imputation).  A classical game v runs it
+on (v, v).  "Some selection accepts x" runs it on (lower, upper): a
+selection may set the grand worth to x(N) and every other coalition to its
+minimum.  "Every selection accepts x" runs it on (upper, lower): the worst
+selection puts each coalition at its maximum, and the grand range is empty
+unless w(N) is degenerate.  Interval payoffs are added and compared
+endpoint by endpoint, so an interval imputation or interval core member is
+a pair of classical ones: the lower endpoints on (lower, lower) and the
+upper endpoints on (upper, upper).  The closed forms are validated against
+endpoint-enumeration oracles in the test suite.
 
 Each witness and counterexample is verified once, here, before it is
-returned: the simplex checks every point it returns against its system,
-``generated_core_witness`` checks the slack pair against the joint system,
-``selection_core_witness`` checks its sub-game with
-``verify_selection_core_witness``, and ``core_coincidence`` checks its
-counterexample with the closed-form selection-core test.  Callers,
-the command line included, use the results without checking them again.
+returned: the simplex checks every point it returns against its system (for
+the generated core, the two halves), ``selection_core_witness`` checks its
+sub-game with ``verify_selection_core_witness``, and ``core_coincidence``
+checks its counterexample with the closed-form selection-core test.
+Callers, the command line included, use the results without checking them
+again.
 
 The coincidence question asks whether the generated set equals SC.  The
 generated set is the projection of a polyhedron (the joint system with x
@@ -36,11 +46,6 @@ free) and hence convex, and it is always contained in SC, so equality
 holds exactly when every vertex of the SC polytope is generated.  Vertices
 are enumerated exactly and checked in lexicographic order; the first
 failure is returned as the counterexample.
-
-Strong concepts quantify universally instead: a strong imputation / strong
-core member must be accepted by every selection.  Efficiency across all
-selections forces a degenerate grand-coalition interval, after which the
-worst case per coalition is its upper endpoint.
 """
 
 from dataclasses import dataclass
@@ -55,8 +60,8 @@ from .games import (
     border_games,
     grand_coalition,
 )
-from .lpcore import LinearSystem, enumerate_vertices, feasible, satisfies
-from .numerics import Interval, Scalar, as_fraction, weakly_better
+from .lpcore import LinearSystem, enumerate_vertices, feasible
+from .numerics import Interval, Scalar, as_fraction
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,18 @@ def _coalition_sums(x: tuple[Fraction, ...]) -> list[Fraction]:
     return sums
 
 
+def _accepts(point: tuple[Fraction, ...], lo, up, core: bool) -> bool:
+    """lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper S (a core)
+    or for every singleton S (an imputation); lo and up are indexed by mask."""
+    full = grand_coalition(len(point))
+    if not lo[full] <= sum(point) <= up[full]:
+        return False
+    if not core:
+        return all(xi >= lo[1 << i] for i, xi in enumerate(point))
+    sums = _coalition_sums(point)
+    return all(sums[m] >= lo[m] for m in range(1, full))
+
+
 def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
     """One row ``sign * x(S) >= rhs(S)`` (or ``=``) per coalition S in masks."""
     return tuple((tuple(sign if m >> i & 1 else 0 for i in range(n)), rhs(m)) for m in masks)
@@ -133,20 +150,12 @@ def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
 
 def is_imputation(v: ClassicalGame, x) -> bool:
     """Efficiency plus individual rationality, checked exactly."""
-    point = _payoff(x, v.n)
-    if sum(point) != v.worth(grand_coalition(v.n)):
-        return False
-    return all(point[i] >= v.worth(1 << i) for i in range(v.n))
+    return _accepts(_payoff(x, v.n), v.values, v.values, core=False)
 
 
 def is_core_member(v: ClassicalGame, x) -> bool:
     """Efficient and no coalition can improve on its summed payoff."""
-    point = _payoff(x, v.n)
-    sums = _coalition_sums(point)
-    full = grand_coalition(v.n)
-    if sums[full] != v.worth(full):
-        return False
-    return all(sums[m] >= v.worth(m) for m in range(1, full))
+    return _accepts(_payoff(x, v.n), v.values, v.values, core=True)
 
 
 def core_system(v: ClassicalGame) -> LinearSystem:
@@ -173,30 +182,15 @@ def core_nonempty(v: ClassicalGame) -> bool:
 
 
 def is_selection_imputation(w: IntervalGame, x) -> bool:
-    """Some selection accepts x as an imputation.
-
-    Closed form: the total must fit inside the grand coalition's interval
-    and each payoff must clear its singleton's lower endpoint, since a
-    selection may set the grand worth to the total and every singleton to
-    its own minimum.
-    """
-    point = _payoff(x, w.n)
-    total = sum(point)
-    grand = w.worth(grand_coalition(w.n))
-    if not (grand.lower <= total <= grand.upper):
-        return False
-    return all(point[i] >= w.worth(1 << i).lower for i in range(w.n))
+    """Some selection accepts x as an imputation: the test on (lower, upper)."""
+    lower, upper = border_games(w)
+    return _accepts(_payoff(x, w.n), lower.values, upper.values, core=False)
 
 
 def is_selection_core_member(w: IntervalGame, x) -> bool:
     """Some selection puts x in its core (x lies in the SC polytope)."""
-    point = _payoff(x, w.n)
-    sums = _coalition_sums(point)
-    full = grand_coalition(w.n)
-    grand = w.worth(full)
-    if not (grand.lower <= sums[full] <= grand.upper):
-        return False
-    return all(sums[m] >= w.worth(m).lower for m in range(1, full))
+    lower, upper = border_games(w)
+    return _accepts(_payoff(x, w.n), lower.values, upper.values, core=True)
 
 
 def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
@@ -226,17 +220,14 @@ def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
 
 
 def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
-    """Pure re-check of a witness sub-game: containment plus worst-case core."""
+    """Pure re-check of a witness sub-game: s lies inside w and x is in the
+    core of every selection of s, which is the strong core of s."""
     point = _payoff(x, w.n)
     if s.n != w.n:
         return False
-    full = grand_coalition(w.n)
-    if any(s.worth(m) not in w.worth(m) for m in range(1, full + 1)):
+    if any(s.worth(m) not in w.worth(m) for m in range(1, grand_coalition(w.n) + 1)):
         return False
-    if not s.worth(full).degenerate:
-        return False
-    _, worst = border_games(s)
-    return is_core_member(worst, point)
+    return is_strong_core_member(s, point)
 
 
 def selection_core_system(w: IntervalGame) -> LinearSystem:
@@ -254,30 +245,24 @@ def selection_core_system(w: IntervalGame) -> LinearSystem:
 # interval-valued payoff solutions
 
 
+def _accepts_endpoints(w: IntervalGame, payoff, core: bool) -> bool:
+    # interval sums and the weakly-better order both act endpoint by endpoint
+    entries = _interval_payoff(payoff, w.n)
+    lows, ups = tuple(p.lower for p in entries), tuple(p.upper for p in entries)
+    lower, upper = border_games(w)
+    return (
+        _accepts(lows, lower.values, lower.values, core)
+        and _accepts(ups, upper.values, upper.values, core)
+    )
+
+
 def is_interval_imputation(w: IntervalGame, payoff) -> bool:
     """Interval payoffs summing exactly to w(N), each weakly above its singleton."""
-    entries = _interval_payoff(payoff, w.n)
-    total = Interval(0)
-    for p in entries:
-        total = total + p
-    if total != w.worth(grand_coalition(w.n)):
-        return False
-    return all(weakly_better(entries[i], w.worth(1 << i)) for i in range(w.n))
+    return _accepts_endpoints(w, payoff, core=False)
 
 
 def is_interval_core_member(w: IntervalGame, payoff) -> bool:
-    entries = _interval_payoff(payoff, w.n)
-    if not is_interval_imputation(w, entries):
-        return False
-    full = grand_coalition(w.n)
-    for m in range(1, full):
-        total = Interval(0)
-        for i in range(w.n):
-            if m >> i & 1:
-                total = total + entries[i]
-        if not weakly_better(total, w.worth(m)):
-            return False
-    return True
+    return _accepts_endpoints(w, payoff, core=True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +316,17 @@ def generated_core_system(w: IntervalGame, x) -> LinearSystem:
 def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | None:
     """Feasible slack pair for x, or None.
 
-    The lower and upper halves are solved separately (they share no
-    variables) and the assembled witness is re-verified against the joint
-    system.
+    The lower and upper halves share no variables, so each is solved on its
+    own; the simplex has checked each half's point against its system, which
+    verifies the pair against the joint system.
     """
-    point = _payoff(x, w.n)
-    sums = _coalition_sums(point)
+    sums = _coalition_sums(_payoff(x, w.n))
     ok, l = feasible(_lower_system(w, sums))
     if not ok:
         return None
     ok, u = feasible(_upper_system(w, sums))
     if not ok:
         return None
-    if not satisfies(generated_core_system(w, point), l + u):
-        raise AssertionError("internal error: assembled witness failed the joint system")
     return GeneratedCoreWitness(l=l, u=u)
 
 
@@ -370,6 +352,8 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     failure is reported; an empty SC is vacuously coincident.  The budget
     caps the player count because vertex enumeration is exponential.
     """
+    if isinstance(budget, (bool, float)):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__} {budget!r}")
     if w.n > budget:
         raise BudgetExceededError(
             f"coincidence needs vertex enumeration; {w.n} players exceeds budget {budget}"
@@ -387,29 +371,19 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
 
 
 def is_strong_imputation(w: IntervalGame, x) -> bool:
-    """x is an imputation of every selection.
+    """x is an imputation of every selection: the test on (upper, lower).
 
     Efficiency under every choice of grand worth forces w(N) degenerate;
     individual rationality must survive each singleton's upper endpoint.
     """
-    point = _payoff(x, w.n)
-    grand = w.worth(grand_coalition(w.n))
-    if not grand.degenerate or sum(point) != grand.lower:
-        return False
-    return all(point[i] >= w.worth(1 << i).upper for i in range(w.n))
+    lower, upper = border_games(w)
+    return _accepts(_payoff(x, w.n), upper.values, lower.values, core=False)
 
 
 def is_strong_core_member(w: IntervalGame, x) -> bool:
     """x is in the core of every selection (worst case: upper endpoints)."""
-    point = _payoff(x, w.n)
-    full = grand_coalition(w.n)
-    grand = w.worth(full)
-    if not grand.degenerate:
-        return False
-    sums = _coalition_sums(point)
-    if sums[full] != grand.lower:
-        return False
-    return all(sums[m] >= w.worth(m).upper for m in range(1, full))
+    lower, upper = border_games(w)
+    return _accepts(_payoff(x, w.n), upper.values, lower.values, core=True)
 
 
 def strong_core_system(w: IntervalGame) -> LinearSystem:

@@ -11,6 +11,7 @@ from intervalgames import (
     IntervalGame,
     SELECTION_CONVEX_VARIANTS,
     SelectionClass,
+    border_games,
     check_classical,
     check_interval_class,
     check_selection_class,
@@ -280,6 +281,20 @@ class TestSelectionClasses:
         w = family("sel-convex", 2)
         with pytest.raises(ValueError):
             check_selection_convex_variant(w, "nope")
+
+    def test_unknown_property_or_class_rejected(self):
+        # a plain string is not a member of the enums; every checker says
+        # ValueError, none leaks the KeyError of an internal lookup
+        w = family("sel-convex", 2)
+        v, _ = border_games(w)
+        with pytest.raises(ValueError, match="unknown classical property"):
+            check_classical(v, "convex")
+        with pytest.raises(ValueError, match="unknown interval class"):
+            check_interval_class(w, "convex-interval")
+        with pytest.raises(ValueError, match="unknown selection class"):
+            check_selection_class(w, "selection-convex")
+        with pytest.raises(ValueError, match="unknown selection class"):
+            selection_class_oracle(w, "selection-convex")
 
 
 class TestConvexityVariants:

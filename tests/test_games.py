@@ -99,6 +99,28 @@ class TestIntervalGame:
         with pytest.raises(ValueError):
             IntervalGame(1, (Interval(0, 1), Interval(0, 1)))
 
+    def test_messages_name_the_game_type(self):
+        assert repr(ClassicalGame(1, (0, 1))) == "ClassicalGame(n=1)"
+        assert repr(IntervalGame(1, (0, 1))) == "IntervalGame(n=1)"
+        with pytest.raises(ValueError, match=r"^expected 4 worths, got 3$"):
+            ClassicalGame(2, (0, 1, 2))
+        with pytest.raises(ValueError, match=r"^expected 4 worth intervals, got 3$"):
+            IntervalGame(2, (0, 1, 2))
+        with pytest.raises(ValueError, match=r"^the empty coalition must be worth 0$"):
+            ClassicalGame.from_map(1, {(): 1, (1,): 1})
+        with pytest.raises(ValueError, match=r"^the empty coalition must be worth \[0, 0\]$"):
+            IntervalGame.from_map(1, {(): (0, 1), (1,): 1})
+
+    def test_types_stay_distinct_values(self):
+        v = ClassicalGame(1, (0, 1))
+        w = IntervalGame(1, (0, 1))
+        assert v == ClassicalGame.from_function(1, lambda m: 1)
+        assert hash(v) == hash(ClassicalGame.from_map(1, {(1,): 1}))
+        assert w == IntervalGame.from_function(1, lambda m: (1, 1))
+        assert v != w
+        with pytest.raises(AttributeError):
+            w.n = 2
+
     def test_floats_and_bools_are_refused(self):
         with pytest.raises(TypeError):
             IntervalGame.from_map(1, {(1,): (0, 0.5)})
@@ -214,6 +236,11 @@ players 2
     def test_bare_scalar_is_degenerate(self):
         w = parse_game("players 1\n1 5/2\n")
         assert w.worth([1]) == Interval(Fraction(5, 2))
+
+    def test_any_whitespace_around_the_slash(self):
+        w = parse_game("players 2\n1 [1\t/2, 1]\n2 3 /\t4\n1,2 [1 / 2, 2]\n")
+        assert w.worth([1]) == Interval(Fraction(1, 2), 1)
+        assert w.worth([2]) == Interval(Fraction(3, 4))
 
     def test_unsorted_players_and_order(self):
         w = parse_game("players 2\n2,1 [0, 1]\n2 [0, 0]\n1 [0, 0]\n")

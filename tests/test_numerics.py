@@ -33,6 +33,8 @@ class TestScalarText:
             ("+5", Fraction(5)),
             (" 7 / 2 ", Fraction(7, 2)),
             ("0", Fraction(0)),
+            ("1\t/2", Fraction(1, 2)),
+            ("-3 /\n 4", Fraction(-3, 4)),
         ],
     )
     def test_parse(self, text, value):
@@ -98,16 +100,6 @@ class TestInterval:
     def test_add(self):
         assert Interval(1, 2) + Interval(3, 5) == Interval(4, 7)
 
-    def test_sub_degenerate_shifts(self):
-        # [2,5] - [1,1] = [1,4]
-        assert Interval(2, 5) - Interval(1, 1) == Interval(1, 4)
-
-    def test_sub_widens(self):
-        assert Interval(0, 1) - Interval(0, 1) == Interval(-1, 1)
-
-    def test_neg(self):
-        assert -Interval(-1, 3) == Interval(-3, 1)
-
     @given(st_interval(), st_interval())
     def test_add_commutes(self, x, y):
         assert x + y == y + x
@@ -115,10 +107,6 @@ class TestInterval:
     @given(st_interval(), st_interval(), st_interval())
     def test_add_associates(self, x, y, z):
         assert (x + y) + z == x + (y + z)
-
-    @given(st_interval(), st_interval())
-    def test_sub_is_add_of_negation(self, x, y):
-        assert x - y == x + (-y)
 
     @given(st_interval(), st_interval())
     def test_width_adds(self, x, y):

@@ -21,6 +21,7 @@ from intervalgames import (
     generated_core_diagnosis,
     generated_core_system,
     generated_core_witness,
+    grand_coalition,
     is_core_member,
     is_generated_core_member,
     is_imputation,
@@ -40,6 +41,7 @@ from intervalgames import (
     strong_core_system,
     strong_core_witness,
     verify_selection_core_witness,
+    weakly_better,
 )
 from intervalgames import solutions
 from intervalgames.lpcore import feasible
@@ -472,6 +474,11 @@ class TestCoincidence:
         with pytest.raises(BudgetExceededError):
             core_coincidence(BAND, budget=1)
 
+    @pytest.mark.parametrize("budget", [True, 6.0])
+    def test_bool_and_float_budgets_are_refused(self, budget):
+        with pytest.raises(TypeError, match="budget must be an int"):
+            core_coincidence(BAND, budget=budget)
+
 
 class TestStrongConcepts:
     def test_tight_game_memberships(self):
@@ -564,3 +571,109 @@ class TestStronglyBalanced:
                 continue
             for v in endpoint_selections(w):
                 assert core_nonempty(v)
+
+
+# ---------------------------------------------------------------------------
+# every point predicate runs one border test; these plain loops over the
+# definitions are the slow routes it replaces
+
+
+def plain_imputation(v: ClassicalGame, x) -> bool:
+    full = grand_coalition(v.n)
+    if sum(x) != v.values[full]:
+        return False
+    for i in range(v.n):
+        if x[i] < v.values[1 << i]:
+            return False
+    return True
+
+
+def plain_core_member(v: ClassicalGame, x) -> bool:
+    full = grand_coalition(v.n)
+    if sum(x) != v.values[full]:
+        return False
+    for m in range(1, full):
+        if sum(x[i] for i in range(v.n) if m >> i & 1) < v.values[m]:
+            return False
+    return True
+
+
+def plain_interval_total(payoff, m: int) -> Interval:
+    total = Interval(0)
+    for i, p in enumerate(payoff):
+        if m >> i & 1:
+            total = total + p
+    return total
+
+
+def plain_interval_imputation(w: IntervalGame, payoff) -> bool:
+    full = grand_coalition(w.n)
+    if plain_interval_total(payoff, full) != w.values[full]:
+        return False
+    return all(weakly_better(payoff[i], w.values[1 << i]) for i in range(w.n))
+
+
+def plain_interval_core_member(w: IntervalGame, payoff) -> bool:
+    full = grand_coalition(w.n)
+    if plain_interval_total(payoff, full) != w.values[full]:
+        return False
+    return all(weakly_better(plain_interval_total(payoff, m), w.values[m]) for m in range(1, full))
+
+
+def game_around(rng: random.Random, lows, highs) -> IntervalGame:
+    """A game whose worths sit at or near the coalition totals of the
+    endpoint vectors lows and highs, so that both verdicts come up often.
+    Half of the grand worths are exactly the totals; the rest are moved
+    and most of them are nondegenerate."""
+    n = len(lows)
+    full = grand_coalition(n)
+
+    def worth(m: int) -> Interval:
+        lo = sum(lows[i] for i in range(n) if m >> i & 1)
+        hi = sum(highs[i] for i in range(n) if m >> i & 1)
+        if m == full:
+            if rng.random() < 0.5:
+                return Interval(lo, hi)
+            return Interval(lo - rng.choice((0, 1)), hi + rng.choice((0, 1, 1)))
+        lo -= rng.choice((-1, 0, 1, 1, 2))
+        hi -= rng.choice((-1, 0, 1, 1, 2))
+        return Interval(lo, max(lo, hi))
+
+    return IntervalGame.from_function(n, worth)
+
+
+class TestBorderKernelCrossChecks:
+    def test_strong_predicates_match_every_endpoint_selection(self):
+        rng = random.Random(61)
+        seen = {(name, verdict): 0 for name in ("imputation", "core") for verdict in (True, False)}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            x = rand_payoff(rng, n)
+            # both borders near the totals of x: half of the grand worths
+            # are exactly [x(N), x(N)]
+            w = game_around(rng, x, x)
+            selections = list(endpoint_selections(w))
+            got = is_strong_imputation(w, x)
+            assert got == all(plain_imputation(v, x) for v in selections)
+            seen["imputation", got] += 1
+            got = is_strong_core_member(w, x)
+            assert got == all(plain_core_member(v, x) for v in selections)
+            seen["core", got] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_interval_predicates_match_the_definitions(self):
+        rng = random.Random(62)
+        seen = {(name, verdict): 0 for name in ("imputation", "core") for verdict in (True, False)}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            lows = rand_payoff(rng, n)
+            highs = tuple(a + rng.choice((F(1, 2), F(1), F(2))) for a in lows)
+            payoff = tuple(Interval(a, b) for a, b in zip(lows, highs))
+            w = game_around(rng, lows, highs)
+            got = is_interval_imputation(w, payoff)
+            assert got == plain_interval_imputation(w, payoff)
+            seen["imputation", got] += 1
+            got = is_interval_core_member(w, payoff)
+            assert got == plain_interval_core_member(w, payoff)
+            seen["core", got] += 1
+        assert min(seen.values()) >= 10, seen
