@@ -164,6 +164,8 @@ def membership_report(w: IntervalGame, concept: str, x, selection: str | None) -
         label, v = _resolve_selection(w, selection)
         doc["selection"] = label
         member = is_imputation(v, x) if concept == "imputation" else is_core_member(v, x)
+    elif selection is not None:
+        raise ValueError(f"--selection applies only to imputation and core, not {concept}")
     elif concept == "sel-imputation":
         member = is_selection_imputation(w, x)
     elif concept == "sel-core":

@@ -196,9 +196,9 @@ def family(kind: str, n: int) -> IntervalGame:
     """
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"family games need at least 2 players, got {n!r}")
     _check_n(n)
+    if n < 2:
+        raise ValueError(f"family games need at least 2 players, got {n!r}")
     if kind == "sel-superadditive":
         fn = lambda m: Interval(2 * m.bit_count() - 2, 2 * m.bit_count() - 1)
     elif kind == "interval-superadditive":
@@ -228,10 +228,9 @@ def parse_game(text: str) -> IntervalGame:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "players":
                 raise GameFormatError(f"line {lineno}: expected 'players <n>' header, got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GameFormatError(f"line {lineno}: invalid player count {parts[1]!r}") from None
+            n = _decimal(parts[1])
+            if n is None:
+                raise GameFormatError(f"line {lineno}: invalid player count {parts[1]!r}")
             if not 1 <= n <= MAX_PLAYERS:
                 raise GameFormatError(
                     f"line {lineno}: player count must be between 1 and {MAX_PLAYERS}, got {n}"
@@ -265,15 +264,19 @@ def parse_game(text: str) -> IntervalGame:
     return IntervalGame(n, tuple(values))
 
 
+def _decimal(text: str) -> int | None:
+    """The value of a string of ASCII decimal digits, or None for anything
+    else (``int`` would also take signs, underscores and other scripts)."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _parse_coalition_token(token: str, n: int, lineno: int) -> int:
     labels = []
     for piece in token.split(","):
-        try:
-            labels.append(int(piece))
-        except ValueError:
-            raise GameFormatError(f"line {lineno}: invalid player label {piece!r}") from None
-    if not labels:
-        raise GameFormatError(f"line {lineno}: empty coalition")
+        label = _decimal(piece)
+        if label is None:
+            raise GameFormatError(f"line {lineno}: invalid player label {piece!r}")
+        labels.append(label)
     try:
         mask = coalition(labels)
     except ValueError as exc:

@@ -39,8 +39,9 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value) -> str:
-    """Canonical text for a rational: lowest terms, ``p`` or ``p/q``."""
-    return str(Fraction(value))
+    """Canonical text for a rational: lowest terms, ``p`` or ``p/q``.  Floats
+    and bools raise ``TypeError``, as in ``as_fraction``."""
+    return str(as_fraction(value))
 
 
 class Interval:

@@ -12,12 +12,10 @@ exact linear feasibility).  Interval side, three competing readings of
   weakly-better order (interval imputations, interval core).
 * points generated by the interval core: x belongs when it can be fattened
   into an interval payoff vector lying in the interval core, i.e. when
-  nonnegative slack vectors l, u exist with x - l efficient for the lower
-  border game, x + u efficient for the upper one, and both shifted vectors
-  coalition-rational for their respective borders.  The l-rows and u-rows
-  share no variables, so feasibility splits into two independent systems,
-  which are solved separately; ``generated_core_system`` stacks them
-  block-diagonally into the joint system as a reference.
+  nonnegative slack vectors l, u exist with x - l in the lower border core
+  and x + u in the upper one.  The two halves share no variables and are
+  solved separately; ``generated_core_system`` stacks them block-diagonally
+  into the joint system as a reference.
 
 Every point concept is one test on a pair of borders (lo, up):
 lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper coalition S (a
@@ -30,7 +28,10 @@ unless w(N) is degenerate.  Interval payoffs are added and compared
 endpoint by endpoint, so an interval imputation or interval core member is
 a pair of classical ones: the lower endpoints on (lower, lower) and the
 upper endpoints on (upper, upper).  The closed forms are validated against
-endpoint-enumeration oracles in the test suite.
+endpoint-enumeration oracles in the test suite.  Every coalition system is
+the row form of the same test, built by ``_core_system`` (the slack halves
+run it on the gaps lower - x and upper - x); a grand range that is a single
+point is one equality row.
 
 Each witness and counterexample is verified once, here, before it is
 returned: the simplex checks every point it returns against its system (for
@@ -140,8 +141,24 @@ def _accepts(point: tuple[Fraction, ...], lo, up, core: bool) -> bool:
 
 
 def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
-    """One row ``sign * x(S) >= rhs(S)`` (or ``=``) per coalition S in masks."""
-    return tuple((tuple(sign if m >> i & 1 else 0 for i in range(n)), rhs(m)) for m in masks)
+    """One row ``sign * y(S) >= rhs[S]`` (or ``=``) per coalition S in masks."""
+    return tuple((tuple(sign if m >> i & 1 else 0 for i in range(n)), rhs[m]) for m in masks)
+
+
+def _core_system(n: int, lo, up, sign: int = 1, nonneg=frozenset()) -> LinearSystem:
+    """The rows of ``_accepts(sign * y, lo, up, core=True)`` over y.
+
+    The grand range lo(N) <= sign * y(N) <= up(N) is one equality when it is
+    a single point and two inequality rows otherwise; every proper S adds
+    sign * y(S) >= lo(S).  lo and up are indexed by mask.
+    """
+    full = grand_coalition(n)
+    grand = _rows(n, [full], lo, sign)
+    proper = _rows(n, range(1, full), lo, sign)
+    if lo[full] == up[full]:
+        return LinearSystem(dim=n, equalities=grand, inequalities=proper, nonneg=nonneg)
+    cap = _rows(n, [full], {full: -up[full]}, -sign)
+    return LinearSystem(dim=n, inequalities=grand + cap + proper, nonneg=nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +177,7 @@ def is_core_member(v: ClassicalGame, x) -> bool:
 
 def core_system(v: ClassicalGame) -> LinearSystem:
     """Core of a classical game as an exact linear system over payoffs."""
-    full = grand_coalition(v.n)
-    return LinearSystem(
-        dim=v.n,
-        equalities=_rows(v.n, [full], v.worth),
-        inequalities=_rows(v.n, range(1, full), v.worth),
-    )
+    return _core_system(v.n, v.values, v.values)
 
 
 def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
@@ -231,14 +243,9 @@ def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
 
 
 def selection_core_system(w: IntervalGame) -> LinearSystem:
-    """The SC polytope over payoff vectors, as inequality rows."""
-    full = grand_coalition(w.n)
-    return LinearSystem(
-        dim=w.n,
-        inequalities=_rows(w.n, [full], lambda m: w.worth(m).lower)
-        + _rows(w.n, [full], lambda m: -w.worth(m).upper, sign=-1)
-        + _rows(w.n, range(1, full), lambda m: w.worth(m).lower),
-    )
+    """The SC polytope over payoff vectors: the border test on (lower, upper)."""
+    lower, upper = border_games(w)
+    return _core_system(w.n, lower.values, upper.values)
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +277,15 @@ def is_interval_core_member(w: IntervalGame, payoff) -> bool:
 
 
 def _lower_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
-    """Feasibility of the sink slacks l: x - l must sit in the lower border core."""
-    full = grand_coalition(w.n)
-    return LinearSystem(
-        dim=w.n,
-        equalities=_rows(w.n, [full], lambda m: sums[m] - w.worth(m).lower),
-        inequalities=_rows(w.n, range(1, full + 1), lambda m: w.worth(m).lower - sums[m], sign=-1),
-        nonneg=frozenset(range(w.n)),
-    )
+    """Sink slacks l >= 0 with x - l in the lower border core: -l on the gap lower - x."""
+    gap = [iv.lower - s for iv, s in zip(w.values, sums)]
+    return _core_system(w.n, gap, gap, sign=-1, nonneg=frozenset(range(w.n)))
 
 
 def _upper_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
-    """Feasibility of the rise slacks u: x + u must sit in the upper border core."""
-    full = grand_coalition(w.n)
-    return LinearSystem(
-        dim=w.n,
-        equalities=_rows(w.n, [full], lambda m: w.worth(m).upper - sums[m]),
-        inequalities=_rows(w.n, range(1, full + 1), lambda m: w.worth(m).upper - sums[m]),
-        nonneg=frozenset(range(w.n)),
-    )
+    """Rise slacks u >= 0 with x + u in the upper border core: u on the gap upper - x."""
+    gap = [iv.upper - s for iv, s in zip(w.values, sums)]
+    return _core_system(w.n, gap, gap, nonneg=frozenset(range(w.n)))
 
 
 def generated_core_system(w: IntervalGame, x) -> LinearSystem:
@@ -387,14 +384,10 @@ def is_strong_core_member(w: IntervalGame, x) -> bool:
 
 
 def strong_core_system(w: IntervalGame) -> LinearSystem:
-    """The strong core as a linear system; infeasible when w(N) is non-degenerate."""
-    full = grand_coalition(w.n)
-    return LinearSystem(
-        dim=w.n,
-        equalities=_rows(w.n, [full], lambda m: w.worth(m).lower)
-        + _rows(w.n, [full], lambda m: w.worth(m).upper),
-        inequalities=_rows(w.n, range(1, full), lambda m: w.worth(m).upper),
-    )
+    """The strong core: the border test on (upper, lower), whose two grand
+    rows contradict each other when w(N) is non-degenerate."""
+    lower, upper = border_games(w)
+    return _core_system(w.n, upper.values, lower.values)
 
 
 def strong_core_witness(w: IntervalGame) -> tuple[Fraction, ...] | None:
@@ -418,12 +411,9 @@ def is_strongly_balanced(w: IntervalGame) -> bool:
     game, with any grand surplus handed to one player, is a core point of
     every other selection, and the worst selection is itself a selection.
     """
-    full = grand_coalition(w.n)
     lower, upper = border_games(w)
-    worst = ClassicalGame.from_function(
-        w.n, lambda m: lower.worth(m) if m == full else upper.worth(m)
-    )
-    return core_nonempty(worst)
+    # the grand coalition has the last mask
+    return core_nonempty(ClassicalGame(w.n, upper.values[:-1] + lower.values[-1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ class TestMembershipCommand:
         )
         assert code == 2
 
+    def test_selection_only_goes_with_classical_concepts(self, game_file, capsys):
+        path = game_file(UNIT)
+        for concept in ("sel-core", "gen", "strong-core"):
+            code, out, err = run_cli(
+                ["membership", path, concept, "1,1", "--selection", "upper"], capsys
+            )
+            assert code == 2 and out == "" and "--selection" in err
+
     def test_strong_concepts(self, game_file, capsys):
         path = game_file(TIGHT)
         assert run_cli(["membership", path, "strong-core", "2,2,2"], capsys)[0] == 0

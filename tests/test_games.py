@@ -220,6 +220,11 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family("sel-convex", 1)
 
+    @pytest.mark.parametrize("n", [3.0, True])
+    def test_bool_and_float_player_counts_are_refused(self, n):
+        with pytest.raises(TypeError, match="player count must be an int"):
+            family("sel-convex", n)
+
 
 class TestParsing:
     def test_golden(self):
@@ -263,6 +268,12 @@ players 2
             ("players 2\n1 [0, 1]\n", "missing"),
             ("players 1\n1 1.5\n", "line 2"),
             ("players 1\nx [0, 1]\n", "label"),
+            # only ASCII decimal digits count, although int() takes these
+            ("players \u0663\n", "line 1: invalid player count"),
+            ("players +2\n", "line 1: invalid player count"),
+            ("players 2\n1 0\n2 0\n0_1 [0, 1]\n", "line 4: invalid player label"),
+            ("players 2\n+1 0\n2 0\n1,2 0\n", "line 2: invalid player label"),
+            ("players 2\n1 0\n2 0\n1,\u0662 0\n", "line 4: invalid player label"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, fragment):

@@ -49,6 +49,11 @@ class TestScalarText:
     def test_round_trip(self, q):
         assert parse_scalar(format_scalar(q)) == q
 
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True])
+    def test_format_refuses_floats_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            format_scalar(bad)
+
 
 class TestInterval:
     def test_single_argument_is_degenerate(self):

@@ -89,29 +89,41 @@ def test_system_rows_for_the_band_game():
     assert selection_core_system(BAND) == LinearSystem(
         dim=2, inequalities=(((1, 1), 1), ((-1, -1), -4), ((1, 0), 1), ((0, 1), 1))
     )
+    # a degenerate grand range is one equality row
+    assert selection_core_system(TIGHT) == LinearSystem(
+        dim=3,
+        equalities=(((1, 1, 1), 6),),
+        inequalities=(
+            ((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 1, 0), 2),
+            ((0, 0, 1), 1), ((1, 0, 1), 2), ((0, 1, 1), 2),
+        ),
+    )
+    # the slack halves are the core rows of -l and u on their gaps; the
+    # grand equality already implies the grand inequality, so there is none
     assert solutions._lower_system(BAND, sums) == LinearSystem(
         dim=2,
-        equalities=(((1, 1), 3),),
-        inequalities=(((-1, 0), -1), ((0, -1), -1), ((-1, -1), -3)),
+        equalities=(((-1, -1), -3),),
+        inequalities=(((-1, 0), -1), ((0, -1), -1)),
         nonneg=frozenset({0, 1}),
     )
     assert solutions._upper_system(BAND, sums) == LinearSystem(
         dim=2,
         equalities=(((1, 1), 0),),
-        inequalities=(((1, 0), 1), ((0, 1), 1), ((1, 1), 0)),
+        inequalities=(((1, 0), 1), ((0, 1), 1)),
         nonneg=frozenset({0, 1}),
     )
     assert generated_core_system(BAND, (2, 2)) == LinearSystem(
         dim=4,
-        equalities=(((1, 1, 0, 0), 3), ((0, 0, 1, 1), 0)),
+        equalities=(((-1, -1, 0, 0), -3), ((0, 0, 1, 1), 0)),
         inequalities=(
-            ((-1, 0, 0, 0), -1), ((0, -1, 0, 0), -1), ((-1, -1, 0, 0), -3),
-            ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1), ((0, 0, 1, 1), 0),
+            ((-1, 0, 0, 0), -1), ((0, -1, 0, 0), -1),
+            ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1),
         ),
         nonneg=frozenset(range(4)),
     )
+    # (upper, lower): the band [1, 4] gives two contradictory grand rows
     assert strong_core_system(BAND) == LinearSystem(
-        dim=2, equalities=(((1, 1), 1), ((1, 1), 4)), inequalities=(((1, 0), 3), ((0, 1), 3))
+        dim=2, inequalities=(((1, 1), 4), ((-1, -1), -1), ((1, 0), 3), ((0, 1), 3))
     )
 
 
@@ -677,3 +689,50 @@ class TestBorderKernelCrossChecks:
             assert got == plain_interval_core_member(w, payoff)
             seen["core", got] += 1
         assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# every coalition system is the row form of the border test
+
+
+class TestRowFormMatchesPointForm:
+    def test_satisfies_agrees_with_the_predicates(self):
+        rng = random.Random(63)
+        pairs = ("core", "selection core", "strong core")
+        seen = {(name, verdict): 0 for name in pairs for verdict in (True, False)}
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            x = rand_payoff(rng, n)
+            # half of the grand worths are exactly [x(N), x(N)]
+            w = game_around(rng, x, x)
+            lower, _ = border_games(w)
+            systems = {
+                "core": (core_system(lower), lambda p: is_core_member(lower, p)),
+                "selection core": (selection_core_system(w), lambda p: is_selection_core_member(w, p)),
+                "strong core": (strong_core_system(w), lambda p: is_strong_core_member(w, p)),
+            }
+            points = [x, rand_payoff(rng, n)]
+            points += enumerate_vertices(systems["selection core"][0])[:2]
+            for name, (system, predicate) in systems.items():
+                for p in points:
+                    got = satisfies(system, p)
+                    assert got == predicate(p), (name, w, p)
+                    seen[name, got] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_degenerate_grand_equality_keeps_the_vertices(self):
+        # the single equality row for w(N) spans the same polytope as two
+        # opposite inequality rows
+        rng = random.Random(64)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            w = rand_interval_game(rng, n, lo=0, hi=4, max_width=2, degenerate_grand=True)
+            full = grand_coalition(n)
+            grand = tuple([1] * n)
+            two_rows = LinearSystem(
+                dim=n,
+                inequalities=((grand, w.worth(full).lower), (tuple([-1] * n), -w.worth(full).upper))
+                + selection_core_system(w).inequalities,
+            )
+            assert selection_core_system(w).equalities == ((grand, w.worth(full).lower),)
+            assert enumerate_vertices(selection_core_system(w)) == enumerate_vertices(two_rows)
