@@ -58,13 +58,11 @@ class SelectionClass(Enum):
     CONVEX = "selection-convex"
 
 
-@lru_cache(maxsize=128)
 def _scaled_values(v: ClassicalGame) -> tuple[int, ...]:
     scale = lcm(*(x.denominator for x in v.values))
     return tuple(x.numerator * (scale // x.denominator) for x in v.values)
 
 
-@lru_cache(maxsize=128)
 def _scaled_borders(w: IntervalGame) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # one shared denominator, the characterizations mix both borders
     scale = 1

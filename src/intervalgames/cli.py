@@ -19,13 +19,14 @@ with every scalar kept as an exact rational string.
 
 Witnesses and counterexamples are printed as the library returns them: the
 library has verified each one once already (see ``solutions``), so this
-module checks none of them again.
+module neither checks nor re-solves any of them.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict or oracle
 disagreement, 2 input error, 3 enumeration budget exceeded.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .games import (
     FAMILY_KINDS,
     ClassicalGame,
     IntervalGame,
+    _decimal,
     border_games,
     family,
     format_game,
@@ -58,8 +60,8 @@ from .games import (
 from .lpcore import enumerate_vertices
 from .numerics import format_interval, format_scalar, parse_scalar
 from .solutions import (
+    GeneratedCoreWitness,
     core_coincidence,
-    generated_core_diagnosis,
     generated_core_witness,
     is_core_member,
     is_imputation,
@@ -174,16 +176,16 @@ def membership_report(w: IntervalGame, concept: str, x, selection: str | None) -
         if member:
             doc["witness_subgame"] = _game_entries(witness)
     elif concept == "gen":
-        witness = generated_core_witness(w, x)
-        member = witness is not None
+        result = generated_core_witness(w, x)
+        member = isinstance(result, GeneratedCoreWitness)
         if member:
             doc["witness"] = {
-                "l": _vec(witness.l),
-                "u": _vec(witness.u),
-                "interval_payoff": [format_interval(p) for p in witness.interval_payoff(x)],
+                "l": _vec(result.l),
+                "u": _vec(result.u),
+                "interval_payoff": [format_interval(p) for p in result.interval_payoff(x)],
             }
         else:
-            doc["subsystems"] = generated_core_diagnosis(w, x)
+            doc["subsystems"] = dataclasses.asdict(result)
     elif concept == "strong-imputation":
         member = is_strong_imputation(w, x)
     elif concept == "strong-core":
@@ -201,7 +203,7 @@ def coincidence_report(w: IntervalGame, budget: int) -> tuple[dict, int]:
         return doc, 0
     doc["counterexample"] = _vec(verdict.counterexample)
     doc["counterexample_in_selection_core"] = True
-    doc["infeasible_subsystems"] = generated_core_diagnosis(w, verdict.counterexample)
+    doc["infeasible_subsystems"] = dataclasses.asdict(verdict.miss)
     return doc, 1
 
 
@@ -215,7 +217,7 @@ def strong_report(w: IntervalGame, payoff: tuple[Fraction, ...] | None) -> tuple
     }
     if witness is not None:
         doc["witness"] = _vec(witness)
-    doc["strongly_balanced"] = is_strongly_balanced(w)
+    doc["strongly_balanced"] = (witness is not None) if grand.degenerate else is_strongly_balanced(w)
     if payoff is None:
         return doc, 0 if witness is not None else 1
     doc["payoff"] = _vec(payoff)
@@ -239,10 +241,7 @@ def _oracle_points(w: IntervalGame) -> list[tuple[Fraction, ...]]:
             points.append((first[0] + delta,) + first[1:])
     points.append(tuple(w.worth(1 << i).lower for i in range(w.n)))
     points.append(tuple(w.worth(1 << i).upper for i in range(w.n)))
-    seen: dict[tuple[Fraction, ...], None] = {}
-    for p in points:
-        seen.setdefault(p, None)
-    return list(seen)
+    return list(dict.fromkeys(points))
 
 
 def oracle_report(w: IntervalGame) -> tuple[dict, int]:
@@ -327,6 +326,13 @@ def _emit(doc: dict, fmt: str) -> None:
 # argument parsing and dispatch
 
 
+def _count(text: str) -> int:
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}: expected ASCII decimal digits")
+    return value
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -356,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coincidence", help="does the generated set fill the selection core?")
     p.add_argument("game")
-    p.add_argument("--budget", type=int, default=6, help="player cap for vertex enumeration")
+    p.add_argument("--budget", type=_count, default=6, help="player cap for vertex enumeration")
     _add_format(p)
     p.set_defaults(func=_cmd_coincidence)
 
@@ -368,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="emit a built-in separating family game")
     p.add_argument("kind", choices=FAMILY_KINDS)
-    p.add_argument("n", type=int, help="number of players (>= 2)")
+    p.add_argument("n", type=_count, help="number of players (>= 2)")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("oracle", help="cross-check characterizations against brute force")

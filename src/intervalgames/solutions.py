@@ -14,8 +14,9 @@ exact linear feasibility).  Interval side, three competing readings of
   into an interval payoff vector lying in the interval core, i.e. when
   nonnegative slack vectors l, u exist with x - l in the lower border core
   and x + u in the upper one.  The two halves share no variables and are
-  solved separately; ``generated_core_system`` stacks them block-diagonally
-  into the joint system as a reference.
+  solved once each; a negative answer carries its failing half
+  (``NotGenerated``), so no caller re-solves to report it.
+  ``generated_core_system`` stacks them block-diagonally as a reference.
 
 Every point concept is one test on a pair of borders (lo, up):
 lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper coalition S (a
@@ -94,15 +95,24 @@ class GeneratedCoreWitness:
 
 
 @dataclass(frozen=True)
+class NotGenerated:
+    """Which slack half (sinks l, rises u) is feasible for a point outside the generated set."""
+
+    lower_feasible: bool
+    upper_feasible: bool
+
+
+@dataclass(frozen=True)
 class CoincidenceVerdict:
     """Outcome of the coincidence decision between SC and the generated set.
 
     When not coincident, ``counterexample`` is a selection-core point that
-    no interval-core element generates.
+    no interval-core element generates, and ``miss`` says which half failed.
     """
 
     coincident: bool
     counterexample: tuple[Scalar, ...] | None = None
+    miss: NotGenerated | None = None
 
 
 def _payoff(x, n: int) -> tuple[Fraction, ...]:
@@ -310,34 +320,23 @@ def generated_core_system(w: IntervalGame, x) -> LinearSystem:
     )
 
 
-def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | None:
-    """Feasible slack pair for x, or None.
+def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGenerated:
+    """Feasible slack pair for x, or which half is infeasible.
 
-    The lower and upper halves share no variables, so each is solved on its
-    own; the simplex has checked each half's point against its system, which
-    verifies the pair against the joint system.
+    The lower and upper halves share no variables, so each is solved once on
+    its own; the simplex has checked each half's point against its system,
+    which verifies the pair against the joint system.
     """
     sums = _coalition_sums(_payoff(x, w.n))
-    ok, l = feasible(_lower_system(w, sums))
-    if not ok:
-        return None
-    ok, u = feasible(_upper_system(w, sums))
-    if not ok:
-        return None
-    return GeneratedCoreWitness(l=l, u=u)
+    lower_ok, l = feasible(_lower_system(w, sums))
+    upper_ok, u = feasible(_upper_system(w, sums))
+    if lower_ok and upper_ok:
+        return GeneratedCoreWitness(l=l, u=u)
+    return NotGenerated(lower_feasible=lower_ok, upper_feasible=upper_ok)
 
 
 def is_generated_core_member(w: IntervalGame, x) -> bool:
-    return generated_core_witness(w, x) is not None
-
-
-def generated_core_diagnosis(w: IntervalGame, x) -> dict[str, bool]:
-    """Which half of the membership system is feasible for x, for reporting."""
-    point = _payoff(x, w.n)
-    sums = _coalition_sums(point)
-    lower_ok, _ = feasible(_lower_system(w, sums))
-    upper_ok, _ = feasible(_upper_system(w, sums))
-    return {"lower_feasible": lower_ok, "upper_feasible": upper_ok}
+    return isinstance(generated_core_witness(w, x), GeneratedCoreWitness)
 
 
 def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
@@ -356,10 +355,11 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
             f"coincidence needs vertex enumeration; {w.n} players exceeds budget {budget}"
         )
     for vertex in enumerate_vertices(selection_core_system(w)):
-        if not is_generated_core_member(w, vertex):
+        result = generated_core_witness(w, vertex)
+        if isinstance(result, NotGenerated):
             if not is_selection_core_member(w, vertex):
                 raise AssertionError("internal error: counterexample lies outside the selection core")
-            return CoincidenceVerdict(coincident=False, counterexample=vertex)
+            return CoincidenceVerdict(coincident=False, counterexample=vertex, miss=result)
     return CoincidenceVerdict(coincident=True)
 
 
@@ -392,11 +392,9 @@ def strong_core_system(w: IntervalGame) -> LinearSystem:
 
 def strong_core_witness(w: IntervalGame) -> tuple[Fraction, ...] | None:
     """A strong core member when one exists: any core point of the upper border."""
-    full = grand_coalition(w.n)
-    if not w.worth(full).degenerate:
+    if not w.worth(grand_coalition(w.n)).degenerate:
         return None
-    _, upper = border_games(w)
-    return core_witness(upper)
+    return core_witness(border_games(w)[1])
 
 
 def strong_core_nonempty(w: IntervalGame) -> bool:
@@ -410,6 +408,8 @@ def is_strongly_balanced(w: IntervalGame) -> bool:
     except the grand coalition at its lower endpoint.  A core point of that
     game, with any grand surplus handed to one player, is a core point of
     every other selection, and the worst selection is itself a selection.
+    With w(N) degenerate the worst selection is the upper border game, so
+    the answer is strong-core nonemptiness.
     """
     lower, upper = border_games(w)
     # the grand coalition has the last mask

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from intervalgames import (
     ClassicalProperty,
+    GeneratedCoreWitness,
     IntervalClass,
     IntervalGame,
     SELECTION_CONVEX_VARIANTS,
@@ -168,7 +169,7 @@ def test_criterion_05_generated_points_lie_in_selection_core():
     escapes = 0
     for w in games:
         for x in _probe_points(w) + [rand_payoff(rng, w.n)]:
-            if generated_core_witness(w, x) is None:
+            if not is_generated_core_member(w, x):
                 continue
             checked += 1
             if not is_selection_core_member(w, x):
@@ -188,7 +189,8 @@ def test_criterion_06_box_between_two_generated_points():
         r = tuple(w.worth(1 << i).upper for i in range(w.n))
         wit_q = generated_core_witness(w, q)
         wit_r = generated_core_witness(w, r)
-        assert wit_q is not None and wit_r is not None
+        assert isinstance(wit_q, GeneratedCoreWitness)
+        assert isinstance(wit_r, GeneratedCoreWitness)
         for _ in range(10):
             x = tuple(
                 qi + F(rng.randint(0, 8), 8) * (ri - qi) for qi, ri in zip(q, r)

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from intervalgames import IntervalGame, embed_classical, family, format_game, parse_game
+from intervalgames import (
+    ClassicalGame,
+    IntervalGame,
+    embed_classical,
+    family,
+    format_game,
+    parse_game,
+    solutions,
+)
 from intervalgames.cli import main
 from helpers import majority_game
 
@@ -19,6 +27,11 @@ TIGHT = IntervalGame.from_map(
         (1, 2, 3): (6, 6),
     },
 )
+
+CRITERION_10 = IntervalGame.from_function(
+    4, lambda m: (3, 5) if m == 15 else (m.bit_count() - 1, m.bit_count())
+)
+CONVEX_3 = embed_classical(ClassicalGame.from_function(3, lambda m: m.bit_count() ** 2))
 
 SEL_CONVEX_2 = "players 2\n1 [0, 1]\n2 [0, 1]\n1,2 [2, 3]\n"
 
@@ -251,6 +264,77 @@ class TestStrongCommand:
         doc = json.loads(out)
         assert doc["strong_core_nonempty"] is False
         assert "witness" not in doc
+
+
+class TestCounts:
+    """Player counts and budgets take ASCII decimal digits only, as in game files."""
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", " 3", "3.0", "-3"])
+    def test_family_count(self, text, capsys):
+        code, out, err = run_cli(["family", "sel-convex", text], capsys)
+        assert code == 2 and out == "" and "invalid count" in err
+
+    @pytest.mark.parametrize("text", ["-1", "+1_0", "\u0663", "1_0", "6.0"])
+    def test_budget(self, text, game_file, capsys):
+        code, out, err = run_cli(["coincidence", game_file(BAND), f"--budget={text}"], capsys)
+        assert code == 2 and out == "" and "invalid count" in err
+
+    def test_digits_still_parse(self, game_file, capsys):
+        assert run_cli(["family", "sel-convex", "03"], capsys)[1] == format_game(
+            family("sel-convex", 3)
+        )
+        assert run_cli(["coincidence", game_file(BAND), "--budget=10"], capsys)[0] == 1
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every system the solution layer hands to the simplex during one run."""
+    recorded = []
+    original = solutions.feasible
+
+    def record(system, *args, **kwargs):
+        recorded.append(system)
+        return original(system, *args, **kwargs)
+
+    monkeypatch.setattr(solutions, "feasible", record)
+    return recorded
+
+
+class TestOneSolvePerQuestion:
+    """No report solves the same linear system twice."""
+
+    @pytest.mark.parametrize(
+        "payoff, code, subsystems",
+        [
+            ("0,0", 0, None),
+            ("0,-1", 1, {"lower_feasible": False, "upper_feasible": True}),
+            ("0,2", 1, {"lower_feasible": True, "upper_feasible": False}),
+        ],
+    )
+    def test_membership_gen(self, payoff, code, subsystems, solves, game_file, capsys):
+        path = game_file(UNIT)
+        got, out, _ = run_cli(["membership", path, "gen", payoff, "--format", "json"], capsys)
+        assert got == code
+        assert json.loads(out).get("subsystems") == subsystems
+        assert len(solves) == 2 and len(set(solves)) == 2
+
+    @pytest.mark.parametrize(
+        "w, code", [(BAND, 1), (UNIT, 1), (CRITERION_10, 1), (CONVEX_3, 0)]
+    )
+    def test_coincidence(self, w, code, solves, game_file, capsys):
+        assert run_cli(["coincidence", game_file(w)], capsys)[0] == code
+        assert solves and len(set(solves)) == len(solves)
+
+    @pytest.mark.parametrize(
+        "w, nonempty, balanced",
+        [(TIGHT, True, True), (embed_classical(majority_game()), False, False), (BAND, False, False)],
+    )
+    def test_strong(self, w, nonempty, balanced, solves, game_file, capsys):
+        code, out, _ = run_cli(["strong", game_file(w), "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == (0 if nonempty else 1)
+        assert (doc["strong_core_nonempty"], doc["strongly_balanced"]) == (nonempty, balanced)
+        assert len(solves) == 1
 
 
 class TestOracleCommand:

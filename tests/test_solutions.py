@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from intervalgames import (
     Interval,
     IntervalGame,
     LinearSystem,
+    NotGenerated,
     border_games,
     core_coincidence,
     core_nonempty,
@@ -18,7 +20,6 @@ from intervalgames import (
     core_witness,
     embed_classical,
     enumerate_vertices,
-    generated_core_diagnosis,
     generated_core_system,
     generated_core_witness,
     grand_coalition,
@@ -52,6 +53,7 @@ from helpers import (
     rand_additive_classical,
     rand_classical,
     rand_convex_classical,
+    rand_fraction,
     rand_interval_game,
     rand_payoff,
     random_selection,
@@ -331,10 +333,9 @@ class TestGeneratedCore:
         # the sink half is infeasible at every point
         for x in ((1, 1), (1, 3), (3, 1), (2, 2)):
             assert not is_generated_core_member(BAND, x)
-        assert generated_core_diagnosis(BAND, (2, 2)) == {
-            "lower_feasible": False,
-            "upper_feasible": False,
-        }
+        assert generated_core_witness(BAND, (2, 2)) == NotGenerated(
+            lower_feasible=False, upper_feasible=False
+        )
 
     def test_unit_game_memberships(self):
         wit = generated_core_witness(UNIT, (0, 0))
@@ -347,10 +348,9 @@ class TestGeneratedCore:
         )
         assert not is_generated_core_member(UNIT, (0, 2))
         assert not is_generated_core_member(UNIT, (2, 0))
-        assert generated_core_diagnosis(UNIT, (0, 2)) == {
-            "lower_feasible": True,
-            "upper_feasible": False,
-        }
+        assert generated_core_witness(UNIT, (0, 2)) == NotGenerated(
+            lower_feasible=True, upper_feasible=False
+        )
 
     def test_witness_validation(self):
         with pytest.raises(ValueError):
@@ -367,8 +367,8 @@ class TestGeneratedCore:
             x = rand_payoff(rng, n)
             wit = generated_core_witness(w, x)
             ok, _ = feasible(generated_core_system(w, x))
-            assert (wit is not None) == ok
-            if wit is not None:
+            assert isinstance(wit, GeneratedCoreWitness) == ok
+            if ok:
                 assert satisfies(generated_core_system(w, x), wit.l + wit.u)
             seen[ok] += 1
         assert seen[True] and seen[False]
@@ -387,12 +387,47 @@ class TestGeneratedCore:
                 )
             for x in points:
                 wit = generated_core_witness(w, x)
-                if wit is None:
+                if not isinstance(wit, GeneratedCoreWitness):
                     continue
                 hits += 1
                 assert is_selection_core_member(w, x)
                 assert is_interval_core_member(w, wit.interval_payoff(x))
         assert hits >= 10
+
+    def test_failing_half_matches_the_border_cores(self):
+        # the sink half asks whether core(lower) meets {y <= x}, the rise
+        # half whether core(upper) meets {y >= x}; both are rebuilt here
+        # from core_system plus bound rows, not from the slack systems
+        def meets(v: ClassicalGame, x, sign: int) -> bool:
+            core = core_system(v)
+            bounds = tuple(
+                (tuple(sign if j == i else 0 for j in range(v.n)), sign * xi)
+                for i, xi in enumerate(x)
+            )
+            ok, _ = feasible(
+                LinearSystem(
+                    dim=v.n,
+                    equalities=core.equalities,
+                    inequalities=core.inequalities + bounds,
+                )
+            )
+            return ok
+
+        rng = random.Random(61)
+        seen = Counter()
+        for k in range(220):
+            n = 1 + k % 4
+            w = rand_interval_game(rng, n, lo=0, hi=4)
+            x = rand_payoff(rng, n, lo=-1, hi=4)
+            lower, upper = border_games(w)
+            expected = (meets(lower, x, -1), meets(upper, x, 1))
+            result = generated_core_witness(w, x)
+            if expected == (True, True):
+                assert isinstance(result, GeneratedCoreWitness)
+            else:
+                assert result == NotGenerated(*expected)
+            seen[expected] += 1
+        assert all(seen[bits] >= 10 for bits in ((True, False), (False, True), (False, False)))
 
     def test_additive_border_box(self):
         rng = random.Random(53)
@@ -423,7 +458,11 @@ class TestGeneratedCore:
 class TestCoincidence:
     def test_band_game_disagrees_at_the_cheap_corner(self):
         verdict = core_coincidence(BAND)
-        assert verdict == CoincidenceVerdict(coincident=False, counterexample=(1, 1))
+        assert verdict == CoincidenceVerdict(
+            coincident=False,
+            counterexample=(1, 1),
+            miss=NotGenerated(lower_feasible=False, upper_feasible=False),
+        )
         assert is_selection_core_member(BAND, verdict.counterexample)
         assert not is_generated_core_member(BAND, verdict.counterexample)
 
@@ -468,11 +507,14 @@ class TestCoincidence:
         # which overshoots that player's upper border worth
         w = IntervalGame.from_map(2, {(1,): (1, 2), (2,): (1, 3), (1, 2): (2, 5)})
         verdict = core_coincidence(w)
-        assert verdict == CoincidenceVerdict(coincident=False, counterexample=(1, 4))
-        assert generated_core_diagnosis(w, (1, 4)) == {
-            "lower_feasible": True,
-            "upper_feasible": False,
-        }
+        assert verdict == CoincidenceVerdict(
+            coincident=False,
+            counterexample=(1, 4),
+            miss=NotGenerated(lower_feasible=True, upper_feasible=False),
+        )
+        assert generated_core_witness(w, (1, 4)) == NotGenerated(
+            lower_feasible=True, upper_feasible=False
+        )
 
     def test_empty_selection_core_is_vacuously_coincident(self):
         w = IntervalGame.from_map(2, {(1,): (5, 6), (2,): (5, 6), (1, 2): (0, 1)})
@@ -555,6 +597,26 @@ class TestStrongConcepts:
 
 
 class TestStronglyBalanced:
+    def test_degenerate_grand_is_strong_core_nonemptiness(self):
+        # with w(N) degenerate the worst selection is the upper border game
+        rng = random.Random(62)
+        seen = Counter()
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            v = rand_convex_classical(rng, n)
+            full = grand_coalition(n)
+            widths = [abs(rand_fraction(rng, 0, 2)) for _ in range(full)]
+            w = IntervalGame.from_function(
+                n,
+                lambda m, v=v, full=full, widths=widths: (
+                    v.values[m], v.values[m] + (0 if m == full else widths[m])
+                ),
+            )
+            got = is_strongly_balanced(w)
+            assert got == strong_core_nonempty(w)
+            seen[got] += 1
+        assert seen[True] >= 10 and seen[False] >= 10
+
     def test_knowns(self):
         assert is_strongly_balanced(
             IntervalGame.from_map(2, {(1,): (0, 0), (2,): (0, 0), (1, 2): (1, 2)})
