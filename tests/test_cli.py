@@ -266,6 +266,28 @@ class TestStrongCommand:
         assert "witness" not in doc
 
 
+class TestNegativePayoffs:
+    """A payoff that starts with a minus sign looks like an option to the
+    argument parser; the README's two forms get it through."""
+
+    NEG = IntervalGame.from_map(2, {(1,): (-2, -1), (2,): (0, 1), (1, 2): (0, 0)})
+
+    def test_membership_after_double_dash(self, game_file, capsys):
+        path = game_file(self.NEG)
+        code, out, _ = run_cli(["membership", path, "strong-core", "--", "-1,1"], capsys)
+        assert code == 0 and "payoff: (-1, 1)" in out
+        code, out, _ = run_cli(["membership", game_file(UNIT), "gen", "--", "-1,0"], capsys)
+        assert code == 1 and "payoff: (-1, 0)" in out and "lower_feasible: false" in out
+
+    def test_strong_payoff_with_equals(self, game_file, capsys):
+        code, out, _ = run_cli(
+            ["strong", game_file(self.NEG), "--payoff=-1,1", "--format", "json"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["payoff"] == ["-1", "1"] and doc["strong_core_member"] is True
+
+
 class TestCounts:
     """Player counts and budgets take ASCII decimal digits only, as in game files."""
 
