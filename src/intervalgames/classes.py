@@ -47,7 +47,11 @@ runs the pair and marginal forms of convexity, and
 selection, so neither route goes through the local kernels.
 
 All comparisons are made on integers after rescaling a game's worths by a
-common denominator, which preserves every inequality exactly.
+common denominator, which preserves every inequality exactly.  ``classify``
+decides every class of one interval game in one pass: the lower, upper and
+length games are rescaled once, to the borders' shared denominator, and
+each kernel runs at most once per game, superadditivity reading the cached
+convexity verdict.
 """
 
 from enum import Enum
@@ -55,7 +59,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import BudgetExceededError
-from .games import ClassicalGame, IntervalGame, border_games, length_game
+from .games import ClassicalGame, IntervalGame
 
 ORACLE_MAX_PLAYERS = 4
 
@@ -108,15 +112,20 @@ def _additive(vals, n: int) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _classical_verdict(vals: tuple[int, ...], n: int, prop: ClassicalProperty) -> bool:
+def _verdict(lo: tuple[int, ...], up: tuple[int, ...], n: int, prop: ClassicalProperty) -> bool:
     # keyed on the rescaled integers: hashing a game's Fractions costs more
-    # than rescaling them
+    # than rescaling them; a classical game passes (v, v), and additivity is
+    # asked of classical games only
     if prop is ClassicalProperty.ADDITIVE:
-        return _additive(vals, n)
+        return _additive(lo, n)
+    if prop is ClassicalProperty.SUPERADDITIVE:
+        # convexity implies superadditivity; its verdict is cached, so the
+        # convexity kernel runs once per pair of borders
+        return _verdict(lo, up, n, ClassicalProperty.CONVEX) or _superadditive(lo, up, n)
     kernel = _KERNELS.get(prop)
     if kernel is None:
         raise ValueError(f"unknown classical property: {prop!r}")
-    return kernel(vals, vals, n)
+    return kernel(lo, up, n)
 
 
 def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
@@ -125,37 +134,58 @@ def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
     Monotonicity, superadditivity and convexity run the selection kernel
     with both borders set to v; additivity is one pass over the coalitions.
     """
-    return _classical_verdict(_scaled_values(v), v.n, prop)
+    vals = _scaled_values(v)
+    return _verdict(vals, vals, v.n, prop)
 
 
 # the cache behind the public name reports its hits under that name too
-check_classical.cache_info = _classical_verdict.cache_info
+check_classical.cache_info = _verdict.cache_info
+
+
+def _scaled_games(w: IntervalGame) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The lower, upper and length games on the borders' shared scale."""
+    lower, upper = _scaled_borders(w)
+    return lower, upper, tuple([b - a for a, b in zip(lower, upper)])
+
+
+def _interval_verdict(lower, upper, length, n: int, cls: IntervalClass) -> bool:
+    def holds(prop: ClassicalProperty, *games) -> bool:
+        return all(_verdict(g, g, n, prop) for g in games)
+
+    if cls is IntervalClass.SIZE_MONOTONIC:
+        return holds(ClassicalProperty.MONOTONIC, length)
+    if cls is IntervalClass.SUPERADDITIVE:
+        return holds(ClassicalProperty.SUPERADDITIVE, lower, upper, length)
+    if cls is IntervalClass.SUPERMODULAR:
+        return holds(ClassicalProperty.CONVEX, lower, upper)
+    if cls is IntervalClass.CONVEX:
+        return holds(ClassicalProperty.CONVEX, lower, upper, length)
+    raise ValueError(f"unknown interval class: {cls!r}")
 
 
 def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
     """Interval classes are conjunctions of classical properties of the
     border and length games."""
-    lower, upper = border_games(w)
-    length = length_game(w)
-    if cls is IntervalClass.SIZE_MONOTONIC:
-        return check_classical(length, ClassicalProperty.MONOTONIC)
-    if cls is IntervalClass.SUPERADDITIVE:
-        return (
-            check_classical(lower, ClassicalProperty.SUPERADDITIVE)
-            and check_classical(upper, ClassicalProperty.SUPERADDITIVE)
-            and check_classical(length, ClassicalProperty.SUPERADDITIVE)
-        )
-    if cls is IntervalClass.SUPERMODULAR:
-        return check_classical(lower, ClassicalProperty.CONVEX) and check_classical(
-            upper, ClassicalProperty.CONVEX
-        )
-    if cls is IntervalClass.CONVEX:
-        return (
-            check_classical(lower, ClassicalProperty.CONVEX)
-            and check_classical(upper, ClassicalProperty.CONVEX)
-            and check_classical(length, ClassicalProperty.CONVEX)
-        )
-    raise ValueError(f"unknown interval class: {cls!r}")
+    return _interval_verdict(*_scaled_games(w), w.n, cls)
+
+
+def classify(w: IntervalGame) -> tuple[dict, dict[IntervalClass, bool], dict[SelectionClass, bool]]:
+    """Every class verdict of one game, each kernel run at most once.
+
+    Returns the classical properties of the lower, upper and length games
+    (keyed by those names), the interval classes and the selection classes.
+    The three games are rescaled once, and superadditivity reads the
+    convexity verdict of the same borders.
+    """
+    lower, upper, length = _scaled_games(w)
+    n = w.n
+    games = {
+        name: {prop: _verdict(g, g, n, prop) for prop in ClassicalProperty}
+        for name, g in (("lower", lower), ("upper", upper), ("length", length))
+    }
+    interval = {cls: _interval_verdict(lower, upper, length, n, cls) for cls in IntervalClass}
+    selection = {cls: _verdict(lower, upper, n, _SELECTION_TO_CLASSICAL[cls]) for cls in SelectionClass}
+    return games, interval, selection
 
 
 def _monotonic(lo, up, n: int) -> bool:

@@ -31,14 +31,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .classes import (
+from .classes import (  # noqa: F401 - check_classical stays bound here for perfbench's tracer
     ORACLE_MAX_PLAYERS,
-    ClassicalProperty,
-    IntervalClass,
     SelectionClass,
     check_classical,
-    check_interval_class,
     check_selection_class,
+    classify,
     selection_class_oracle,
 )
 from .errors import BudgetExceededError, GameFormatError
@@ -52,7 +50,6 @@ from .games import (
     format_game,
     grand_coalition,
     is_selection,
-    length_game,
     members,
     parse_game,
     to_classical,
@@ -126,21 +123,14 @@ def _game_entries(w: IntervalGame) -> dict[str, str]:
 
 
 def classify_report(w: IntervalGame) -> dict:
-    lower, upper = border_games(w)
-    length = length_game(w)
-
-    def props(v: ClassicalGame) -> dict:
-        return {p.value: check_classical(v, p) for p in ClassicalProperty}
-
+    games, interval, selection = classify(w)
     return {
         "players": w.n,
         "border_games": {
-            "lower": props(lower),
-            "upper": props(upper),
-            "length": props(length),
+            name: {p.value: verdict for p, verdict in props.items()} for name, props in games.items()
         },
-        "interval_classes": {c.value: check_interval_class(w, c) for c in IntervalClass},
-        "selection_classes": {c.value: check_selection_class(w, c) for c in SelectionClass},
+        "interval_classes": {c.value: verdict for c, verdict in interval.items()},
+        "selection_classes": {c.value: verdict for c, verdict in selection.items()},
     }
 
 

@@ -1,27 +1,44 @@
 """Exact linear feasibility, optimization, and vertex enumeration.
 
 Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
-nonnegativity marks on individual variables.  Everything runs on
-``fractions.Fraction``: feasibility and optimization use a dense two-phase
-simplex with Bland's rule (so no cycling, no tolerances).  Each call builds
-one tableau for its system and runs phase one on it once; every point the
-simplex returns is checked against the system in ``_Tableau.solution``.
+nonnegativity marks on individual variables.  Feasibility and optimization
+use a dense two-phase simplex on ``fractions.Fraction`` with Bland's rule
+(so no cycling, no tolerances).  Each call builds one tableau for its
+system and runs phase one on it once; every point the simplex returns is
+checked against the system in ``_Tableau.solution``.
 
-Vertex enumeration first proves the region bounded by maximizing each
-``+x_j`` and ``-x_j`` as phase-two runs on that one tableau (Bland's rule
-terminates from any feasible basis, so each run starts where the previous
-one stopped).  It then walks all independent subsets of tight rows, solving
-each candidate basis exactly and keeping the solutions that satisfy the
-whole system.  Vertex output is deduplicated and sorted lexicographically,
-so identical systems always enumerate identically.
+Vertex enumeration runs no simplex.  It uses the double-description method
+(Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
+Gauss-Jordan elimination solves the equalities as x = x0 + Z t, and each
+inequality and nonnegativity mark becomes a row h of the homogenised cone
+C = {(lam, t) : lam >= 0, h . (lam, t) >= 0}, whose points at lam = 1 are
+the region.  A pointed cone is generated by its extreme rays.  The method
+starts from d + 1 independent rows, whose cone is simplicial with the
+columns of their inverse as rays, and adds the other rows one at a time:
+a row h keeps the rays with h . r >= 0 and adds the ray (h . p) n - (h . n) p,
+which lies on h . y = 0, for each adjacent pair p, n on opposite sides.
+Adjacency is combinatorial, on bitmasks of the rows tight on each ray: p
+and n are adjacent when at least d - 1 rows are tight on both and no third
+ray is tight on all of those rows.
 
-The basis walk is exponential in the number of rows choose the dimension;
-it is meant for desk-scale systems (games with a handful of players), not
-for bulk polyhedral computation.
+Rows are scaled to coprime integers and rays are divided by their gcd, so
+the whole pass runs on Python ints: exact, and each ray entry stays within
+a subdeterminant of the rows, since the rows tight on an extreme ray fix it
+up to scale.  The answer is read off lam.  No ray with lam > 0 means an
+empty region.  Rays with lam = 0 generate the recession cone: the region is
+unbounded in +x_j or -x_j exactly when one of them moves x_j that way, and
+the first such direction in the order +x1, -x1, +x2, ... is reported.
+Otherwise each ray is a vertex x0 + Z t / lam, checked with ``satisfies``.
+Rows of rank below d + 1 leave a cone with a lineality space, which joins
+the recession generators; y_f = 0 on the columns f outside a full-rank set
+leaves the pointed part.  Vertex output is sorted lexicographically, so
+identical systems always enumerate identically.  The work follows the rays
+met along the way, not the C(rows, dim) candidate bases of a basis walk.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .numerics import as_fraction
 
@@ -81,10 +98,10 @@ def satisfies(system: LinearSystem, x) -> bool:
     if len(point) != system.dim:
         raise ValueError(f"point has {len(point)} coordinates, expected {system.dim}")
     for coeffs, rhs in system.equalities:
-        if sum(c * v for c, v in zip(coeffs, point)) != rhs:
+        if sum(c * v for c, v in zip(coeffs, point) if c) != rhs:
             return False
     for coeffs, rhs in system.inequalities:
-        if sum(c * v for c, v in zip(coeffs, point)) < rhs:
+        if sum(c * v for c, v in zip(coeffs, point) if c) < rhs:
             return False
     return all(point[j] >= 0 for j in system.nonneg)
 
@@ -298,7 +315,7 @@ def _extend_echelon(echelon, coeffs, rhs, dim):
             pivot = k
             break
     if pivot < 0:
-        return None  # dependent; a contradiction here just means an empty face
+        return None  # dependent; the caller decides what a conflicting rhs means
     inv = r[pivot]
     r = [v / inv for v in r]
     c = c / inv
@@ -313,49 +330,139 @@ def _extend_echelon(echelon, coeffs, rhs, dim):
     return out
 
 
-def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices (basic feasible points) of a bounded feasible region.
+def _integer_row(values) -> list[int]:
+    """Rational entries scaled by a positive factor to coprime integers."""
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
-    Returns () for an infeasible system and raises ``UnboundedRegionError``
-    when some coordinate direction is unbounded, since an unbounded region
-    is not described by its vertices.
+
+def _parametrize(system: LinearSystem) -> list[list[Fraction]] | None:
+    """Solve the equalities by Gauss-Jordan elimination: x = x0 + Z t.
+
+    One affine form ``[constant, coefficient of t_1, ..., t_d]`` per
+    coordinate, where t runs over the coordinates that are not pivots of the
+    echelon form; None when the equalities are inconsistent.
     """
-    tab = _Tableau(system)
-    if not tab.phase_one():
-        return ()
     dim = system.dim
-    for j in range(dim):
-        for sign in (1, -1):
-            direction = tuple(Fraction(sign) if k == j else Fraction(0) for k in range(dim))
-            if not tab.phase_two(direction):
-                name = f"{'+' if sign > 0 else '-'}x{j + 1}"
-                raise UnboundedRegionError(f"region is unbounded in direction {name}")
     echelon = []
     for coeffs, rhs in system.equalities:
         step = _extend_echelon(echelon, coeffs, rhs, dim)
         if step is not None:
             echelon = step
-    candidates: list[Row] = list(system.inequalities)
-    for j in sorted(system.nonneg):
-        unit = tuple(Fraction(1) if k == j else Fraction(0) for k in range(dim))
-        candidates.append((unit, Fraction(0)))
-    found: dict[tuple[Fraction, ...], None] = {}
+    pivots = {pc: (er, eb) for pc, er, eb in echelon}
+    free = [j for j in range(dim) if j not in pivots]
+    forms = []
+    for j in range(dim):
+        if j in pivots:
+            er, eb = pivots[j]
+            forms.append([eb] + [-er[f] for f in free])
+        else:
+            forms.append([Fraction(0)] + [Fraction(f == j) for f in free])
+    x0 = [form[0] for form in forms]
+    for coeffs, rhs in system.equalities:
+        # x0 meets every echelon row, so it misses a row only if they conflict
+        if sum(c * v for c, v in zip(coeffs, x0)) != rhs:
+            return None
+    return forms
 
-    def walk(start: int, ech) -> None:
-        if len(ech) == dim:
-            x: list = [None] * dim
-            for pc, _er, eb in ech:
-                x[pc] = eb
-            point = tuple(x)
-            if point not in found and satisfies(system, point):
-                found[point] = None
-            return
-        needed = dim - len(ech)
-        for idx in range(start, len(candidates) - needed + 1):
-            coeffs, rhs = candidates[idx]
-            step = _extend_echelon(ech, coeffs, rhs, dim)
-            if step is not None:
-                walk(idx + 1, step)
 
-    walk(0, echelon)
-    return tuple(sorted(found))
+def _cone_generators(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[list[Fraction]]]:
+    """Extreme rays (coprime integer lists) and a lineality basis of the
+    cone {y : h . y >= 0 for every row h}, by double description."""
+    rows = list(rows)
+    echelon, basis = [], []
+    for k, h in enumerate(rows):
+        step = _extend_echelon(echelon, [Fraction(v) for v in h], 0, width)
+        if step is not None:
+            echelon, basis = step, basis + [k]
+    pivots = {pc for pc, _, _ in echelon}
+    lineality = []
+    for f in range(width):
+        if f not in pivots:
+            vec = [Fraction(c == f) for c in range(width)]
+            for pc, er, _ in echelon:
+                vec[pc] = -er[f]
+            lineality.append(vec)
+            # the rows y_f >= 0 and -y_f >= 0 leave a pointed cone
+            unit = [int(c == f) for c in range(width)]
+            basis.append(len(rows))
+            rows += [unit, [-v for v in unit]]
+    # Gauss-Jordan on [B | I], B the basis rows, leaves [I | B^-1]; column i
+    # of B^-1 is tight on every basis row but the i-th
+    inverse = []
+    for i, k in enumerate(basis):
+        unit = [Fraction(i == q) for q in range(width)]
+        inverse = _extend_echelon(inverse, [Fraction(v) for v in rows[k]] + unit, 0, width)
+    inverse_rows = {pc: er[width:] for pc, er, _ in inverse}
+    rays = [_integer_row([inverse_rows[p][i] for p in range(width)]) for i in range(width)]
+    basis_bits = sum(1 << k for k in basis)
+    tights = [basis_bits ^ (1 << k) for k in basis]
+    for k, h in enumerate(rows):
+        if basis_bits >> k & 1:
+            continue
+        bit = 1 << k
+        values = [sum(a * b for a, b in zip(h, ray)) for ray in rays]
+        kept = [q for q, v in enumerate(values) if v >= 0]
+        positive = [q for q in kept if values[q] > 0]
+        negative = [q for q, v in enumerate(values) if v < 0]
+        new_rays = [rays[q] for q in kept]
+        new_tights = [tights[q] | bit if values[q] == 0 else tights[q] for q in kept]
+        for p in positive:
+            for q in negative:
+                common = tights[p] & tights[q]
+                # adjacent: enough common tight rows, and no third ray tight on all of them
+                if common.bit_count() < width - 2 or sum(t & common == common for t in tights) > 2:
+                    continue
+                ray = [values[p] * b - values[q] * a for a, b in zip(rays[p], rays[q])]
+                g = gcd(*ray)
+                new_rays.append([v // g for v in ray] if g > 1 else ray)
+                new_tights.append(common | bit)
+        rays, tights = new_rays, new_tights
+    return rays, lineality
+
+
+def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """All vertices (basic feasible points) of a bounded feasible region.
+
+    Returns () for an infeasible system and raises ``UnboundedRegionError``
+    when some coordinate direction is unbounded, since an unbounded region
+    is not described by its vertices.  The error names the first unbounded
+    direction in the order +x1, -x1, +x2, ...
+    """
+    forms = _parametrize(system)
+    if forms is None:
+        return ()
+    d = len(forms[0]) - 1
+    # homogenise over (lam, t): a . x >= b becomes (a . x0 - b) lam + (a Z) t >= 0
+    rows = [[1] + [0] * d]
+    for coeffs, rhs in system.inequalities:
+        form = [sum(c * f[k] for c, f in zip(coeffs, forms) if c) for k in range(d + 1)]
+        form[0] -= rhs
+        rows.append(_integer_row(form))
+    rows.extend(_integer_row(forms[j]) for j in sorted(system.nonneg))
+    rays, lineality = _cone_generators([h for h in rows if any(h)], d + 1)
+    if all(ray[0] == 0 for ray in rays):
+        return ()
+    # the recession cone is generated by the rays at lam = 0 and by +-lineality
+    directions = [ray for ray in rays if ray[0] == 0] + lineality
+    directions += [[-v for v in vec] for vec in lineality]
+    if directions:
+        for j, form in enumerate(forms):
+            steps = [sum(c * t for c, t in zip(form[1:], vec[1:])) for vec in directions]
+            for sign, hit in (("+", any(s > 0 for s in steps)), ("-", any(s < 0 for s in steps))):
+                if hit:
+                    raise UnboundedRegionError(f"region is unbounded in direction {sign}x{j + 1}")
+        raise AssertionError("internal error: a recession direction moves no coordinate")
+    points = []
+    for ray in rays:
+        lam = ray[0]
+        point = tuple(
+            form[0] + Fraction(sum(c * t for c, t in zip(form[1:], ray[1:]) if t), lam)
+            for form in forms
+        )
+        if not satisfies(system, point):
+            raise AssertionError("internal error: enumerated vertex failed verification")
+        points.append(point)
+    return tuple(sorted(points))

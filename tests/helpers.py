@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from intervalgames import ClassicalGame, Interval, IntervalGame, grand_coalition
+from intervalgames.lpcore import LinearSystem, UnboundedRegionError, _extend_echelon, _Tableau, satisfies
 
 DENOMINATORS = (1, 1, 2, 3, 4)
 
@@ -115,3 +116,56 @@ def majority_game(n: int = 3) -> ClassicalGame:
     return ClassicalGame.from_function(
         n, lambda m: Fraction(1) if bin(m).count("1") >= quota else Fraction(0)
     )
+
+
+def walk_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """Oracle vertex enumeration by the basis walk.
+
+    One simplex tableau: phase one decides feasibility, and maximizing
+    +x1, -x1, +x2, ... as phase-two runs on that tableau proves the region
+    bounded (Bland's rule terminates from any feasible basis, so each probe
+    starts where the previous one stopped).  Then every independent subset
+    of dim rows (inequalities and nonnegativity marks, on top of the
+    equalities) is solved exactly, and the solutions that satisfy the whole
+    system are the vertices, deduplicated and sorted.  The walk visits
+    C(rows, dim) subsets, so it is kept for small systems only.
+    """
+    tab = _Tableau(system)
+    if not tab.phase_one():
+        return ()
+    dim = system.dim
+    for j in range(dim):
+        for sign in (1, -1):
+            direction = tuple(Fraction(sign) if k == j else Fraction(0) for k in range(dim))
+            if not tab.phase_two(direction):
+                name = f"{'+' if sign > 0 else '-'}x{j + 1}"
+                raise UnboundedRegionError(f"region is unbounded in direction {name}")
+    echelon = []
+    for coeffs, rhs in system.equalities:
+        step = _extend_echelon(echelon, coeffs, rhs, dim)
+        if step is not None:
+            echelon = step
+    candidates = list(system.inequalities)
+    for j in sorted(system.nonneg):
+        unit = tuple(Fraction(1) if k == j else Fraction(0) for k in range(dim))
+        candidates.append((unit, Fraction(0)))
+    found: dict[tuple[Fraction, ...], None] = {}
+
+    def walk(start: int, ech) -> None:
+        if len(ech) == dim:
+            x: list = [None] * dim
+            for pc, _er, eb in ech:
+                x[pc] = eb
+            point = tuple(x)
+            if point not in found and satisfies(system, point):
+                found[point] = None
+            return
+        needed = dim - len(ech)
+        for idx in range(start, len(candidates) - needed + 1):
+            coeffs, rhs = candidates[idx]
+            step = _extend_echelon(ech, coeffs, rhs, dim)
+            if step is not None:
+                walk(idx + 1, step)
+
+    walk(0, echelon)
+    return tuple(sorted(found))

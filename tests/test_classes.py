@@ -19,6 +19,7 @@ from intervalgames import (
     embed_classical,
     family,
     grand_coalition,
+    length_game,
     selection_class_oracle,
     truncate_grand,
 )
@@ -523,3 +524,59 @@ def test_classify_families_at_twelve_players(kind):
     report = classify_report(family(kind, 12))
     assert report.pop("players") == 12
     assert report == FAMILY_LABELS[kind]
+
+
+class TestOneReport:
+    """classify decides every verdict of a report once, with the verdicts
+    the single-class checks give."""
+
+    def games(self):
+        rng = random.Random(34)
+        out = [family(kind, n) for kind in sorted(FAMILY_LABELS) for n in (2, 4, 6)]
+        out += [rand_interval_game(rng, 1 + k % 5) for k in range(60)]
+        out += [embed_classical(rand_convex_classical(rng, 1 + k % 5)) for k in range(20)]
+        return out
+
+    def test_classify_matches_the_single_checks(self):
+        for w in self.games():
+            lower, upper = border_games(w)
+            length = length_game(w)
+            games, interval, selection = classes.classify(w)
+            assert games == {
+                name: {p: check_classical(v, p) for p in ClassicalProperty}
+                for name, v in (("lower", lower), ("upper", upper), ("length", length))
+            }
+            assert interval == {c: check_interval_class(w, c) for c in IntervalClass}
+            assert selection == {c: check_selection_class(w, c) for c in SelectionClass}
+
+    def test_a_report_rescales_once_and_runs_each_kernel_once(self, monkeypatch):
+        calls = {"convex": 0, "monotonic": 0, "scan": 0, "rescale": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for prop, name in ((ClassicalProperty.CONVEX, "convex"), (ClassicalProperty.MONOTONIC, "monotonic")):
+            monkeypatch.setitem(classes._KERNELS, prop, counting(name, classes._KERNELS[prop]))
+        monkeypatch.setattr(classes, "_superadditive", counting("scan", classes._superadditive))
+        monkeypatch.setattr(classes, "_scaled_borders", counting("rescale", classes._scaled_borders))
+        monkeypatch.setattr(classes, "_scaled_values", counting("rescale", classes._scaled_values))
+        rng = random.Random(35)
+        for _ in range(20):
+            w = rand_interval_game(rng, 4)
+            lower, upper, length = classes._scaled_games(w)
+            classes._verdict.cache_clear()
+            for name in calls:
+                calls[name] = 0
+            classify_report(w)
+            # lower, upper and length games, and the selection borders, each
+            # once; the 3^n scan only for those that are not convex
+            distinct = len({lower, upper, length}) + 1
+            convex = [classes._convex_local(*pair, 4) for pair in
+                      ((lower, lower), (upper, upper), (length, length), (lower, upper))]
+            assert calls["rescale"] == 1
+            assert calls["convex"] == calls["monotonic"] == distinct
+            assert calls["scan"] <= convex.count(False)

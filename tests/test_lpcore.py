@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from intervalgames import lpcore
+from intervalgames import embed_classical, lpcore, selection_core_system, strong_core_system
 from intervalgames.lpcore import (
     InfeasibleSystemError,
     LinearSystem,
@@ -14,6 +15,12 @@ from intervalgames.lpcore import (
     feasible,
     maximize,
     satisfies,
+)
+from helpers import (
+    rand_additive_border_game,
+    rand_convex_classical,
+    rand_interval_game,
+    walk_vertices,
 )
 
 F = Fraction
@@ -273,8 +280,10 @@ class TestEnumerateVertices:
             enumerate_vertices(sys_)
 
     def test_boundedness_probes_match_fresh_solves(self, monkeypatch):
-        # every probe after the first starts from the basis the previous one
-        # left; record pivots per probe to see that such warm starts occur
+        # in the oracle walk every probe after the first starts from the
+        # basis the previous one left; record pivots per probe to see that
+        # such warm starts occur.  Double description must reach the same
+        # bounded/unbounded verdict without probing.
         pivots = [0]
         probes = []  # (pivots, bounded) per phase-two run
         pivot, phase_two = lpcore._Tableau._pivot, lpcore._Tableau.phase_two
@@ -300,11 +309,14 @@ class TestEnumerateVertices:
                 continue
             probes.clear()
             try:
+                walk_vertices(sys_)
+            except UnboundedRegionError:
+                # the raising probe is the last one; an earlier probe pivoted
+                warm_unbounded += any(p for p, _ in probes[:-1])
+            try:
                 verts = enumerate_vertices(sys_)
             except UnboundedRegionError:
                 verts = None
-                # the raising probe is the last one; an earlier probe pivoted
-                warm_unbounded += any(p for p, _ in probes[:-1])
             fresh_unbounded = False
             for j in range(sys_.dim):
                 for sign in (1, -1):
@@ -405,6 +417,157 @@ class TestEnumerateVertices:
         assert checked >= 8
 
 
+def outcome(enumerate_, system):
+    """Vertex tuple, or the message of the UnboundedRegionError raised."""
+    try:
+        return enumerate_(system)
+    except UnboundedRegionError as err:
+        return str(err)
+
+
+def with_equalities(rng, system):
+    """The system plus one or two random equality rows, now and then a
+    contradictory copy of the first."""
+    dim = system.dim
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        rows.append((tuple(F(rng.randint(-2, 2)) for _ in range(dim)), F(rng.randint(-3, 5))))
+    if rng.random() < 0.2:
+        coeffs, rhs = rows[0]
+        rows.append((tuple(2 * c for c in coeffs), 2 * rhs + 1))
+    return LinearSystem(
+        dim=dim, equalities=rows, inequalities=system.inequalities, nonneg=system.nonneg
+    )
+
+
+def rank_deficient_system(rng, dim):
+    """Every row is a combination of fewer than dim directions, so a
+    nonempty region contains a line; now and then x1 is boxed in, so the
+    line moves other coordinates only."""
+    rows = []
+    directions = []
+    if dim > 1 and rng.random() < 0.5:
+        unit = tuple(F(k == 0) for k in range(dim))
+        rows += [(unit, F(rng.randint(-2, 0))), (tuple(-c for c in unit), F(-rng.randint(0, 2)))]
+        directions.append(unit)
+    directions += [
+        tuple(rng.randint(-2, 2) for _ in range(dim))
+        for _ in range(rng.randint(0, dim - 1 - len(directions)))
+    ]
+    for _ in range(rng.randint(0, 4)):
+        weights = [rng.randint(-2, 2) for _ in directions]
+        coeffs = tuple(F(sum(w * d[k] for w, d in zip(weights, directions))) for k in range(dim))
+        rows.append((coeffs, F(rng.randint(-4, 4))))
+    return LinearSystem(dim=dim, inequalities=rows)
+
+
+def seeded_systems(rng, count):
+    kinds = (rand_system, open_system)
+    for i in range(count):
+        system = kinds[i % 2](rng, rng.randint(1, 4))
+        yield with_equalities(rng, system) if i % 3 == 0 else system
+
+
+class TestDoubleDescription:
+    """enumerate_vertices against the basis walk and the sympy brute force."""
+
+    def test_agrees_with_the_walk(self):
+        rng = random.Random(60)
+        seen = {"bounded": 0, "unbounded": 0, "empty": 0}
+        for system in seeded_systems(rng, 300):
+            got = outcome(enumerate_vertices, system)
+            assert got == outcome(walk_vertices, system)
+            kind = "unbounded" if isinstance(got, str) else "bounded" if got else "empty"
+            seen[kind] += 1
+        assert min(seen.values()) >= 30
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(61)
+        bounded = 0
+        for system in seeded_systems(rng, 60):
+            if system.dim > 3:
+                continue
+            got = outcome(enumerate_vertices, system)
+            if not isinstance(got, str):
+                assert got == brute_vertices(system)
+                bounded += bool(got)
+        assert bounded >= 10
+
+    def test_inconsistent_equalities(self):
+        clash = LinearSystem(
+            dim=3,
+            equalities=[([1, 2, 0], 1), ([0, 1, 1], 2), ([1, 3, 1], 4)],
+            inequalities=[([1, 0, 0], -5)],
+        )
+        assert enumerate_vertices(clash) == walk_vertices(clash) == ()
+        rng = random.Random(62)
+        empty = 0
+        for system in seeded_systems(rng, 90):
+            system = with_equalities(rng, system)
+            got = outcome(enumerate_vertices, system)
+            assert got == outcome(walk_vertices, system)
+            empty += got == ()
+        assert empty >= 20
+
+    def test_redundant_and_shuffled_rows(self):
+        rng = random.Random(63)
+        for system in seeded_systems(rng, 60):
+            expected = outcome(walk_vertices, system)
+            rows = list(system.inequalities)
+            rows += [(tuple(2 * c for c in coeffs), 2 * rhs) for coeffs, rhs in rows[:2]]
+            rows += [(tuple(F(0) for _ in range(system.dim)), F(-1))]
+            for _ in range(3):
+                rng.shuffle(rows)
+                equalities = list(system.equalities)
+                rng.shuffle(equalities)
+                variant = LinearSystem(
+                    dim=system.dim,
+                    equalities=equalities,
+                    inequalities=rows,
+                    nonneg=system.nonneg,
+                )
+                assert outcome(enumerate_vertices, variant) == expected
+
+    def test_rank_deficient_systems(self):
+        rng = random.Random(64)
+        seen = {"empty": 0, "unbounded": 0}
+        for _ in range(120):
+            system = rank_deficient_system(rng, rng.randint(1, 4))
+            got = outcome(enumerate_vertices, system)
+            assert got == outcome(walk_vertices, system)
+            assert got == () or isinstance(got, str)
+            seen["unbounded" if got else "empty"] += 1
+        assert min(seen.values()) >= 10
+
+    def test_starts_no_tableau(self, monkeypatch):
+        def refuse(self, system):
+            raise AssertionError("enumerate_vertices started a simplex tableau")
+
+        rng = random.Random(65)
+        systems = list(seeded_systems(rng, 60))
+        systems += [rank_deficient_system(rng, rng.randint(1, 4)) for _ in range(20)]
+        monkeypatch.setattr(lpcore._Tableau, "__init__", refuse)
+        for system in systems:
+            outcome(enumerate_vertices, system)
+
+    def test_selection_and_strong_cores_of_seeded_games(self):
+        rng = random.Random(66)
+        kinds = (
+            lambda n: rand_interval_game(rng, n, lo=-2, hi=3),
+            lambda n: rand_interval_game(rng, n, lo=-2, hi=3, degenerate_grand=True),
+            lambda n: embed_classical(rand_convex_classical(rng, n)),
+            lambda n: rand_additive_border_game(rng, n),
+        )
+        nonempty = Counter()
+        for i in range(320):
+            w = kinds[i % 4](2 + i // 4 % 3)
+            for system in (selection_core_system(w), strong_core_system(w)):
+                got = enumerate_vertices(system)
+                assert got == walk_vertices(system)
+                nonempty[i % 4] += bool(got)
+        assert min(nonempty.values()) >= 20
+
+
 class TestOnePhaseOne:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_phase_one_per_call(self, dim, monkeypatch):
@@ -417,11 +580,12 @@ class TestOnePhaseOne:
 
         monkeypatch.setattr(lpcore._Tableau, "phase_one", counting_phase_one)
         sys_ = box(dim, extra=[(tuple(F(1) for _ in range(dim)), F(1))])
-        for call in (
-            lambda: feasible(sys_),
-            lambda: maximize(sys_, (1,) * dim),
-            lambda: enumerate_vertices(sys_),
+        # double description runs no simplex at all
+        for call, phase_ones in (
+            (lambda: feasible(sys_), 1),
+            (lambda: maximize(sys_, (1,) * dim), 1),
+            (lambda: enumerate_vertices(sys_), 0),
         ):
             calls.clear()
             call()
-            assert len(calls) == 1
+            assert len(calls) == phase_ones

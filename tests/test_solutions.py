@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -532,6 +533,64 @@ class TestCoincidence:
     def test_bool_and_float_budgets_are_refused(self, budget):
         with pytest.raises(TypeError, match="budget must be an int"):
             core_coincidence(BAND, budget=budget)
+
+
+def strictly_convex(rng, n):
+    """A convex game plus |S|^2: every marginal vector is a distinct vertex."""
+    v = rand_convex_classical(rng, n)
+    return ClassicalGame.from_function(n, lambda m: v.values[m] + bin(m).count("1") ** 2)
+
+
+def marginal_vectors(v: ClassicalGame) -> tuple:
+    """The distinct marginal vectors of v over all n! player orders."""
+    found = set()
+    for order in permutations(range(v.n)):
+        x = [F(0)] * v.n
+        before = 0
+        for i in order:
+            x[i] = v.values[before | 1 << i] - v.values[before]
+            before |= 1 << i
+        found.add(tuple(x))
+    return tuple(sorted(found))
+
+
+class TestBeyondFourPlayers:
+    """Oracles that reach past the basis walk: for a convex game the core
+    vertices are exactly the distinct marginal vectors (Shapley 1971;
+    Ichiishi 1981), and an embedded game's selection core is its core."""
+
+    def test_convex_cores_at_five_players_are_the_marginal_vectors(self):
+        rng = random.Random(57)
+        games = [rand_convex_classical(rng, 5) for _ in range(4)] + [strictly_convex(rng, 5)]
+        for v in games:
+            verts = enumerate_vertices(selection_core_system(embed_classical(v)))
+            assert verts == marginal_vectors(v)
+        assert len(verts) == 120
+
+    def test_a_convex_core_at_six_players_is_the_marginal_vectors(self):
+        v = strictly_convex(random.Random(58), 6)
+        verts = enumerate_vertices(selection_core_system(embed_classical(v)))
+        assert len(verts) == 720
+        assert verts == marginal_vectors(v)
+
+    def test_coincidence_verdicts_at_five_players(self):
+        rng = random.Random(59)
+        # all 120 selection-core vertices are generated
+        assert core_coincidence(embed_classical(strictly_convex(rng, 5))).coincident
+        w = rand_additive_border_game(rng, 5)
+        verdict = core_coincidence(w)
+        assert not verdict.coincident
+        # the selection core is the simplex {x >= b, x(N) <= b(N) + d(N)} and
+        # the generated set is the box [b, b + d]: the counterexample spends
+        # the whole grand upper worth and leaves the box
+        x = verdict.counterexample
+        base = [w.worth(1 << i).lower for i in range(5)]
+        top = [w.worth(1 << i).upper for i in range(5)]
+        assert sum(x) == w.worth(grand_coalition(5)).upper
+        assert is_selection_core_member(w, x)
+        assert any(not b <= xi <= t for xi, b, t in zip(x, base, top))
+        assert generated_core_witness(w, x) == verdict.miss
+        assert isinstance(verdict.miss, NotGenerated)
 
 
 class TestStrongConcepts:
