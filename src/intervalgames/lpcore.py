@@ -28,7 +28,11 @@ up to scale.  The answer is read off lam.  No ray with lam > 0 means an
 empty region.  Rays with lam = 0 generate the recession cone: the region is
 unbounded in +x_j or -x_j exactly when one of them moves x_j that way, and
 the first such direction in the order +x1, -x1, +x2, ... is reported.
-Otherwise each ray is a vertex x0 + Z t / lam, checked with ``satisfies``.
+Otherwise each ray is a vertex x0 + Z t / lam.  Over the common
+denominator D = Q lam, where Q clears the denominators of x0 and Z, it is
+X / D with integer X, and it is checked in integers against the system's
+own rows, each scaled once to integers (a . X >= b D, or = for an equality
+row), not against the homogenised rows the method ran on.
 Rows of rank below d + 1 leave a cone with a lineality space, which joins
 the recession generators; y_f = 0 on the columns f outside a full-rank set
 leaves the pointed part.  Vertex output is sorted lexicographically, so
@@ -104,6 +108,30 @@ def satisfies(system: LinearSystem, x) -> bool:
         if sum(c * v for c, v in zip(coeffs, point) if c) < rhs:
             return False
     return all(point[j] >= 0 for j in system.nonneg)
+
+
+def _integer_system(system: LinearSystem) -> tuple:
+    """The system's own equality and inequality rows, each scaled by a
+    positive factor to coprime integers ``(a, b)``, and its nonnegativity
+    marks."""
+
+    def scaled(rows):
+        return [(r[:-1], r[-1]) for r in (_integer_row(coeffs + (rhs,)) for coeffs, rhs in rows)]
+
+    return scaled(system.equalities), scaled(system.inequalities), sorted(system.nonneg)
+
+
+def _satisfies_integer(rows: tuple, X: list[int], D: int) -> bool:
+    """``satisfies`` for the point X / D (D > 0) on rows from ``_integer_system``:
+    a . X = b D on equalities, a . X >= b D on inequalities, X_j >= 0 on marks."""
+    equalities, inequalities, nonneg = rows
+    for a, b in equalities:
+        if sum(c * v for c, v in zip(a, X) if c) != b * D:
+            return False
+    for a, b in inequalities:
+        if sum(c * v for c, v in zip(a, X) if c) < b * D:
+            return False
+    return all(X[j] >= 0 for j in nonneg)
 
 
 class _Tableau:
@@ -455,14 +483,16 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
                 if hit:
                     raise UnboundedRegionError(f"region is unbounded in direction {sign}x{j + 1}")
         raise AssertionError("internal error: a recession direction moves no coordinate")
+    # the vertex of a ray is X / D with X = Q (x0 lam + Z t), D = Q lam, where
+    # Q clears every denominator of the forms
+    scale = lcm(*(v.denominator for form in forms for v in form))
+    int_forms = [[v.numerator * (scale // v.denominator) for v in form] for form in forms]
+    rows = _integer_system(system)
     points = []
     for ray in rays:
-        lam = ray[0]
-        point = tuple(
-            form[0] + Fraction(sum(c * t for c, t in zip(form[1:], ray[1:]) if t), lam)
-            for form in forms
-        )
-        if not satisfies(system, point):
+        X = [sum(f * r for f, r in zip(form, ray) if r) for form in int_forms]
+        D = scale * ray[0]
+        if not _satisfies_integer(rows, X, D):
             raise AssertionError("internal error: enumerated vertex failed verification")
-        points.append(point)
+        points.append(tuple(Fraction(v, D) for v in X))
     return tuple(sorted(points))

@@ -34,13 +34,29 @@ the row form of the same test, built by ``_core_system`` (the slack halves
 run it on the gaps lower - x and upper - x); a grand range that is a single
 point is one equality row.
 
+Every coalition LP (core nonemptiness, the strong core, strong
+balancedness and both generated-core halves) is decided by row generation
+(``_core_feasible``), the cutting-plane scheme of nucleolus codes
+(Hallefjord, Helming and Jørnsten 1995).  The grand rows are always
+present; of the 2^n - 2 proper-coalition rows only an active set is
+solved, starting from the singletons.  After each solve one scan of the
+coalition sums lists the proper coalitions the point leaves short, and the
+up to n largest shortfalls (ties by mask) join the active set.  It is exact
+and it terminates.  An infeasible subsystem has fewer rows than the full
+system, so the full system is infeasible too.  Every added row is violated
+by the current point, which satisfies every active row, so no row is added
+twice and the active set grows strictly until the scan finds no shortfall.
+That final scan is ``_accepts`` on the point: the simplex has checked the
+grand rows and nonnegativity marks, and the scan every proper coalition,
+so the point satisfies every row of the full system.
+
 Each witness and counterexample is verified once, here, before it is
-returned: the simplex checks every point it returns against its system (for
-the generated core, the two halves), ``selection_core_witness`` checks its
-sub-game with ``verify_selection_core_witness``, and ``core_coincidence``
-checks its counterexample with the closed-form selection-core test.
-Callers, the command line included, use the results without checking them
-again.
+returned: the simplex checks every point it returns against its active
+subsystem and row generation the rest (for the generated core, the two
+halves), ``selection_core_witness`` checks its sub-game with
+``verify_selection_core_witness``, and ``core_coincidence`` checks its
+counterexample with the closed-form selection-core test.  Callers, the
+command line included, use the results without checking them again.
 
 The coincidence question asks whether the generated set equals SC.  The
 generated set is the projection of a polyhedron (the joint system with x
@@ -140,6 +156,12 @@ def _coalition_sums(x: tuple[Fraction, ...]) -> list[Fraction]:
     return sums
 
 
+def _shortfalls(point: tuple[Fraction, ...], lo):
+    """Yield (x(S) - lo(S), S) for every proper coalition S with x(S) < lo(S)."""
+    sums = _coalition_sums(point)
+    return ((sums[m] - lo[m], m) for m in range(1, len(sums) - 1) if sums[m] < lo[m])
+
+
 def _accepts(point: tuple[Fraction, ...], lo, up, core: bool) -> bool:
     """lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper S (a core)
     or for every singleton S (an imputation); lo and up are indexed by mask."""
@@ -148,8 +170,7 @@ def _accepts(point: tuple[Fraction, ...], lo, up, core: bool) -> bool:
         return False
     if not core:
         return all(xi >= lo[1 << i] for i, xi in enumerate(point))
-    sums = _coalition_sums(point)
-    return all(sums[m] >= lo[m] for m in range(1, full))
+    return next(_shortfalls(point, lo), None) is None
 
 
 def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
@@ -157,20 +178,40 @@ def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
     return tuple((tuple(sign if m >> i & 1 else 0 for i in range(n)), rhs[m]) for m in masks)
 
 
-def _core_system(n: int, lo, up, sign: int = 1, nonneg=frozenset()) -> LinearSystem:
+def _core_system(n: int, lo, up, sign: int = 1, nonneg=frozenset(), masks=None) -> LinearSystem:
     """The rows of ``_accepts(sign * y, lo, up, core=True)`` over y.
 
     The grand range lo(N) <= sign * y(N) <= up(N) is one equality when it is
-    a single point and two inequality rows otherwise; every proper S adds
-    sign * y(S) >= lo(S).  lo and up are indexed by mask.
+    a single point and two inequality rows otherwise; every proper S in
+    masks (all of them by default) adds sign * y(S) >= lo(S).  lo and up are
+    indexed by mask.
     """
     full = grand_coalition(n)
     grand = _rows(n, [full], lo, sign)
-    proper = _rows(n, range(1, full), lo, sign)
+    proper = _rows(n, range(1, full) if masks is None else masks, lo, sign)
     if lo[full] == up[full]:
         return LinearSystem(dim=n, equalities=grand, inequalities=proper, nonneg=nonneg)
     cap = _rows(n, [full], {full: -up[full]}, -sign)
     return LinearSystem(dim=n, inequalities=grand + cap + proper, nonneg=nonneg)
+
+
+def _core_feasible(n: int, lo, up, sign: int = 1, nonneg=frozenset()) -> tuple[Fraction, ...] | None:
+    """A point of ``_core_system(n, lo, up, sign, nonneg)``, or None when it
+    has none, by row generation over the proper coalitions.
+
+    Each round solves the grand rows plus the active coalitions (at first
+    the singletons), then scans every proper coalition once and adds the up
+    to n with the largest shortfall, ties broken by mask.
+    """
+    active = [1 << i for i in range(n)]
+    while True:
+        ok, y = feasible(_core_system(n, lo, up, sign, nonneg, masks=active))
+        if not ok:
+            return None
+        missed = sorted(_shortfalls(tuple(sign * v for v in y), lo))
+        if not missed:
+            return y
+        active = sorted(active + [m for _, m in missed[:n]])
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +234,7 @@ def core_system(v: ClassicalGame) -> LinearSystem:
 
 
 def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
-    ok, point = feasible(core_system(v))
-    return point if ok else None
+    return _core_feasible(v.n, v.values, v.values)
 
 
 def core_nonempty(v: ClassicalGame) -> bool:
@@ -288,16 +328,20 @@ def is_interval_core_member(w: IntervalGame, payoff) -> bool:
 # points generated by the interval core
 
 
+def _slack_half(w: IntervalGame, sums: list[Fraction], upper: bool) -> tuple:
+    """``_core_system`` arguments of one slack half.  Sink slacks l >= 0 with
+    x - l in the lower border core are -l on the gap lower - x; rise slacks
+    u >= 0 with x + u in the upper border core are u on the gap upper - x."""
+    gap = [(iv.upper if upper else iv.lower) - s for iv, s in zip(w.values, sums)]
+    return w.n, gap, gap, 1 if upper else -1, frozenset(range(w.n))
+
+
 def _lower_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
-    """Sink slacks l >= 0 with x - l in the lower border core: -l on the gap lower - x."""
-    gap = [iv.lower - s for iv, s in zip(w.values, sums)]
-    return _core_system(w.n, gap, gap, sign=-1, nonneg=frozenset(range(w.n)))
+    return _core_system(*_slack_half(w, sums, upper=False))
 
 
 def _upper_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
-    """Rise slacks u >= 0 with x + u in the upper border core: u on the gap upper - x."""
-    gap = [iv.upper - s for iv, s in zip(w.values, sums)]
-    return _core_system(w.n, gap, gap, nonneg=frozenset(range(w.n)))
+    return _core_system(*_slack_half(w, sums, upper=True))
 
 
 def generated_core_system(w: IntervalGame, x) -> LinearSystem:
@@ -326,15 +370,15 @@ def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGene
     """Feasible slack pair for x, or which half is infeasible.
 
     The lower and upper halves share no variables, so each is solved once on
-    its own; the simplex has checked each half's point against its system,
-    which verifies the pair against the joint system.
+    its own; row generation has checked each half's point against every row
+    of its system, which verifies the pair against the joint system.
     """
     sums = _coalition_sums(_payoff(x, w.n))
-    lower_ok, l = feasible(_lower_system(w, sums))
-    upper_ok, u = feasible(_upper_system(w, sums))
-    if lower_ok and upper_ok:
+    l = _core_feasible(*_slack_half(w, sums, upper=False))
+    u = _core_feasible(*_slack_half(w, sums, upper=True))
+    if l is not None and u is not None:
         return GeneratedCoreWitness(l=l, u=u)
-    return NotGenerated(lower_feasible=lower_ok, upper_feasible=upper_ok)
+    return NotGenerated(lower_feasible=l is not None, upper_feasible=u is not None)
 
 
 def is_generated_core_member(w: IntervalGame, x) -> bool:

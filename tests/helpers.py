@@ -84,6 +84,21 @@ def rand_additive_border_game(rng: random.Random, n: int) -> IntervalGame:
     return IntervalGame.from_function(n, worth)
 
 
+def rand_degenerate_grand_convex(rng: random.Random, n: int) -> IntervalGame:
+    """A strictly convex upper border (convex plus |S|^2) with widths below
+    it on every proper coalition and a degenerate grand worth.  The strong
+    core is the core of the convex upper border, so it is nonempty and the
+    game is strongly balanced."""
+    convex = rand_convex_classical(rng, n)
+    full = grand_coalition(n)
+
+    def worth(mask: int) -> Interval:
+        top = convex.values[mask] + mask.bit_count() ** 2
+        return Interval(top if mask == full else top - abs(rand_fraction(rng, 0, 2)), top)
+
+    return IntervalGame.from_function(n, worth)
+
+
 def rand_payoff(rng: random.Random, n: int, lo: int = -6, hi: int = 10) -> tuple[Fraction, ...]:
     return tuple(rand_fraction(rng, lo, hi) for _ in range(n))
 

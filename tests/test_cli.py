@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from intervalgames import (
     solutions,
 )
 from intervalgames.cli import main
-from helpers import majority_game
+from helpers import majority_game, rand_additive_border_game, rand_degenerate_grand_convex
 
 BAND = IntervalGame.from_map(2, {(1,): (1, 3), (2,): (1, 3), (1, 2): (1, 4)})
 UNIT = IntervalGame.from_map(2, {(1,): (0, 1), (2,): (0, 1), (1, 2): (0, 2)})
@@ -309,7 +310,7 @@ class TestCounts:
 
 
 @pytest.fixture
-def solves(monkeypatch):
+def systems(monkeypatch):
     """Every system the solution layer hands to the simplex during one run."""
     recorded = []
     original = solutions.feasible
@@ -322,8 +323,25 @@ def solves(monkeypatch):
     return recorded
 
 
+@pytest.fixture
+def questions(monkeypatch):
+    """Every coalition system the solution layer decides by row generation
+    during one run; each is one question, whatever its number of rounds."""
+    recorded = []
+    original = solutions._core_feasible
+
+    def record(*args, **kwargs):
+        recorded.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solutions, "_core_feasible", record)
+    return recorded
+
+
 class TestOneSolvePerQuestion:
-    """No report solves the same linear system twice."""
+    """No report asks the same question twice or solves the same linear
+    system twice; row generation grows its active rows strictly, so its
+    rounds never repeat a system either."""
 
     @pytest.mark.parametrize(
         "payoff, code, subsystems",
@@ -333,30 +351,52 @@ class TestOneSolvePerQuestion:
             ("0,2", 1, {"lower_feasible": True, "upper_feasible": False}),
         ],
     )
-    def test_membership_gen(self, payoff, code, subsystems, solves, game_file, capsys):
+    def test_membership_gen(self, payoff, code, subsystems, questions, systems, game_file, capsys):
         path = game_file(UNIT)
         got, out, _ = run_cli(["membership", path, "gen", payoff, "--format", "json"], capsys)
         assert got == code
         assert json.loads(out).get("subsystems") == subsystems
-        assert len(solves) == 2 and len(set(solves)) == 2
+        assert len(questions) == 2
+        assert len(set(systems)) == len(systems) >= 2
 
     @pytest.mark.parametrize(
         "w, code", [(BAND, 1), (UNIT, 1), (CRITERION_10, 1), (CONVEX_3, 0)]
     )
-    def test_coincidence(self, w, code, solves, game_file, capsys):
+    def test_coincidence(self, w, code, systems, game_file, capsys):
         assert run_cli(["coincidence", game_file(w)], capsys)[0] == code
-        assert solves and len(set(solves)) == len(solves)
+        assert systems and len(set(systems)) == len(systems)
 
     @pytest.mark.parametrize(
         "w, nonempty, balanced",
         [(TIGHT, True, True), (embed_classical(majority_game()), False, False), (BAND, False, False)],
     )
-    def test_strong(self, w, nonempty, balanced, solves, game_file, capsys):
+    def test_strong(self, w, nonempty, balanced, questions, systems, game_file, capsys):
         code, out, _ = run_cli(["strong", game_file(w), "--format", "json"], capsys)
         doc = json.loads(out)
         assert code == (0 if nonempty else 1)
         assert (doc["strong_core_nonempty"], doc["strongly_balanced"]) == (nonempty, balanced)
-        assert len(solves) == 1
+        assert len(questions) == 1
+        assert len(set(systems)) == len(systems) >= 1
+
+
+class TestTwelvePlayers:
+    """Coalition LPs with 4096 rows, which row generation solves on a few
+    dozen; the verdicts are known by construction."""
+
+    def test_strong_on_a_degenerate_grand_convex_game(self, game_file, capsys):
+        w = rand_degenerate_grand_convex(random.Random(12), 12)
+        code, out, _ = run_cli(["strong", game_file(w), "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["strong_core_nonempty"], doc["strongly_balanced"]) == (True, True)
+
+    def test_gen_at_the_lower_corner_of_an_additive_border_game(self, game_file, capsys):
+        # criterion 7: the corner b is generated with slacks l = 0, u = d
+        w = rand_additive_border_game(random.Random(12), 12)
+        corner = ",".join(str(w.worth(1 << i).lower) for i in range(12))
+        code, out, _ = run_cli(["membership", game_file(w), "gen", "--format", "json", "--", corner], capsys)
+        assert code == 0
+        assert json.loads(out)["member"] is True
 
 
 class TestOracleCommand:

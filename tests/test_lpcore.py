@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -566,6 +567,52 @@ class TestDoubleDescription:
                 assert got == walk_vertices(system)
                 nonempty[i % 4] += bool(got)
         assert min(nonempty.values()) >= 20
+
+
+def rescaled(rng, system):
+    """The same region with every row multiplied by a random positive
+    fraction, so coefficients and right-hand sides are fractional."""
+
+    def scale(rows):
+        out = []
+        for coeffs, rhs in rows:
+            f = F(rng.randint(1, 9), rng.randint(1, 9))
+            out.append((tuple(f * c for c in coeffs), f * rhs))
+        return out
+
+    return LinearSystem(
+        dim=system.dim,
+        equalities=scale(system.equalities),
+        inequalities=scale(system.inequalities),
+        nonneg=system.nonneg,
+    )
+
+
+class TestIntegerVertexCheck:
+    """enumerate_vertices checks each vertex X / D against the system's own
+    rows scaled to integers; that check must agree with satisfies."""
+
+    def test_agrees_with_satisfies(self):
+        rng = random.Random(67)
+        seen = Counter()
+        for system in seeded_systems(rng, 240):
+            system = rescaled(rng, system)
+            rows = lpcore._integer_system(system)
+            points = [tuple(F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(system.dim))]
+            vertices = outcome(enumerate_vertices, system)
+            if not isinstance(vertices, str):
+                for vertex in vertices[:6]:
+                    assert satisfies(system, vertex)
+                    step = F(rng.choice([-1, 1]), rng.randint(2, 7))
+                    j = rng.randrange(system.dim)
+                    points += [vertex, vertex[:j] + (vertex[j] + step,) + vertex[j + 1 :]]
+            for point in points:
+                D = lcm(*(v.denominator for v in point)) * rng.randint(1, 3)
+                X = [int(v * D) for v in point]
+                expected = satisfies(system, point)
+                assert lpcore._satisfies_integer(rows, X, D) == expected
+                seen[expected, bool(system.equalities)] += 1
+        assert min(seen.values()) >= 50
 
 
 class TestOnePhaseOne:

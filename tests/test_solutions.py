@@ -54,6 +54,7 @@ from helpers import (
     rand_additive_classical,
     rand_classical,
     rand_convex_classical,
+    rand_degenerate_grand_convex,
     rand_fraction,
     rand_interval_game,
     rand_payoff,
@@ -591,6 +592,83 @@ class TestBeyondFourPlayers:
         assert any(not b <= xi <= t for xi, b, t in zip(x, base, top))
         assert generated_core_witness(w, x) == verdict.miss
         assert isinstance(verdict.miss, NotGenerated)
+
+
+SEEDED_KINDS = (
+    lambda rng, n: rand_interval_game(rng, n, degenerate_grand=rng.random() < 0.5),
+    lambda rng, n: embed_classical(rand_convex_classical(rng, n)),
+    rand_degenerate_grand_convex,
+    rand_additive_border_game,
+)
+
+
+def full_lp(system):
+    return feasible(system)[0]
+
+
+class TestRowGeneration:
+    """Every coalition LP is solved by row generation on an active set of
+    coalitions; the full 2^n-row system solved by ``feasible`` is its oracle."""
+
+    def check_game(self, w, points, seen):
+        lower, upper = border_games(w)
+        for v in (lower, upper):
+            x = core_witness(v)
+            assert (x is not None) == full_lp(core_system(v))
+            assert x is None or satisfies(core_system(v), x)
+            seen["core", x is not None] += 1
+        x = strong_core_witness(w)
+        assert (x is not None) == full_lp(strong_core_system(w))
+        assert x is None or satisfies(strong_core_system(w), x)
+        seen["strong", x is not None] += 1
+        worst = ClassicalGame(w.n, upper.values[:-1] + lower.values[-1:])
+        got = is_strongly_balanced(w)
+        assert got == full_lp(core_system(worst))
+        seen["balanced", got] += 1
+        for point in points:
+            sums = solutions._coalition_sums(point)
+            halves = (full_lp(solutions._lower_system(w, sums)), full_lp(solutions._upper_system(w, sums)))
+            result = generated_core_witness(w, point)
+            if isinstance(result, GeneratedCoreWitness):
+                assert halves == (True, True)
+                assert satisfies(generated_core_system(w, point), result.l + result.u)
+            else:
+                assert halves == (result.lower_feasible, result.upper_feasible)
+            seen["lower half", halves[0]] += 1
+            seen["upper half", halves[1]] += 1
+
+    def points(self, rng, w):
+        """The lower corner, a point that leaves the singleton box, and a random point."""
+        corner = tuple(w.worth(1 << i).lower for i in range(w.n))
+        i = rng.randrange(w.n)
+        outside = list(corner)
+        outside[i] = w.worth(1 << i).upper + abs(rand_fraction(rng, 0, 2)) + 1
+        return corner, tuple(outside), rand_payoff(rng, w.n, -4, 8)
+
+    def test_agrees_with_the_full_lp(self):
+        rng = random.Random(70)
+        seen = Counter()
+        sizes = [2 + i % 2 for i in range(200)] + [4] * 20 + [5] * 4
+        for i, n in enumerate(sizes):
+            w = SEEDED_KINDS[i % 4](rng, n)
+            self.check_game(w, self.points(rng, w), seen)
+        assert len(seen) == 10 and min(seen.values()) >= 50
+
+    def test_agrees_with_the_full_lp_at_six_and_seven_players(self):
+        # one full-system LP takes seconds here, so only a few questions are asked
+        rng = random.Random(71)
+        for kind in (SEEDED_KINDS[0], rand_degenerate_grand_convex, rand_additive_border_game):
+            upper = border_games(kind(rng, 6))[1]
+            x = core_witness(upper)
+            assert (x is not None) == full_lp(core_system(upper))
+            assert x is None or satisfies(core_system(upper), x)
+        # an embedded convex game at its lower corner: only the rise half is feasible
+        w = embed_classical(rand_convex_classical(rng, 7))
+        corner = tuple(w.worth(1 << i).lower for i in range(7))
+        sums = solutions._coalition_sums(corner)
+        halves = full_lp(solutions._lower_system(w, sums)), full_lp(solutions._upper_system(w, sums))
+        assert halves == (False, True)
+        assert generated_core_witness(w, corner) == NotGenerated(*halves)
 
 
 class TestStrongConcepts:
