@@ -46,11 +46,11 @@ from .games import (
     IntervalGame,
     _decimal,
     border_games,
+    coalition_labels,
     family,
     format_game,
     grand_coalition,
     is_selection,
-    members,
     parse_game,
     to_classical,
 )
@@ -107,15 +107,9 @@ def _vec(values) -> list[str]:
     return [format_scalar(v) for v in values]
 
 
-def _coalition_label(mask: int) -> str:
-    return ",".join(str(i) for i in members(mask))
-
-
 def _game_entries(w: IntervalGame) -> dict[str, str]:
-    full = grand_coalition(w.n)
-    return {
-        _coalition_label(m): format_interval(w.worth(m)) for m in range(1, full + 1)
-    }
+    labels = coalition_labels(w.n)
+    return {labels[m]: format_interval(w.values[m]) for m in range(1, 1 << w.n)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from .numerics import (
     ZERO_INTERVAL,
     as_fraction,
     format_scalar,
-    parse_interval,
-    parse_scalar,
+    parse_worth,
 )
 
 Coalition = int
@@ -208,6 +207,17 @@ def family(kind: str, n: int) -> IntervalGame:
     return IntervalGame.from_function(n, fn)
 
 
+def coalition_labels(n: int) -> list[str]:
+    """The canonical label of every mask below ``2**n``: its players in
+    increasing order, joined by commas (``""`` for the empty coalition).
+    Each label extends the label of the mask without its top player."""
+    labels = [""]
+    for player in range(1, n + 1):
+        top = str(player)
+        labels += [top] + [rest + "," + top for rest in labels[1:]]
+    return labels
+
+
 def parse_game(text: str) -> IntervalGame:
     """Parse the line-oriented game format.
 
@@ -217,9 +227,15 @@ def parse_game(text: str) -> IntervalGame:
     interval).  ``#`` starts a comment, blank lines are skipped, the empty
     coalition is implied as [0, 0], and every nonempty coalition must
     appear exactly once.
+
+    A line costs one table lookup of its coalition among the canonical
+    labels and one pattern match of its worth; only a label outside the
+    table (unsorted, zero-padded or malformed) is decoded player by player.
     """
     n = None
     values: list = []
+    labels: list[str] = []
+    masks: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,53 +253,67 @@ def parse_game(text: str) -> IntervalGame:
                 )
             values = [None] * (1 << n)
             values[0] = ZERO_INTERVAL
+            labels = coalition_labels(n)
+            masks = {label: m for m, label in enumerate(labels) if m}
             continue
         if line.startswith("players"):
             raise GameFormatError(f"line {lineno}: duplicate 'players' header")
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise GameFormatError(f"line {lineno}: expected '<coalition> <worth>', got {line!r}")
-        mask = _parse_coalition_token(parts[0], n, lineno)
-        worth_text = parts[1].strip()
+        token, worth_text = parts
+        mask = masks.get(token)
+        if mask is None:
+            mask = _decode_coalition(token, n, lineno)
         try:
-            if worth_text.startswith("["):
-                iv = parse_interval(worth_text)
-            else:
-                iv = Interval(parse_scalar(worth_text))
+            iv = parse_worth(worth_text)
         except ValueError as exc:
             raise GameFormatError(f"line {lineno}: {exc}") from None
         if values[mask] is not None:
-            raise GameFormatError(f"line {lineno}: coalition {parts[0]} given twice")
+            raise GameFormatError(f"line {lineno}: coalition {token} given twice")
         values[mask] = iv
     if n is None:
         raise GameFormatError("empty input: missing 'players <n>' header")
     for m in range(1, 1 << n):
         if values[m] is None:
-            missing = ",".join(str(p) for p in members(m))
-            raise GameFormatError(f"missing worth for coalition {missing}")
+            raise GameFormatError(f"missing worth for coalition {labels[m]}")
     return IntervalGame(n, tuple(values))
 
 
 def _decimal(text: str) -> int | None:
     """The value of a string of ASCII decimal digits, or None for anything
-    else (``int`` would also take signs, underscores and other scripts)."""
-    return int(text) if text.isascii() and text.isdigit() else None
+    else (``int`` would also take signs, underscores and other scripts) and
+    for a string longer than ``int`` converts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
-def _parse_coalition_token(token: str, n: int, lineno: int) -> int:
+def _decode_coalition(token: str, n: int, lineno: int) -> int:
+    """The mask of a coalition label that is not canonical, such as ``2,1``
+    or ``01``, or the ``GameFormatError`` that names what is wrong with it.
+    Every label is bounded before the mask is shifted by it."""
     labels = []
     for piece in token.split(","):
         label = _decimal(piece)
         if label is None:
             raise GameFormatError(f"line {lineno}: invalid player label {piece!r}")
         labels.append(label)
-    try:
-        mask = coalition(labels)
-    except ValueError as exc:
-        raise GameFormatError(f"line {lineno}: {exc}") from None
+    mask = 0
+    repeated = False
+    for label in labels:
+        if not 1 <= label <= MAX_PLAYERS:
+            raise GameFormatError(f"line {lineno}: invalid player label: {label!r}")
+        bit = 1 << (label - 1)
+        if mask & bit:
+            repeated = True
+        mask |= bit
     if mask >= 1 << n:
         raise GameFormatError(f"line {lineno}: coalition {token} mentions a player beyond {n}")
-    if len(set(labels)) != len(labels):
+    if repeated:
         raise GameFormatError(f"line {lineno}: coalition {token} repeats a player")
     return mask
 
@@ -291,9 +321,9 @@ def _parse_coalition_token(token: str, n: int, lineno: int) -> int:
 def format_game(w: IntervalGame) -> str:
     """Canonical text for an interval game: header plus one line per coalition
     in bitmask order.  ``parse_game(format_game(w))`` reproduces w."""
+    labels = coalition_labels(w.n)
     lines = [f"players {w.n}"]
     for m in range(1, 1 << w.n):
-        label = ",".join(str(p) for p in members(m))
         iv = w.values[m]
-        lines.append(f"{label} [{format_scalar(iv.lower)}, {format_scalar(iv.upper)}]")
+        lines.append(f"{labels[m]} [{format_scalar(iv.lower)}, {format_scalar(iv.upper)}]")
     return "\n".join(lines) + "\n"

@@ -10,8 +10,17 @@ from fractions import Fraction
 
 Scalar = Fraction
 
-_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:\s*/\s*[0-9]+)?\Z")
-_INTERVAL_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
+# A rational literal ``p`` or ``p/q``: group 1 is p with its sign, group 2 is
+# q, or None for an integer.  Every pattern below is built from it.
+_RATIONAL = r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?"
+_SCALAR_RE = re.compile(_RATIONAL + r"\Z")
+_INTERVAL_RE = re.compile(rf"\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]\Z")
+# A game-file worth without outer whitespace, ``[a, b]`` or a bare scalar:
+# groups 1-4 are a and b of an interval, groups 5-6 the scalar.
+_WORTH_RE = re.compile(rf"(?:\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]|{_RATIONAL})\Z")
+# Splits an interval at its comma, so that parse_scalar words the error of
+# a malformed endpoint.
+_ENDPOINTS_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
 
 
 def as_fraction(value) -> Fraction:
@@ -29,13 +38,20 @@ def as_fraction(value) -> Fraction:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (integers, q positive) into an exact rational."""
-    token = text.strip()
-    if not _SCALAR_RE.match(token):
+    match = _SCALAR_RE.match(text.strip())
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(re.sub(r"\s", "", token))
+        return _fraction(*match.groups())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def _fraction(num: str, den: str | None) -> Fraction:
+    """The value of a rational literal's two groups.  ``int`` raises
+    ``ValueError`` on a literal longer than it converts, and a zero
+    denominator raises ``ZeroDivisionError``."""
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 def format_scalar(value) -> str:
@@ -118,10 +134,37 @@ def strictly_better(x: Interval, y: Interval) -> bool:
 
 def parse_interval(text: str) -> Interval:
     """Parse ``[p, q]`` with rational endpoints."""
-    match = _INTERVAL_RE.match(text.strip())
+    token = text.strip()
+    match = _INTERVAL_RE.match(token)
+    if match:
+        lo_num, lo_den, up_num, up_den = match.groups()
+        try:
+            return Interval(_fraction(lo_num, lo_den), _fraction(up_num, up_den))
+        except ZeroDivisionError:
+            pass
+    # no match, or a zero denominator: parse_scalar words the endpoint's error
+    match = _ENDPOINTS_RE.match(token)
     if not match:
         raise ValueError(f"not an interval literal: {text!r}")
     return Interval(parse_scalar(match.group(1)), parse_scalar(match.group(2)))
+
+
+def parse_worth(text: str) -> Interval:
+    """Parse a game-file worth without outer whitespace: ``[p, q]``, or a
+    bare rational for the degenerate interval.  One pattern match reads
+    either form; a text it does not take, or a zero denominator, goes to
+    ``parse_interval`` or ``parse_scalar``, which word the error.  Endpoints
+    are read left to right, so the first bad one is the one reported."""
+    match = _WORTH_RE.match(text)
+    if match:
+        lo_num, lo_den, up_num, up_den, num, den = match.groups()
+        try:
+            if num is None:
+                return Interval(_fraction(lo_num, lo_den), _fraction(up_num, up_den))
+            return Interval(_fraction(num, den))
+        except ZeroDivisionError:
+            pass
+    return parse_interval(text) if text.startswith("[") else Interval(parse_scalar(text))
 
 
 def format_interval(value: Interval) -> str:

@@ -5,10 +5,21 @@ test files freeze their seeds.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
-from intervalgames import ClassicalGame, Interval, IntervalGame, grand_coalition
+from intervalgames import (
+    MAX_PLAYERS,
+    ClassicalGame,
+    GameFormatError,
+    Interval,
+    IntervalGame,
+    coalition,
+    grand_coalition,
+    members,
+)
+from intervalgames.numerics import ZERO_INTERVAL
 from intervalgames.lpcore import LinearSystem, UnboundedRegionError, _extend_echelon, _Tableau, satisfies
 
 DENOMINATORS = (1, 1, 2, 3, 4)
@@ -184,3 +195,100 @@ def walk_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
 
     walk(0, echelon)
     return tuple(sorted(found))
+
+
+# ---------------------------------------------------------------------------
+# Oracle game-file parser: the line loop that parse_game replaced, with the
+# scalar and interval readers it called then (re.sub, then Fraction(str)).
+# parse_game must accept what it accepts and raise the same messages; the
+# one exception is a count or label longer than int converts, which makes
+# _oracle_decimal raise a bare ValueError where parse_game reports the line.
+
+_ORACLE_SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:\s*/\s*[0-9]+)?\Z")
+_ORACLE_INTERVAL_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
+
+
+def _oracle_parse_scalar(text: str) -> Fraction:
+    token = text.strip()
+    if not _ORACLE_SCALAR_RE.match(token):
+        raise ValueError(f"not a rational literal: {text!r}")
+    try:
+        return Fraction(re.sub(r"\s", "", token))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def _oracle_parse_interval(text: str) -> Interval:
+    match = _ORACLE_INTERVAL_RE.match(text.strip())
+    if not match:
+        raise ValueError(f"not an interval literal: {text!r}")
+    return Interval(_oracle_parse_scalar(match.group(1)), _oracle_parse_scalar(match.group(2)))
+
+
+def _oracle_decimal(text: str) -> int | None:
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+def _oracle_coalition_token(token: str, n: int, lineno: int) -> int:
+    labels = []
+    for piece in token.split(","):
+        label = _oracle_decimal(piece)
+        if label is None:
+            raise GameFormatError(f"line {lineno}: invalid player label {piece!r}")
+        labels.append(label)
+    try:
+        mask = coalition(labels)
+    except ValueError as exc:
+        raise GameFormatError(f"line {lineno}: {exc}") from None
+    if mask >= 1 << n:
+        raise GameFormatError(f"line {lineno}: coalition {token} mentions a player beyond {n}")
+    if len(set(labels)) != len(labels):
+        raise GameFormatError(f"line {lineno}: coalition {token} repeats a player")
+    return mask
+
+
+def parse_game_oracle(text: str) -> IntervalGame:
+    n = None
+    values: list = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "players":
+                raise GameFormatError(f"line {lineno}: expected 'players <n>' header, got {line!r}")
+            n = _oracle_decimal(parts[1])
+            if n is None:
+                raise GameFormatError(f"line {lineno}: invalid player count {parts[1]!r}")
+            if not 1 <= n <= MAX_PLAYERS:
+                raise GameFormatError(
+                    f"line {lineno}: player count must be between 1 and {MAX_PLAYERS}, got {n}"
+                )
+            values = [None] * (1 << n)
+            values[0] = ZERO_INTERVAL
+            continue
+        if line.startswith("players"):
+            raise GameFormatError(f"line {lineno}: duplicate 'players' header")
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise GameFormatError(f"line {lineno}: expected '<coalition> <worth>', got {line!r}")
+        mask = _oracle_coalition_token(parts[0], n, lineno)
+        worth_text = parts[1].strip()
+        try:
+            if worth_text.startswith("["):
+                iv = _oracle_parse_interval(worth_text)
+            else:
+                iv = Interval(_oracle_parse_scalar(worth_text))
+        except ValueError as exc:
+            raise GameFormatError(f"line {lineno}: {exc}") from None
+        if values[mask] is not None:
+            raise GameFormatError(f"line {lineno}: coalition {parts[0]} given twice")
+        values[mask] = iv
+    if n is None:
+        raise GameFormatError("empty input: missing 'players <n>' header")
+    for m in range(1, 1 << n):
+        if values[m] is None:
+            missing = ",".join(str(p) for p in members(m))
+            raise GameFormatError(f"missing worth for coalition {missing}")
+    return IntervalGame(n, tuple(values))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalgames import (
+    MAX_PLAYERS,
     ClassicalGame,
     GameFormatError,
     Interval,
@@ -23,7 +24,8 @@ from intervalgames import (
     to_classical,
     truncate_grand,
 )
-from helpers import rand_interval_game, random_selection
+from helpers import parse_game_oracle, rand_interval_game, random_selection
+from intervalgames.games import coalition_labels
 
 WORKED_EXAMPLE = IntervalGame.from_map(
     2, {(1,): (1, 3), (2,): (1, 3), (1, 2): (1, 4)}
@@ -226,6 +228,65 @@ class TestFamilies:
             family("sel-convex", n)
 
 
+MALFORMED = [
+    ("", "players"),
+    ("players x\n", "line 1"),
+    ("players 0\n", "line 1"),
+    ("players 17\n", "line 1"),
+    ("players 1\nplayers 1\n", "duplicate"),
+    ("players 1\n1\n", "line 2"),
+    ("players 1\n1 [1, 0]\n", "line 2"),
+    ("players 1\n1 [1, 2\n", "line 2"),
+    ("players 1\n2 [0, 1]\n", "beyond"),
+    ("players 2\n1,1 [0, 1]\n2 [0, 1]\n", "repeats"),
+    ("players 1\n1 [0, 1]\n1 [0, 1]\n", "twice"),
+    ("players 2\n1 [0, 1]\n", "missing"),
+    ("players 1\n1 1.5\n", "line 2"),
+    ("players 1\nx [0, 1]\n", "label"),
+    # only ASCII decimal digits count, although int() takes these
+    ("players \u0663\n", "line 1: invalid player count"),
+    ("players +2\n", "line 1: invalid player count"),
+    ("players 2\n1 0\n2 0\n0_1 [0, 1]\n", "line 4: invalid player label"),
+    ("players 2\n+1 0\n2 0\n1,2 0\n", "line 2: invalid player label"),
+    ("players 2\n1 0\n2 0\n1,\u0662 0\n", "line 4: invalid player label"),
+]
+
+# Malformed texts beyond MALFORMED on which parse_game must word its error
+# exactly as the oracle does.
+MALFORMED_MORE = [
+    "players 1\n1 [1/0, 2]\n",
+    "players 1\n1 [1, 2/0]\n",
+    "players 1\n1 [1/0, x]\n",
+    "players 1\n1 [x, 1/0]\n",
+    "players 1\n1 [ 1 /0 , 2]\n",
+    "players 1\n1 3/0\n",
+    "players 1\n1 [+1, -0]\n",
+    "players 1\n1 [1, 2]]\n",
+    "players 1\n1 [1, 2] 3\n",
+    "players 1\n1 1 2\n",
+    "players 1\n1 2/-3\n",
+    "players 1\n1 [1,, 2]\n",
+    "players 3\n1,,2 [0, 1]\n",
+    "players 3\n1, [0, 1]\n",
+    "players 3\n,1 [0, 1]\n",
+    "players 3\n1,4 [0, 1]\n",
+    "players 3\n4,17 [0, 1]\n",
+    "players 3\n0,x [0, 1]\n",
+    "players 3\n0 [0, 1]\n",
+    "players 3\n3,00 [0, 1]\n",
+    "players 3\n2,2,9 [0, 1]\n",
+    "players 3\n02,2 [0, 1]\n",
+    "players 2\n1,2 0\n2,1 0\n",
+    "players 2\n1 0\nplayers2 0\n",
+    "players 2 3\n",
+    "player 2\n",
+    "players 1\n1 [1/0, " + "9" * 5000 + "]\n",
+    "players 1\n1 [" + "9" * 5000 + ", 1/0]\n",
+    "players 1\n1 " + "9" * 5000 + "/0\n",
+    "players 1\n1 1/" + "9" * 5000 + "\n",
+]
+
+
 class TestParsing:
     def test_golden(self):
         text = """\
@@ -254,26 +315,13 @@ players 2
     @pytest.mark.parametrize(
         "text,fragment",
         [
-            ("", "players"),
-            ("players x\n", "line 1"),
-            ("players 0\n", "line 1"),
-            ("players 17\n", "line 1"),
-            ("players 1\nplayers 1\n", "duplicate"),
-            ("players 1\n1\n", "line 2"),
-            ("players 1\n1 [1, 0]\n", "line 2"),
-            ("players 1\n1 [1, 2\n", "line 2"),
-            ("players 1\n2 [0, 1]\n", "beyond"),
-            ("players 2\n1,1 [0, 1]\n2 [0, 1]\n", "repeats"),
-            ("players 1\n1 [0, 1]\n1 [0, 1]\n", "twice"),
-            ("players 2\n1 [0, 1]\n", "missing"),
-            ("players 1\n1 1.5\n", "line 2"),
-            ("players 1\nx [0, 1]\n", "label"),
-            # only ASCII decimal digits count, although int() takes these
-            ("players \u0663\n", "line 1: invalid player count"),
-            ("players +2\n", "line 1: invalid player count"),
-            ("players 2\n1 0\n2 0\n0_1 [0, 1]\n", "line 4: invalid player label"),
-            ("players 2\n+1 0\n2 0\n1,2 0\n", "line 2: invalid player label"),
-            ("players 2\n1 0\n2 0\n1,\u0662 0\n", "line 4: invalid player label"),
+            *MALFORMED,
+            # longer than int() converts: still the line's GameFormatError
+            ("players " + "0" * 5000 + "1\n", "line 1: invalid player count"),
+            ("players 1\n" + "0" * 5000 + "1 [0, 1]\n", "line 2: invalid player label"),
+            ("players 2\n1 0\n2,1" + "0" * 5000 + " 0\n", "line 3: invalid player label"),
+            ("players 1\n1 [0, 1" + "0" * 5000 + "]\n", "line 2: Exceeds the limit"),
+            ("players 1\n\n1 " + "7" * 5000 + "/2\n", "line 3: Exceeds the limit"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, fragment):
@@ -294,3 +342,84 @@ players 2
     def test_round_trip_random(self, seed, n):
         w = rand_interval_game(random.Random(seed), n)
         assert parse_game(format_game(w)) == w
+
+    def test_round_trip_at_max_players(self):
+        w = family("sel-convex", MAX_PLAYERS)
+        assert parse_game(format_game(w)) == w
+
+    def test_coalition_labels(self):
+        labels = coalition_labels(4)
+        assert labels[:8] == ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
+        assert labels == [",".join(map(str, members(m))) for m in range(16)]
+
+
+def _render_scalar(rng: random.Random, q: Fraction) -> str:
+    """q as p or p/q with an optional plus sign, a denominator that need
+    not be in lowest terms, and any whitespace around the slash."""
+    k = rng.choice((1, 1, 2, 3))
+    num, den = q.numerator * k, q.denominator * k
+    sign = "+" if num >= 0 and rng.random() < 0.3 else ""
+    if den == 1 and rng.random() < 0.7:
+        return f"{sign}{num}"
+    return f"{sign}{num}{_space(rng, True)}/{_space(rng, True)}{den}"
+
+
+def _space(rng: random.Random, optional: bool) -> str:
+    return rng.choice(("", "", " ", "\t", " \t ") if optional else (" ", "\t", "  ", " \t"))
+
+
+def _render_label(rng: random.Random, mask: int) -> str:
+    players = [str(p) for p in members(mask)]
+    if rng.random() < 0.3:
+        rng.shuffle(players)
+    if rng.random() < 0.2:
+        players = ["0" * rng.randint(1, 2) + p for p in players]
+    return ",".join(players)
+
+
+def _render_game(rng: random.Random, w: IntervalGame) -> str:
+    """w in the game format, formatted at random: unsorted and zero-padded
+    labels, bare scalars, tabs and spaces, comments, blank lines and
+    shuffled lines."""
+    lines = []
+    for m in range(1, 1 << w.n):
+        iv = w.values[m]
+        if iv.degenerate and rng.random() < 0.5:
+            worth = _render_scalar(rng, iv.lower)
+        else:
+            parts = (
+                "[", _space(rng, True), _render_scalar(rng, iv.lower), _space(rng, True), ",",
+                _space(rng, True), _render_scalar(rng, iv.upper), _space(rng, True), "]",
+            )
+            worth = "".join(parts)
+        line = _space(rng, True) + _render_label(rng, m) + _space(rng, False) + worth
+        if rng.random() < 0.2:
+            line += _space(rng, True) + "# note, [1, 2] 3/0"
+        lines.append(line + _space(rng, True))
+    for _ in range(rng.randint(0, 3)):
+        lines.append(rng.choice(("", "  ", "\t", "# comment", "  # players 9")))
+    rng.shuffle(lines)
+    header = f"{_space(rng, True)}players{_space(rng, False)}{w.n}{_space(rng, True)}"
+    return "\n".join(["# game", "", header, *lines]) + rng.choice(("", "\n"))
+
+
+class TestParserAgainstOracle:
+    """parse_game against the line loop it replaced (tests/helpers.py)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=1, max_value=4))
+    def test_random_formatting(self, seed, n):
+        rng = random.Random(seed)
+        w = rand_interval_game(rng, n)
+        if rng.random() < 0.5:  # degenerate worths, so that bare scalars appear
+            w = IntervalGame(n, tuple(Interval(iv.lower) for iv in w.values))
+        text = _render_game(rng, w)
+        assert parse_game(text) == parse_game_oracle(text) == w
+
+    @pytest.mark.parametrize("text", [text for text, _ in MALFORMED] + MALFORMED_MORE)
+    def test_same_errors(self, text):
+        with pytest.raises(GameFormatError) as expected:
+            parse_game_oracle(text)
+        with pytest.raises(GameFormatError) as got:
+            parse_game(text)
+        assert str(got.value) == str(expected.value)
