@@ -17,7 +17,8 @@ from .numerics import (
     ZERO_INTERVAL,
     as_fraction,
     format_scalar,
-    parse_worth,
+    parse_interval,
+    parse_scalar,
 )
 
 Coalition = int
@@ -264,9 +265,12 @@ def parse_game(text: str) -> IntervalGame:
         token, worth_text = parts
         mask = masks.get(token)
         if mask is None:
-            mask = _decode_coalition(token, n, lineno)
+            mask = _parse_coalition_token(token, n, lineno)
         try:
-            iv = parse_worth(worth_text)
+            if worth_text.startswith("["):
+                iv = parse_interval(worth_text)
+            else:
+                iv = Interval(parse_scalar(worth_text))
         except ValueError as exc:
             raise GameFormatError(f"line {lineno}: {exc}") from None
         if values[mask] is not None:
@@ -292,28 +296,20 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-def _decode_coalition(token: str, n: int, lineno: int) -> int:
-    """The mask of a coalition label that is not canonical, such as ``2,1``
-    or ``01``, or the ``GameFormatError`` that names what is wrong with it.
-    Every label is bounded before the mask is shifted by it."""
+def _parse_coalition_token(token: str, n: int, lineno: int) -> int:
     labels = []
     for piece in token.split(","):
         label = _decimal(piece)
         if label is None:
             raise GameFormatError(f"line {lineno}: invalid player label {piece!r}")
         labels.append(label)
-    mask = 0
-    repeated = False
-    for label in labels:
-        if not 1 <= label <= MAX_PLAYERS:
-            raise GameFormatError(f"line {lineno}: invalid player label: {label!r}")
-        bit = 1 << (label - 1)
-        if mask & bit:
-            repeated = True
-        mask |= bit
+    try:
+        mask = coalition(labels)
+    except ValueError as exc:
+        raise GameFormatError(f"line {lineno}: {exc}") from None
     if mask >= 1 << n:
         raise GameFormatError(f"line {lineno}: coalition {token} mentions a player beyond {n}")
-    if repeated:
+    if len(set(labels)) != len(labels):
         raise GameFormatError(f"line {lineno}: coalition {token} repeats a player")
     return mask
 

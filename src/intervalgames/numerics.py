@@ -15,9 +15,6 @@ Scalar = Fraction
 _RATIONAL = r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?"
 _SCALAR_RE = re.compile(_RATIONAL + r"\Z")
 _INTERVAL_RE = re.compile(rf"\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]\Z")
-# A game-file worth without outer whitespace, ``[a, b]`` or a bare scalar:
-# groups 1-4 are a and b of an interval, groups 5-6 the scalar.
-_WORTH_RE = re.compile(rf"(?:\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]|{_RATIONAL})\Z")
 # Splits an interval at its comma, so that parse_scalar words the error of
 # a malformed endpoint.
 _ENDPOINTS_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
@@ -147,24 +144,6 @@ def parse_interval(text: str) -> Interval:
     if not match:
         raise ValueError(f"not an interval literal: {text!r}")
     return Interval(parse_scalar(match.group(1)), parse_scalar(match.group(2)))
-
-
-def parse_worth(text: str) -> Interval:
-    """Parse a game-file worth without outer whitespace: ``[p, q]``, or a
-    bare rational for the degenerate interval.  One pattern match reads
-    either form; a text it does not take, or a zero denominator, goes to
-    ``parse_interval`` or ``parse_scalar``, which word the error.  Endpoints
-    are read left to right, so the first bad one is the one reported."""
-    match = _WORTH_RE.match(text)
-    if match:
-        lo_num, lo_den, up_num, up_den, num, den = match.groups()
-        try:
-            if num is None:
-                return Interval(_fraction(lo_num, lo_den), _fraction(up_num, up_den))
-            return Interval(_fraction(num, den))
-        except ZeroDivisionError:
-            pass
-    return parse_interval(text) if text.startswith("[") else Interval(parse_scalar(text))
 
 
 def format_interval(value: Interval) -> str:
