@@ -322,6 +322,9 @@ players 2
             ("players 2\n1 0\n2,1" + "0" * 5000 + " 0\n", "line 3: invalid player label"),
             ("players 1\n1 [0, 1" + "0" * 5000 + "]\n", "line 2: Exceeds the limit"),
             ("players 1\n\n1 " + "7" * 5000 + "/2\n", "line 3: Exceeds the limit"),
+            # a label is bounded before the mask is shifted by it
+            ("players 3\n0 [0, 1]\n", "line 2: invalid player label: 0$"),
+            ("players 3\n4,17 [0, 1]\n", "line 2: invalid player label: 17$"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, fragment):
