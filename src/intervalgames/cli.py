@@ -346,7 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coincidence", help="does the generated set fill the selection core?")
     p.add_argument("game")
-    p.add_argument("--budget", type=_count, default=6, help="player cap for vertex enumeration")
+    p.add_argument(
+        "--budget",
+        type=_count,
+        default=6,
+        help="player cap for vertex enumeration only; games whose borders are both convex need none",
+    )
     _add_format(p)
     p.set_defaults(func=_cmd_coincidence)
 

@@ -14,7 +14,7 @@ exact linear feasibility).  Interval side, three competing readings of
   into an interval payoff vector lying in the interval core, i.e. when
   nonnegative slack vectors l, u exist with x - l in the lower border core
   and x + u in the upper one.  The two halves share no variables and are
-  solved once each; a negative answer carries its failing half
+  decided once each; a negative answer carries its failing half
   (``NotGenerated``), so no caller re-solves to report it.
   ``generated_core_system`` stacks them block-diagonally as a reference.
 
@@ -34,44 +34,111 @@ the row form of the same test, built by ``_core_system`` (the slack halves
 run it on the gaps lower - x and upper - x); a grand range that is a single
 point is one equality row.
 
-Every coalition LP (core nonemptiness, the strong core, strong
-balancedness and both generated-core halves) is decided by row generation
-(``_core_feasible``), the cutting-plane scheme of nucleolus codes
-(Hallefjord, Helming and Jørnsten 1995).  The grand rows are always
-present; of the 2^n - 2 proper-coalition rows only an active set is
-solved, starting from the singletons.  After each solve one scan of the
-coalition sums lists the proper coalitions the point leaves short, and the
-up to n largest shortfalls (ties by mask) join the active set.  It is exact
-and it terminates.  An infeasible subsystem has fewer rows than the full
-system, so the full system is infeasible too.  Every added row is violated
-by the current point, which satisfies every active row, so no row is added
-twice and the active set grows strictly until the scan finds no shortfall.
-That final scan is ``_accepts`` on the point: the simplex has checked the
-grand rows and nonnegativity marks, and the scan every proper coalition,
-so the point satisfies every row of the full system.
+Convex borders are decided in closed form, without a linear program or
+vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
+closed form runs behind the convexity verdict that ``classes`` computes
+and caches: ``check_classical(border, CONVEX)`` for one border, and the
+supermodular interval class (both borders convex) for coincidence.  Any
+other input takes the general route below, which is also the oracle the
+tests compare the closed forms with.  Below, v, lo and up are supermodular
+with worth 0 on the empty set, and y(S) is the sum of y over S.
+
+* Marginal vectors.  Along any order of the players, the vector paying
+  each player what it adds to those before it lies in core(v).  The sum
+  telescopes to v(N).  For a coalition S, take its members in that order;
+  the j-th one joins a set P that contains the earlier members S_j of S,
+  so by supermodularity it gets v(P + i) - v(P) >= v(S_j + i) - v(S_j),
+  and these lower bounds sum to v(S).  So ``core_witness`` on a convex
+  game returns its identity-order marginal vector, which also decides
+  ``strong_core_witness`` (the upper border) and ``is_strongly_balanced``
+  (the worst selection) whenever the game they solve is convex.
+* Tight sets.  Let y(S) >= lo(S) for every S, and call S tight when
+  equality holds.  For tight A and B, y(A | B) + y(A & B) = lo(A) + lo(B)
+  <= lo(A | B) + lo(A & B), while each term on the left is at least its
+  counterpart on the right; so both A | B and A & B are tight.  Hence the
+  minimal points of {y : y(S) >= lo(S) for every S} are exactly core(lo):
+  a point from which no coordinate can drop has every player in a tight
+  set, so their union N is tight, and a core point cannot drop at all.
+* Lower half.  Slacks l >= 0 with x - l in core(lo) exist iff x(S) >=
+  lo(S) for every S, N included.  Necessity: x(S) >= (x - l)(S) >= lo(S).
+  Sufficiency is the greedy of ``_greedy_core_point``: from y = x, each
+  player i in turn drops by the least slack y(S) - lo(S) over the S that
+  contain it.  That keeps every slack nonnegative (only sets holding i
+  change, each by at most its slack) and makes some S_i holding i tight.
+  A tight set stays tight: a later player j inside it drops by 0, and one
+  outside it does not touch it.  At the end every player lies in a tight
+  set, so N is tight and y is in core(lo).  When some x(S) < lo(S), no
+  drop is taken below zero, y stays under x, and y(S) < lo(S) remains; so
+  the border scan ``_accepts`` on the greedy point decides the half.
+* Upper half.  Slacks u >= 0 with x + u in core(up) exist iff x(S) +
+  up(N - S) <= up(N) for every S.  Write z = -(x + u) and f(S) = up(N - S)
+  - up(N), which is supermodular with f(empty) = 0.  Then x + u lies in
+  core(up) iff z(N) = f(N) and z(S) >= f(S) for every S, the latter being
+  (x + u)(N - S) >= up(N - S).  So the upper half is the lower half of -x
+  against f: the greedy raises x, and the condition is -x(S) >= f(S).
+* Coincidence.  On a convex lower border the lower half holds on all of
+  SC, since SC asks x(S) >= lo(S) for proper S and x(N) >= lo(N).  If
+  every proper coalition's worth is degenerate, the upper half holds too:
+  for proper S, up(N - S) = lo(N - S) <= x(N - S), so x(S) + up(N - S) <=
+  x(N) <= up(N).  So the game is coincident.  Otherwise let T be the
+  lowest-mask proper coalition with lo(T) < up(T), and let lo' be lo with
+  lo'(N) raised to up(N).  lo' is still supermodular: N is the union of an
+  incomparable pair only on the left-hand side of the inequality.  The
+  marginal vector x of lo' along T's players and then the rest, each in
+  ascending order, lies in core(lo'), hence in SC, with x(N) = up(N) and
+  x(T) = lo(T).  It is not generated: a rise slack u >= 0 with x + u in
+  core(up) has u(N) = up(N) - x(N) = 0, so u = 0, and x itself would need
+  x(T) >= up(T) > lo(T) = x(T).  The upper test fails at S = N - T.
+
+Every other coalition LP (core nonemptiness, the strong core, strong
+balancedness and the generated-core halves of a non-convex border) is
+decided by row generation (``_core_feasible``), the cutting-plane scheme
+of nucleolus codes (Hallefjord, Helming and Jørnsten 1995).  The grand
+rows are always present; of the 2^n - 2 proper-coalition rows only an
+active set is solved, starting from the singletons.  After each solve one
+scan of the coalition sums lists the proper coalitions the point leaves
+short, and the up to n largest shortfalls (ties by mask) join the active
+set.  It is exact and it terminates.  An infeasible subsystem has fewer
+rows than the full system, so the full system is infeasible too.  Every
+added row is violated by the current point, which satisfies every active
+row, so no row is added twice and the active set grows strictly until the
+scan finds no shortfall.  That final scan is ``_accepts`` on the point:
+the simplex has checked the grand rows and nonnegativity marks, and the
+scan every proper coalition, so the point satisfies every row of the full
+system.
 
 Each witness and counterexample is verified once, here, before it is
 returned: the simplex checks every point it returns against its active
 subsystem and row generation the rest (for the generated core, the two
-halves), ``selection_core_witness`` checks its sub-game with
-``verify_selection_core_witness``, and ``core_coincidence`` checks its
+halves); every marginal vector and greedy core point passes ``_accepts``
+on its border; ``selection_core_witness`` checks its sub-game with
+``verify_selection_core_witness``; and ``core_coincidence`` checks its
 counterexample with the closed-form selection-core test.  Callers, the
 command line included, use the results without checking them again.
 
-The coincidence question asks whether the generated set equals SC.  The
-generated set is the projection of a polyhedron (the joint system with x
-free) and hence convex, and it is always contained in SC, so equality
-holds exactly when every vertex of the SC polytope is generated.  Vertices
-are enumerated exactly by double description (``lpcore``), whose work
-follows the vertices it finds (120 at n = 5, 720 at n = 6 for a strictly
-convex game), and checked in lexicographic order; the first failure is
-returned as the counterexample.
+Off the supermodular interval class, the coincidence question is decided
+by vertices (``_coincidence_by_vertices``).  The generated set is the
+projection of a polyhedron (the joint system with x free) and hence
+convex, and it is always contained in SC, so equality holds exactly when
+every vertex of the SC polytope is generated.  Vertices are enumerated
+exactly by double description (``lpcore``), whose work follows the
+vertices it finds (120 at n = 5, 720 at n = 6 for a strictly convex
+game), and checked in lexicographic order; the first failure is returned
+as the counterexample.  Its budget caps the player count of that
+enumeration only.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .classes import ORACLE_MAX_PLAYERS
+from .classes import (
+    ORACLE_MAX_PLAYERS,
+    ClassicalProperty,
+    IntervalClass,
+    check_classical,
+    check_interval_class,
+)
 from .errors import BudgetExceededError
 from .games import (
     ClassicalGame,
@@ -147,9 +214,9 @@ def _interval_payoff(entries, n: int) -> tuple[Interval, ...]:
     return payoff
 
 
-def _coalition_sums(x: tuple[Fraction, ...]) -> list[Fraction]:
+def _coalition_sums(x) -> list:
     """sums[m] = total payoff of the coalition with bitmask m."""
-    sums = [Fraction(0)] * (1 << len(x))
+    sums = [0] * (1 << len(x))
     for m in range(1, len(sums)):
         low = m & -m
         sums[m] = sums[m ^ low] + x[low.bit_length() - 1]
@@ -214,6 +281,51 @@ def _core_feasible(n: int, lo, up, sign: int = 1, nonneg=frozenset()) -> tuple[F
         active = sorted(active + [m for _, m in missed[:n]])
 
 
+def _marginal_vector(values, order) -> tuple[Fraction, ...]:
+    """What each player adds to the players before it in order; values indexed by mask."""
+    x = [Fraction(0)] * len(order)
+    before = 0
+    for i in order:
+        x[i] = values[before | 1 << i] - values[before]
+        before |= 1 << i
+    return tuple(x)
+
+
+def _greedy_core_point(x: tuple[Fraction, ...], border, rise: bool) -> tuple[Fraction, ...] | None:
+    """A core point y <= x (y >= x when rise) of a convex border game, or
+    None when there is none; border is indexed by mask.
+
+    Sinking: each player in turn drops by the least slack y(S) - border(S)
+    over the coalitions S that contain it, never below zero.  Raising is
+    sinking -x against the dual floor S -> border(N - S) - border(N).  The
+    greedy runs on integers rescaled by a common denominator, and the
+    border scan decides: the greedy point is a core point exactly when one
+    exists (module docstring).
+    """
+    n = len(x)
+    size = len(border)
+    full = size - 1
+    scale = lcm(*[v.denominator for v in x], *[v.denominator for v in border])
+    ints = [v.numerator * (scale // v.denominator) for v in border]
+    y = [v.numerator * (scale // v.denominator) for v in x]
+    if rise:
+        floor = [ints[full ^ m] - ints[full] for m in range(size)]
+        y = [-v for v in y]
+    else:
+        floor = ints
+    slack = [s - f for s, f in zip(_coalition_sums(y), floor)]
+    for i in range(n):
+        bit = 1 << i
+        own = [m for m in range(bit, size) if m & bit]
+        drop = min([slack[m] for m in own])
+        if drop > 0:
+            y[i] -= drop
+            for m in own:
+                slack[m] -= drop
+    point = tuple(Fraction(-v if rise else v, scale) for v in y)
+    return point if _accepts(point, border, border, core=True) else None
+
+
 # ---------------------------------------------------------------------------
 # classical game solutions
 
@@ -234,7 +346,14 @@ def core_system(v: ClassicalGame) -> LinearSystem:
 
 
 def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
-    return _core_feasible(v.n, v.values, v.values)
+    """A core point: the identity-order marginal vector of a convex game,
+    otherwise row generation."""
+    if not check_classical(v, ClassicalProperty.CONVEX):
+        return _core_feasible(v.n, v.values, v.values)
+    x = _marginal_vector(v.values, range(v.n))
+    if not _accepts(x, v.values, v.values, core=True):
+        raise AssertionError("internal error: marginal vector of a convex game left its core")
+    return x
 
 
 def core_nonempty(v: ClassicalGame) -> bool:
@@ -369,13 +488,22 @@ def generated_core_system(w: IntervalGame, x) -> LinearSystem:
 def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGenerated:
     """Feasible slack pair for x, or which half is infeasible.
 
-    The lower and upper halves share no variables, so each is solved once on
-    its own; row generation has checked each half's point against every row
-    of its system, which verifies the pair against the joint system.
+    The lower and upper halves share no variables, so each is decided once
+    on its own: by the greedy when its border is convex, by row generation
+    otherwise.  Each half's point has passed the border scan, which
+    verifies the pair against the joint system.
     """
-    sums = _coalition_sums(_payoff(x, w.n))
-    l = _core_feasible(*_slack_half(w, sums, upper=False))
-    u = _core_feasible(*_slack_half(w, sums, upper=True))
+    point = _payoff(x, w.n)
+    sums = None
+    slacks = []
+    for border, upper in zip(border_games(w), (False, True)):
+        if check_classical(border, ClassicalProperty.CONVEX):
+            y = _greedy_core_point(point, border.values, rise=upper)
+            slacks.append(None if y is None else tuple(b - a if upper else a - b for a, b in zip(point, y)))
+        else:
+            sums = sums or _coalition_sums(point)
+            slacks.append(_core_feasible(*_slack_half(w, sums, upper)))
+    l, u = slacks
     if l is not None and u is not None:
         return GeneratedCoreWitness(l=l, u=u)
     return NotGenerated(lower_feasible=l is not None, upper_feasible=u is not None)
@@ -388,18 +516,54 @@ def is_generated_core_member(w: IntervalGame, x) -> bool:
 def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     """Decide whether the generated set fills the whole SC polytope.
 
-    The generated set is convex (projection of the joint slack polyhedron)
-    and contained in SC, so equality holds iff every SC vertex is
-    generated.  Vertices are visited in lexicographic order and the first
-    failure is reported; an empty SC is vacuously coincident.  The budget
-    caps the player count because vertex enumeration is exponential.
+    A game in the supermodular interval class is decided in closed form
+    (``_supermodular_coincidence``); any other game by its SC vertices
+    (``_coincidence_by_vertices``).  The budget caps the player count of
+    that vertex enumeration only.
     """
     if isinstance(budget, (bool, float)):
         raise TypeError(f"budget must be an int, got {type(budget).__name__} {budget!r}")
+    if check_interval_class(w, IntervalClass.SUPERMODULAR):
+        return _supermodular_coincidence(w)
     if w.n > budget:
         raise BudgetExceededError(
             f"coincidence needs vertex enumeration; {w.n} players exceeds budget {budget}"
         )
+    return _coincidence_by_vertices(w)
+
+
+def _supermodular_coincidence(w: IntervalGame) -> CoincidenceVerdict:
+    """Coincident iff every proper coalition's worth is degenerate.
+
+    Otherwise T is the lowest-mask proper coalition with a real interval,
+    and the counterexample is the marginal vector of the lower border, its
+    grand worth raised to up(N), along T's players and then the rest, each
+    part in ascending order (module docstring).
+    """
+    n = w.n
+    full = grand_coalition(n)
+    t = next((m for m in range(1, full) if not w.values[m].degenerate), None)
+    if t is None:
+        return CoincidenceVerdict(coincident=True)
+    lower, upper = border_games(w)
+    order = [i for i in range(n) if t >> i & 1] + [i for i in range(n) if not t >> i & 1]
+    x = _marginal_vector(lower.values[:-1] + upper.values[-1:], order)
+    if not _accepts(x, lower.values, upper.values, core=True):
+        raise AssertionError("internal error: counterexample lies outside the selection core")
+    miss = NotGenerated(
+        lower_feasible=_greedy_core_point(x, lower.values, rise=False) is not None,
+        upper_feasible=_greedy_core_point(x, upper.values, rise=True) is not None,
+    )
+    if miss.lower_feasible and miss.upper_feasible:
+        raise AssertionError("internal error: counterexample is generated")
+    return CoincidenceVerdict(coincident=False, counterexample=x, miss=miss)
+
+
+def _coincidence_by_vertices(w: IntervalGame) -> CoincidenceVerdict:
+    """The generated set is convex (projection of the joint slack
+    polyhedron) and contained in SC, so equality holds iff every SC vertex
+    is generated.  Vertices are visited in lexicographic order and the
+    first failure is reported; an empty SC is vacuously coincident."""
     for vertex in enumerate_vertices(selection_core_system(w)):
         result = generated_core_witness(w, vertex)
         if isinstance(result, NotGenerated):

@@ -53,13 +53,18 @@ def rand_interval_game(
     return IntervalGame(n=n, values=tuple(values))
 
 
+def additive_worths(a, n: int) -> list[Fraction]:
+    """worths[m] = sum of a over the players of coalition m."""
+    worths = [Fraction(0)] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        worths[m] = worths[m ^ low] + a[low.bit_length() - 1]
+    return worths
+
+
 def rand_additive_classical(rng: random.Random, n: int, lo: int = -4, hi: int = 8) -> ClassicalGame:
     a = [rand_fraction(rng, lo, hi) for _ in range(n)]
-
-    def worth(mask: int) -> Fraction:
-        return sum((a[i] for i in range(n) if mask >> i & 1), Fraction(0))
-
-    return ClassicalGame.from_function(n, worth)
+    return ClassicalGame(n=n, values=tuple(additive_worths(a, n)))
 
 
 def rand_convex_classical(rng: random.Random, n: int) -> ClassicalGame:
@@ -72,8 +77,10 @@ def rand_convex_classical(rng: random.Random, n: int) -> ClassicalGame:
         if bin(t).count("1") >= 2:
             bonus[t] = bonus.get(t, Fraction(0)) + abs(rand_fraction(rng, 0, 4))
 
+    additive = additive_worths(a, n)
+
     def worth(mask: int) -> Fraction:
-        total = sum((a[i] for i in range(n) if mask >> i & 1), Fraction(0))
+        total = additive[mask]
         for t, weight in bonus.items():
             if t & mask == t:
                 total += weight
@@ -87,12 +94,8 @@ def rand_additive_border_game(rng: random.Random, n: int) -> IntervalGame:
     base = [rand_fraction(rng, -3, 5) for _ in range(n)]
     widths = [abs(rand_fraction(rng, 0, 3)) for _ in range(n)]
 
-    def worth(mask: int) -> Interval:
-        lo = sum((base[i] for i in range(n) if mask >> i & 1), Fraction(0))
-        wd = sum((widths[i] for i in range(n) if mask >> i & 1), Fraction(0))
-        return Interval(lo, lo + wd)
-
-    return IntervalGame.from_function(n, worth)
+    lo, wd = additive_worths(base, n), additive_worths(widths, n)
+    return IntervalGame.from_function(n, lambda mask: Interval(lo[mask], lo[mask] + wd[mask]))
 
 
 def rand_degenerate_grand_convex(rng: random.Random, n: int) -> IntervalGame:
@@ -106,6 +109,25 @@ def rand_degenerate_grand_convex(rng: random.Random, n: int) -> IntervalGame:
     def worth(mask: int) -> Interval:
         top = convex.values[mask] + mask.bit_count() ** 2
         return Interval(top if mask == full else top - abs(rand_fraction(rng, 0, 2)), top)
+
+    return IntervalGame.from_function(n, worth)
+
+
+def rand_convex_with_widths(rng: random.Random, n: int, degenerate_grand: bool = False) -> IntervalGame:
+    """A strictly convex lower border (convex plus |S|^2) with widths in
+    [0, 1] on top.  The |S|^2 term leaves a surplus of 2 in every local
+    convexity inequality, which absorbs any two widths, so the upper border
+    is convex too and the game is in the supermodular interval class.  Player
+    1 alone always gets a positive width, so for n >= 2 some proper worth is
+    a real interval.  With ``degenerate_grand`` the grand worth has no width."""
+    convex = rand_convex_classical(rng, n)
+    full = grand_coalition(n)
+
+    def worth(mask: int) -> Interval:
+        low = convex.values[mask] + mask.bit_count() ** 2
+        if degenerate_grand and mask == full:
+            return Interval(low)
+        return Interval(low, low + Fraction(rng.randint(1 if mask == 1 else 0, 4), 4))
 
     return IntervalGame.from_function(n, worth)
 

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,12 @@ from intervalgames import (
     solutions,
 )
 from intervalgames.cli import main
-from helpers import majority_game, rand_additive_border_game, rand_degenerate_grand_convex
+from helpers import (
+    majority_game,
+    rand_additive_border_game,
+    rand_convex_classical,
+    rand_degenerate_grand_convex,
+)
 
 BAND = IntervalGame.from_map(2, {(1,): (1, 3), (2,): (1, 3), (1, 2): (1, 4)})
 UNIT = IntervalGame.from_map(2, {(1,): (0, 1), (2,): (0, 1), (1, 2): (0, 2)})
@@ -341,7 +347,8 @@ def questions(monkeypatch):
 class TestOneSolvePerQuestion:
     """No report asks the same question twice or solves the same linear
     system twice; row generation grows its active rows strictly, so its
-    rounds never repeat a system either."""
+    rounds never repeat a system either.  Games whose borders are convex
+    are decided in closed form and start no linear program at all."""
 
     @pytest.mark.parametrize(
         "payoff, code, subsystems",
@@ -352,19 +359,30 @@ class TestOneSolvePerQuestion:
         ],
     )
     def test_membership_gen(self, payoff, code, subsystems, questions, systems, game_file, capsys):
-        path = game_file(UNIT)
-        got, out, _ = run_cli(["membership", path, "gen", payoff, "--format", "json"], capsys)
+        # both borders of UNIT are convex
+        got, out, _ = run_cli(["membership", game_file(UNIT), "gen", payoff, "--format", "json"], capsys)
         assert got == code
         assert json.loads(out).get("subsystems") == subsystems
+        assert questions == [] and systems == []
+
+    def test_membership_gen_without_convex_borders(self, questions, systems, game_file, capsys):
+        # neither border of BAND is convex, so each half is one question
+        got, out, _ = run_cli(["membership", game_file(BAND), "gen", "2,2", "--format", "json"], capsys)
+        assert got == 1
+        assert json.loads(out)["subsystems"] == {"lower_feasible": False, "upper_feasible": False}
         assert len(questions) == 2
         assert len(set(systems)) == len(systems) >= 2
 
     @pytest.mark.parametrize(
         "w, code", [(BAND, 1), (UNIT, 1), (CRITERION_10, 1), (CONVEX_3, 0)]
     )
-    def test_coincidence(self, w, code, systems, game_file, capsys):
+    def test_coincidence(self, w, code, questions, systems, game_file, capsys):
         assert run_cli(["coincidence", game_file(w)], capsys)[0] == code
-        assert systems and len(set(systems)) == len(systems)
+        if w is BAND:
+            assert systems and len(set(systems)) == len(systems)
+        else:
+            # the other three are supermodular interval games
+            assert questions == [] and systems == []
 
     @pytest.mark.parametrize(
         "w, nonempty, balanced",
@@ -377,6 +395,13 @@ class TestOneSolvePerQuestion:
         assert (doc["strong_core_nonempty"], doc["strongly_balanced"]) == (nonempty, balanced)
         assert len(questions) == 1
         assert len(set(systems)) == len(systems) >= 1
+
+    def test_strong_on_a_convex_upper_border(self, questions, systems, game_file, capsys):
+        code, out, _ = run_cli(["strong", game_file(CONVEX_3), "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["strong_core_nonempty"], doc["strongly_balanced"]) == (True, True)
+        assert questions == [] and systems == []
 
 
 class TestTwelvePlayers:
@@ -397,6 +422,43 @@ class TestTwelvePlayers:
         code, out, _ = run_cli(["membership", game_file(w), "gen", "--format", "json", "--", corner], capsys)
         assert code == 0
         assert json.loads(out)["member"] is True
+
+
+class TestSixteenPlayers:
+    """Supermodular interval games at the player cap, decided in closed form
+    with the default budget; the verdicts are known by construction."""
+
+    def test_coincidence_on_an_additive_border_game(self, game_file, capsys):
+        # the generated set is the box between the corners, SC is larger
+        w = rand_additive_border_game(random.Random(16), 16)
+        assert any(not w.worth(1 << i).degenerate for i in range(16))
+        code, out, _ = run_cli(["coincidence", game_file(w), "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 1 and doc["coincident"] is False
+        assert doc["infeasible_subsystems"] == {"lower_feasible": True, "upper_feasible": False}
+        assert sum(Fraction(v) for v in doc["counterexample"]) == w.worth((1 << 16) - 1).upper
+
+    def test_coincidence_on_an_embedded_convex_game(self, game_file, capsys):
+        w = embed_classical(rand_convex_classical(random.Random(16), 16))
+        code, out, _ = run_cli(["coincidence", game_file(w), "--format", "json"], capsys)
+        assert code == 0 and json.loads(out) == {"players": 16, "coincident": True}
+
+    def test_gen_at_the_lower_corner_of_an_additive_border_game(self, game_file, capsys):
+        w = rand_additive_border_game(random.Random(16), 16)
+        corner = ",".join(str(w.worth(1 << i).lower) for i in range(16))
+        code, out, _ = run_cli(["membership", game_file(w), "gen", "--format", "json", "--", corner], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["member"] is True
+        # criterion 7: the corner is generated with slacks l = 0, u = d
+        assert doc["witness"]["l"] == ["0"] * 16
+        assert doc["witness"]["u"] == [str(w.worth(1 << i).width) for i in range(16)]
+
+    def test_strong_on_a_degenerate_grand_convex_game(self, game_file, capsys):
+        w = rand_degenerate_grand_convex(random.Random(16), 16)
+        code, out, _ = run_cli(["strong", game_file(w), "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["strong_core_nonempty"], doc["strongly_balanced"]) == (True, True)
 
 
 class TestOracleCommand:

@@ -11,10 +11,12 @@ from intervalgames import (
     CoincidenceVerdict,
     GeneratedCoreWitness,
     Interval,
+    IntervalClass,
     IntervalGame,
     LinearSystem,
     NotGenerated,
     border_games,
+    check_interval_class,
     core_coincidence,
     core_nonempty,
     core_system,
@@ -54,6 +56,7 @@ from helpers import (
     rand_additive_classical,
     rand_classical,
     rand_convex_classical,
+    rand_convex_with_widths,
     rand_degenerate_grand_convex,
     rand_fraction,
     rand_interval_game,
@@ -606,28 +609,50 @@ def full_lp(system):
     return feasible(system)[0]
 
 
+def lp_routes(system, *args) -> bool:
+    """The full LP's verdict on system, once row generation on the
+    ``_core_system`` arguments args has given the same verdict and, when
+    feasible, a point that satisfies every row."""
+    ok = full_lp(system)
+    y = solutions._core_feasible(*args)
+    assert (y is not None) == ok
+    assert y is None or satisfies(system, y)
+    return ok
+
+
+def lp_halves(w, sums) -> tuple[bool, bool]:
+    """The full LP's verdict on each generated-core half, checked against
+    row generation as in ``lp_routes``."""
+    return tuple(
+        lp_routes(system, *solutions._slack_half(w, sums, upper))
+        for system, upper in ((solutions._lower_system(w, sums), False), (solutions._upper_system(w, sums), True))
+    )
+
+
 class TestRowGeneration:
     """Every coalition LP is solved by row generation on an active set of
     coalitions; the full 2^n-row system solved by ``feasible`` is its oracle."""
 
     def check_game(self, w, points, seen):
+        # the public functions decide convex borders in closed form, so row
+        # generation is also called directly on every system
         lower, upper = border_games(w)
+        worst = ClassicalGame(w.n, upper.values[:-1] + lower.values[-1:])
         for v in (lower, upper):
             x = core_witness(v)
-            assert (x is not None) == full_lp(core_system(v))
+            assert (x is not None) == lp_routes(core_system(v), v.n, v.values, v.values)
             assert x is None or satisfies(core_system(v), x)
             seen["core", x is not None] += 1
         x = strong_core_witness(w)
-        assert (x is not None) == full_lp(strong_core_system(w))
+        assert (x is not None) == lp_routes(strong_core_system(w), w.n, upper.values, lower.values)
         assert x is None or satisfies(strong_core_system(w), x)
         seen["strong", x is not None] += 1
-        worst = ClassicalGame(w.n, upper.values[:-1] + lower.values[-1:])
         got = is_strongly_balanced(w)
-        assert got == full_lp(core_system(worst))
+        assert got == lp_routes(core_system(worst), w.n, worst.values, worst.values)
         seen["balanced", got] += 1
         for point in points:
             sums = solutions._coalition_sums(point)
-            halves = (full_lp(solutions._lower_system(w, sums)), full_lp(solutions._upper_system(w, sums)))
+            halves = lp_halves(w, sums)
             result = generated_core_witness(w, point)
             if isinstance(result, GeneratedCoreWitness):
                 assert halves == (True, True)
@@ -660,15 +685,149 @@ class TestRowGeneration:
         for kind in (SEEDED_KINDS[0], rand_degenerate_grand_convex, rand_additive_border_game):
             upper = border_games(kind(rng, 6))[1]
             x = core_witness(upper)
-            assert (x is not None) == full_lp(core_system(upper))
+            assert (x is not None) == lp_routes(core_system(upper), 6, upper.values, upper.values)
             assert x is None or satisfies(core_system(upper), x)
         # an embedded convex game at its lower corner: only the rise half is feasible
         w = embed_classical(rand_convex_classical(rng, 7))
         corner = tuple(w.worth(1 << i).lower for i in range(7))
         sums = solutions._coalition_sums(corner)
-        halves = full_lp(solutions._lower_system(w, sums)), full_lp(solutions._upper_system(w, sums))
+        halves = lp_halves(w, sums)
         assert halves == (False, True)
         assert generated_core_witness(w, corner) == NotGenerated(*halves)
+
+
+CRITERION_10 = IntervalGame.from_function(
+    4, lambda m: (3, 5) if m == 15 else (m.bit_count() - 1, m.bit_count())
+)
+
+
+def grand_band(rng, n):
+    """A convex game whose grand worth alone is widened; coincident."""
+    v = rand_convex_classical(rng, n)
+    full = grand_coalition(n)
+    extra = abs(rand_fraction(rng, 0, 3))
+    return IntervalGame.from_function(n, lambda m: (v.values[m], v.values[m] + (extra if m == full else 0)))
+
+
+def additive_with_width(rng, n):
+    """An additive-border game with some positive singleton width; the
+    generated set is the box between its corners, never all of SC."""
+    while True:
+        w = rand_additive_border_game(rng, n)
+        if any(not w.worth(1 << i).degenerate for i in range(n)):
+            return w
+
+
+# supermodular interval games, both borders convex; the flag says whether
+# the construction implies coincidence
+CONVEX_KINDS = (
+    (lambda rng, n: embed_classical(rand_convex_classical(rng, n)), True),
+    (grand_band, True),
+    (rand_convex_with_widths, False),
+    (additive_with_width, False),
+    (lambda rng, n: rand_convex_with_widths(rng, n, degenerate_grand=True), False),
+)
+
+
+def plain_coalition_sum(x, m: int):
+    return sum((xi for i, xi in enumerate(x) if m >> i & 1), F(0))
+
+
+def plain_counterexample(w: IntervalGame, x) -> bool:
+    """x is the certificate of non-coincidence: an SC point that spends
+    w(N)'s upper end and pays the lowest-mask proper coalition T with a
+    real interval only lo(T).  Then any rise slack u must be zero, and x
+    itself misses the upper border core at T."""
+    full = grand_coalition(w.n)
+    t = min(m for m in range(1, full) if not w.worth(m).degenerate)
+    in_sc = all(plain_coalition_sum(x, m) >= w.worth(m).lower for m in range(1, full))
+    return in_sc and sum(x) == w.worth(full).upper and plain_coalition_sum(x, t) == w.worth(t).lower
+
+
+def plain_halves(w: IntervalGame, x) -> tuple[bool, bool]:
+    """The generated-core halves of x by their characterizations on convex
+    borders: x(S) >= lo(S) for every S, and x(S) + up(N - S) <= up(N)."""
+    full = grand_coalition(w.n)
+    sums = [plain_coalition_sum(x, m) for m in range(full + 1)]
+    top = w.worth(full).upper
+    return (
+        all(sums[m] >= w.worth(m).lower for m in range(1, full + 1)),
+        all(sums[m] + (w.worth(full ^ m).upper if m != full else 0) <= top for m in range(1, full + 1)),
+    )
+
+
+class TestConvexClosedForms:
+    """On supermodular interval games every question is decided in closed
+    form; the routes they replace are the oracles: vertex enumeration for
+    coincidence, the full LP for the two generated-core halves and the
+    border cores."""
+
+    def points(self, rng, w, verdict):
+        lower, upper = border_games(w)
+        n = w.n
+        inside = solutions._marginal_vector(lower.values, range(n))
+        below = (inside[0] - 1,) + inside[1:]
+        points = [
+            tuple(w.worth(1 << i).lower for i in range(n)),
+            tuple(w.worth(1 << i).upper for i in range(n)),
+            inside,
+            below,
+            solutions._marginal_vector(upper.values, range(n)[::-1]),
+            rand_payoff(rng, n),
+        ]
+        if not verdict.coincident:
+            points.append(verdict.counterexample)
+        return points
+
+    def check_game(self, rng, w, coincident, seen, oracle: bool, lp: bool):
+        """oracle: compare with vertex enumeration; lp: compare the halves
+        and border cores with the full LP (seconds per system from n = 6)."""
+        assert check_interval_class(w, IntervalClass.SUPERMODULAR)
+        verdict = core_coincidence(w, budget=0)
+        assert verdict.coincident == coincident
+        seen["coincident", coincident] += 1
+        if oracle:
+            by_vertices = solutions._coincidence_by_vertices(w)
+            assert (by_vertices.coincident, by_vertices.miss) == (verdict.coincident, verdict.miss)
+        if not coincident:
+            assert plain_counterexample(w, verdict.counterexample)
+            assert verdict.miss == NotGenerated(lower_feasible=True, upper_feasible=False)
+        lower, upper = border_games(w)
+        for v in (lower, upper):
+            x = core_witness(v)
+            # the identity-order marginal vector
+            assert x == tuple(v.values[(2 << i) - 1] - v.values[(1 << i) - 1] for i in range(v.n))
+            assert satisfies(core_system(v), x)
+            assert not lp or feasible(core_system(v))[0]
+            seen["core", True] += 1
+        for point in self.points(rng, w, verdict):
+            halves = plain_halves(w, point)
+            if lp:
+                sums = solutions._coalition_sums(point)
+                systems = solutions._lower_system(w, sums), solutions._upper_system(w, sums)
+                assert halves == tuple(feasible(system)[0] for system in systems)
+            result = generated_core_witness(w, point)
+            if isinstance(result, GeneratedCoreWitness):
+                assert halves == (True, True)
+                assert satisfies(generated_core_system(w, point), result.l + result.u)
+            else:
+                assert halves == (result.lower_feasible, result.upper_feasible)
+            seen["lower half", halves[0]] += 1
+            seen["upper half", halves[1]] += 1
+
+    def test_agrees_with_the_routes_it_replaces(self):
+        rng = random.Random(72)
+        seen = Counter()
+        self.check_game(rng, CRITERION_10, False, seen, oracle=True, lp=True)
+        for i in range(125):
+            kind, coincident = CONVEX_KINDS[i % len(CONVEX_KINDS)]
+            self.check_game(rng, kind(rng, 2 + i % 3), coincident, seen, oracle=True, lp=True)
+        # from five players on, one full LP takes a second or more, and
+        # enumeration at seven takes 10-45 s with widths on the borders
+        for n in (5, 6, 7):
+            for k, (kind, coincident) in enumerate(CONVEX_KINDS):
+                self.check_game(rng, kind(rng, n), coincident, seen, oracle=n < 7 or k < 2 or k == 3, lp=False)
+        assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
 class TestStrongConcepts:
