@@ -285,16 +285,11 @@ def _convex_local(lo, up, n: int) -> bool:
     return True
 
 
-def _superadditive_after_convex(lo, up, n: int) -> bool:
-    # convexity implies superadditivity; only a non-convex game needs the scan
-    return _convex_local(lo, up, n) or _superadditive(lo, up, n)
-
-
-# the kernels every verdict runs, and the pair and 3^n scans they replaced,
-# which stay as the oracles the local forms are tested against
+# the kernels every verdict runs (superadditivity is read off convexity in
+# _verdict), and the pair and 3^n scans they replaced, which stay as the
+# oracles the local forms are tested against
 _KERNELS = {
     ClassicalProperty.MONOTONIC: _monotonic_local,
-    ClassicalProperty.SUPERADDITIVE: _superadditive_after_convex,
     ClassicalProperty.CONVEX: _convex_local,
 }
 
@@ -311,17 +306,17 @@ _SELECTION_TO_CLASSICAL = {
 }
 
 
-def _selection_kernel(cls: SelectionClass, kernels=_KERNELS):
+def _selection_property(cls: SelectionClass) -> ClassicalProperty:
     prop = _SELECTION_TO_CLASSICAL.get(cls)
     if prop is None:
         raise ValueError(f"unknown selection class: {cls!r}")
-    return kernels[prop]
+    return prop
 
 
 def check_selection_class(w: IntervalGame, cls: SelectionClass) -> bool:
     """Endpoint characterization of a selection class."""
     lo, up = _scaled_borders(w)
-    return _selection_kernel(cls)(lo, up, w.n)
+    return _verdict(lo, up, w.n, _selection_property(cls))
 
 
 def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
@@ -354,7 +349,7 @@ def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
         raise BudgetExceededError(
             f"endpoint selection oracle supports at most {ORACLE_MAX_PLAYERS} players, got {w.n}"
         )
-    kernel = _selection_kernel(cls, _ORACLE_KERNELS)
+    kernel = _ORACLE_KERNELS[_selection_property(cls)]
     lo, up = _scaled_borders(w)
     n = w.n
     m = (1 << n) - 1

@@ -1,11 +1,12 @@
-"""Exact linear feasibility, optimization, and vertex enumeration.
+"""Exact linear feasibility and vertex enumeration.
 
 Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
-nonnegativity marks on individual variables.  Feasibility and optimization
-use a dense two-phase simplex on ``fractions.Fraction`` with Bland's rule
-(so no cycling, no tolerances).  Each call builds one tableau for its
-system and runs phase one on it once; every point the simplex returns is
-checked against the system in ``_Tableau.solution``.
+nonnegativity marks on individual variables.  Feasibility uses a dense
+phase-one simplex on ``fractions.Fraction`` with Bland's rule (so no
+cycling, no tolerances).  Each call builds one tableau for its system and
+runs phase one on it once; the point it returns is checked against the
+system in ``_Tableau.solution``.  Every LP question of the solver asks
+for a feasible point, not an optimum, so phase one is the whole simplex.
 
 Vertex enumeration runs no simplex.  It uses the double-description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
@@ -51,10 +52,6 @@ Row = tuple[tuple[Fraction, ...], Fraction]
 
 class UnboundedRegionError(RuntimeError):
     """The feasible region is unbounded where a bounded one was required."""
-
-
-class InfeasibleSystemError(RuntimeError):
-    """No point satisfies the system."""
 
 
 def _norm_rows(rows, dim: int) -> tuple[Row, ...]:
@@ -194,7 +191,7 @@ class _Tableau:
                     row[self.neg[j]] = -c
         return row
 
-    def _pivot(self, r: int, c: int, obj: list[Fraction] | None = None) -> None:
+    def _pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
         T = self.T
         piv = T[r][c]
         T[r] = [v / piv for v in T[r]]
@@ -204,23 +201,36 @@ class _Tableau:
                 f = T[i][c]
                 if f:
                     T[i] = [a - f * b for a, b in zip(T[i], prow)]
-        if obj is not None and obj[c]:
+        if obj[c]:
             f = obj[c]
             obj[:] = [a - f * b for a, b in zip(obj, prow)]
         self.basis[r] = c
 
-    def _run(self, obj: list[Fraction], cols: int) -> bool:
-        """Bland-rule pivoting until optimal; False when unbounded."""
+    def phase_one(self) -> bool:
+        """Drive artificial variables to zero by Bland-rule pivoting; True
+        when the system is feasible.
+
+        An artificial may stay basic at zero on a redundant row; that is
+        harmless, since ``solution`` reads the structural columns only.
+        """
         T = self.T
         basis = self.basis
+        obj = [Fraction(0)] * (self.ncols + 1)
+        for i, b in enumerate(basis):
+            if b >= self.art_start:
+                row = T[i]
+                for j in range(self.ncols + 1):
+                    obj[j] += row[j]
+        for j in range(self.art_start, self.ncols):
+            obj[j] -= 1
         while True:
             enter = -1
-            for j in range(cols):
+            for j in range(self.art_start):  # artificials never re-enter
                 if obj[j] > 0:
                     enter = j
                     break
             if enter < 0:
-                return True
+                return obj[-1] == 0
             leave = -1
             best = None
             for i in range(len(T)):
@@ -231,63 +241,8 @@ class _Tableau:
                         best = ratio
                         leave = i
             if leave < 0:
-                return False
+                raise AssertionError("phase one cannot be unbounded")
             self._pivot(leave, enter, obj)
-
-    def phase_one(self) -> bool:
-        """Drive artificial variables to zero; True when the system is feasible."""
-        obj = [Fraction(0)] * (self.ncols + 1)
-        for i, b in enumerate(self.basis):
-            if b >= self.art_start:
-                row = self.T[i]
-                for j in range(self.ncols + 1):
-                    obj[j] += row[j]
-        for j in range(self.art_start, self.ncols):
-            obj[j] -= 1
-        bounded = self._run(obj, self.art_start)  # artificials never re-enter
-        if not bounded:
-            raise AssertionError("phase one cannot be unbounded")
-        if obj[-1] != 0:
-            return False
-        self._drop_artificials()
-        return True
-
-    def _drop_artificials(self) -> None:
-        keep: list[int] = []
-        for i in range(len(self.T)):
-            if self.basis[i] < self.art_start:
-                keep.append(i)
-                continue
-            pivot_col = -1
-            for j in range(self.art_start):
-                if self.T[i][j]:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                self._pivot(i, pivot_col)
-                keep.append(i)
-            # otherwise the row is redundant (all zeros, rhs zero) and is dropped
-        self.T = [self.T[i][: self.art_start] + [self.T[i][-1]] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.ncols = self.art_start
-
-    def phase_two(self, objective) -> bool:
-        """Maximize ``objective . x`` (Fraction coefficients) from the current
-        feasible basis; False when unbounded."""
-        cost = [Fraction(0)] * self.ncols
-        for j, c in enumerate(objective):
-            if c:
-                cost[self.pos[j]] = c
-                if self.neg[j] is not None:
-                    cost[self.neg[j]] = -c
-        obj = list(cost) + [Fraction(0)]
-        for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                row = self.T[i]
-                for j in range(self.ncols + 1):
-                    obj[j] -= cb * row[j]
-        return self._run(obj, self.ncols)
 
     def solution(self) -> tuple[Fraction, ...]:
         """The current basic point, checked exactly against the system."""
@@ -312,20 +267,6 @@ def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
     if not tab.phase_one():
         return False, None
     return True, tab.solution()
-
-
-def maximize(system: LinearSystem, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact maximum of ``objective . x`` over the system, with an argmax."""
-    objective = tuple(as_fraction(c) for c in objective)
-    if len(objective) != system.dim:
-        raise ValueError("objective length must match the system dimension")
-    tab = _Tableau(system)
-    if not tab.phase_one():
-        raise InfeasibleSystemError("system has no feasible point")
-    if not tab.phase_two(objective):
-        raise UnboundedRegionError("objective is unbounded over the system")
-    x = tab.solution()
-    return sum(c * v for c, v in zip(objective, x)), x
 
 
 def _extend_echelon(echelon, coeffs, rhs, dim):

@@ -521,7 +521,7 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     (``_coincidence_by_vertices``).  The budget caps the player count of
     that vertex enumeration only.
     """
-    if isinstance(budget, (bool, float)):
+    if isinstance(budget, bool) or not isinstance(budget, int):
         raise TypeError(f"budget must be an int, got {type(budget).__name__} {budget!r}")
     if check_interval_class(w, IntervalClass.SUPERMODULAR):
         return _supermodular_coincidence(w)

@@ -20,7 +20,7 @@ from intervalgames import (
     members,
 )
 from intervalgames.numerics import ZERO_INTERVAL
-from intervalgames.lpcore import LinearSystem, UnboundedRegionError, _extend_echelon, _Tableau, satisfies
+from intervalgames.lpcore import LinearSystem, UnboundedRegionError, _extend_echelon, feasible, satisfies
 
 DENOMINATORS = (1, 1, 2, 3, 4)
 
@@ -169,23 +169,33 @@ def majority_game(n: int = 3) -> ClassicalGame:
 def walk_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
     """Oracle vertex enumeration by the basis walk.
 
-    One simplex tableau: phase one decides feasibility, and maximizing
-    +x1, -x1, +x2, ... as phase-two runs on that tableau proves the region
-    bounded (Bland's rule terminates from any feasible basis, so each probe
-    starts where the previous one stopped).  Then every independent subset
-    of dim rows (inequalities and nonnegativity marks, on top of the
-    equalities) is solved exactly, and the solutions that satisfy the whole
-    system are the vertices, deduplicated and sorted.  The walk visits
-    C(rows, dim) subsets, so it is kept for small systems only.
+    The phase-one simplex of ``feasible`` decides emptiness.  Boundedness
+    takes one more ``feasible`` call per direction +x1, -x1, +x2, ... on the
+    recession cone: the same equality and inequality coefficients with
+    right-hand side 0, the same nonnegativity marks, and the row
+    +-x_j >= 1.  A nonempty region is unbounded in a direction exactly when
+    its recession cone holds a ray that moves that way, that is, when this
+    system is feasible.  Then every independent subset of dim rows
+    (inequalities and nonnegativity marks, on top of the equalities) is
+    solved exactly, and the solutions that satisfy the whole system are the
+    vertices, deduplicated and sorted.  The walk visits C(rows, dim)
+    subsets, so it is kept for small systems only.
     """
-    tab = _Tableau(system)
-    if not tab.phase_one():
+    if not feasible(system)[0]:
         return ()
     dim = system.dim
+    cone_equalities = [(coeffs, 0) for coeffs, _ in system.equalities]
+    cone_inequalities = [(coeffs, 0) for coeffs, _ in system.inequalities]
     for j in range(dim):
         for sign in (1, -1):
-            direction = tuple(Fraction(sign) if k == j else Fraction(0) for k in range(dim))
-            if not tab.phase_two(direction):
+            step = (tuple(sign * (k == j) for k in range(dim)), 1)
+            cone = LinearSystem(
+                dim=dim,
+                equalities=cone_equalities,
+                inequalities=cone_inequalities + [step],
+                nonneg=system.nonneg,
+            )
+            if feasible(cone)[0]:
                 name = f"{'+' if sign > 0 else '-'}x{j + 1}"
                 raise UnboundedRegionError(f"region is unbounded in direction {name}")
     echelon = []

@@ -371,9 +371,15 @@ class TestSeparations:
 # ---------------------------------------------------------------------------
 # local kernels against the pair and 3^n scans they replaced
 
+def superadditive_verdict(lo, up, n: int) -> bool:
+    """The cached route every superadditivity verdict takes: convexity,
+    else the 3^n scan."""
+    return classes._verdict(tuple(lo), tuple(up), n, ClassicalProperty.SUPERADDITIVE)
+
+
 LOCAL_AND_ORACLE = {
     ClassicalProperty.MONOTONIC: (classes._monotonic_local, classes._monotonic),
-    ClassicalProperty.SUPERADDITIVE: (classes._superadditive_after_convex, classes._superadditive),
+    ClassicalProperty.SUPERADDITIVE: (superadditive_verdict, classes._superadditive),
     ClassicalProperty.CONVEX: (classes._convex_local, classes._convex_pairs),
 }
 
@@ -471,17 +477,30 @@ class TestLocalKernels:
                 # the implication the shortcut rests on
                 assert classes._superadditive(lo, up, n)
                 continue
-            verdict = classes._superadditive_after_convex(lo, up, n)
+            verdict = superadditive_verdict(lo, up, n)
             assert verdict == classes._superadditive(lo, up, n)
             seen[verdict] += 1
         assert min(seen.values()) >= 500, seen
 
-    def test_oracle_does_not_run_the_local_kernels(self, monkeypatch):
-        # with every local kernel broken, the oracle still answers from the
-        # pair and 3^n scans, so the two routes can disagree
+    @pytest.fixture
+    def fresh_verdicts(self):
+        # verdicts of broken kernels must not outlive the test in the cache
+        classes._verdict.cache_clear()
+        yield
+        classes._verdict.cache_clear()
+
+    def test_oracle_does_not_run_the_local_kernels(self, monkeypatch, fresh_verdicts):
+        # with every local kernel and the scan behind the superadditivity
+        # shortcut broken, the oracle still answers from the pair and 3^n
+        # scans, so the two routes can disagree
         w = family("sel-convex", 3)
-        for prop in LOCAL_AND_ORACLE:
-            monkeypatch.setitem(classes._KERNELS, prop, lambda lo, up, n: False)
+
+        def broken(lo, up, n):
+            return False
+
+        for prop in classes._KERNELS:
+            monkeypatch.setitem(classes._KERNELS, prop, broken)
+        monkeypatch.setattr(classes, "_superadditive", broken)
         for cls in SelectionClass:
             assert selection_class_oracle(w, cls)
             assert not check_selection_class(w, cls)

@@ -533,10 +533,13 @@ class TestCoincidence:
         with pytest.raises(BudgetExceededError):
             core_coincidence(BAND, budget=1)
 
-    @pytest.mark.parametrize("budget", [True, 6.0])
+    @pytest.mark.parametrize("budget", [True, 6.0, "6", None, F(13, 2)])
     def test_bool_and_float_budgets_are_refused(self, budget):
-        with pytest.raises(TypeError, match="budget must be an int"):
-            core_coincidence(BAND, budget=budget)
+        # every non-int is refused before the class gate, on the vertex
+        # route (BAND) and in closed form (UNIT) alike
+        for w in (BAND, UNIT):
+            with pytest.raises(TypeError, match="budget must be an int"):
+                core_coincidence(w, budget=budget)
 
 
 def strictly_convex(rng, n):
