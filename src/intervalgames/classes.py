@@ -56,10 +56,10 @@ convexity verdict.
 
 from enum import Enum
 from functools import lru_cache
-from math import lcm
 
 from .errors import BudgetExceededError
 from .games import ClassicalGame, IntervalGame
+from .numerics import integers
 
 ORACLE_MAX_PLAYERS = 4
 
@@ -86,19 +86,14 @@ class SelectionClass(Enum):
     CONVEX = "selection-convex"
 
 
-def _scaled(ratios) -> tuple[int, ...]:
-    scale = lcm(*[d for _, d in ratios])
-    return tuple([a * (scale // d) for a, d in ratios])
-
-
 def _scaled_values(v: ClassicalGame) -> tuple[int, ...]:
-    return _scaled([x.as_integer_ratio() for x in v.values])
+    return tuple(integers(v.values)[0])
 
 
 def _scaled_borders(w: IntervalGame) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # one shared denominator, the characterizations mix both borders
-    both = _scaled([x.as_integer_ratio() for iv in w.values for x in (iv.lower, iv.upper)])
-    return both[::2], both[1::2]
+    both = integers([x for iv in w.values for x in (iv.lower, iv.upper)])[0]
+    return tuple(both[::2]), tuple(both[1::2])
 
 
 def _additive(vals, n: int) -> bool:

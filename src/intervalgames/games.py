@@ -257,9 +257,9 @@ def parse_game(text: str) -> IntervalGame:
             labels = coalition_labels(n)
             masks = {label: m for m, label in enumerate(labels) if m}
             continue
-        if line.startswith("players"):
-            raise GameFormatError(f"line {lineno}: duplicate 'players' header")
         parts = line.split(None, 1)
+        if parts[0] == "players":
+            raise GameFormatError(f"line {lineno}: duplicate 'players' header")
         if len(parts) != 2:
             raise GameFormatError(f"line {lineno}: expected '<coalition> <worth>', got {line!r}")
         token, worth_text = parts

@@ -43,9 +43,9 @@ met along the way, not the C(rows, dim) candidate bases of a basis walk.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .numerics import as_fraction
+from .numerics import as_fraction, integers
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
@@ -301,8 +301,7 @@ def _extend_echelon(echelon, coeffs, rhs, dim):
 
 def _integer_row(values) -> list[int]:
     """Rational entries scaled by a positive factor to coprime integers."""
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    ints = integers(values)[0]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -426,8 +425,8 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
         raise AssertionError("internal error: a recession direction moves no coordinate")
     # the vertex of a ray is X / D with X = Q (x0 lam + Z t), D = Q lam, where
     # Q clears every denominator of the forms
-    scale = lcm(*(v.denominator for form in forms for v in form))
-    int_forms = [[v.numerator * (scale // v.denominator) for v in form] for form in forms]
+    flat, scale = integers([v for form in forms for v in form])
+    int_forms = [flat[k : k + d + 1] for k in range(0, len(flat), d + 1)]
     rows = _integer_system(system)
     points = []
     for ray in rays:

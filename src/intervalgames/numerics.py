@@ -7,6 +7,7 @@ of scalars, compared with the componentwise "weakly better" relation.
 
 import re
 from fractions import Fraction
+from math import lcm
 
 Scalar = Fraction
 
@@ -49,6 +50,15 @@ def _fraction(num: str, den: str | None) -> Fraction:
     ``ValueError`` on a literal longer than it converts, and a zero
     denominator raises ``ZeroDivisionError``."""
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
+def integers(values) -> tuple[list[int], int]:
+    """The values (Fractions or ints) times their least common denominator,
+    and that denominator.  One positive factor keeps the sign of every
+    difference of sums of the values, so such comparisons read the same."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[d for _, d in ratios])
+    return [a * (scale // d) for a, d in ratios], scale
 
 
 def format_scalar(value) -> str:

@@ -36,12 +36,12 @@ point is one equality row.
 
 Convex borders are decided in closed form, without a linear program or
 vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
-closed form runs behind the convexity verdict that ``classes`` computes
-and caches: ``check_classical(border, CONVEX)`` for one border, and the
-supermodular interval class (both borders convex) for coincidence.  Any
-other input takes the general route below, which is also the oracle the
-tests compare the closed forms with.  Below, v, lo and up are supermodular
-with worth 0 on the empty set, and y(S) is the sum of y over S.
+closed form runs behind one gate, ``check_classical(border, CONVEX)``,
+the per-border verdict ``classes`` caches; coincidence asks it of both
+borders (a supermodular interval game).  Any other input takes the
+general route below, which is also the oracle the tests compare the
+closed forms with.  Below, v, lo and up are supermodular with worth 0 on
+the empty set, and y(S) is the sum of y over S.
 
 * Marginal vectors.  Along any order of the players, the vector paying
   each player what it adds to those before it lies in core(v).  The sum
@@ -130,15 +130,8 @@ enumeration only.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .classes import (
-    ORACLE_MAX_PLAYERS,
-    ClassicalProperty,
-    IntervalClass,
-    check_classical,
-    check_interval_class,
-)
+from .classes import ORACLE_MAX_PLAYERS, ClassicalProperty, check_classical
 from .errors import BudgetExceededError
 from .games import (
     ClassicalGame,
@@ -148,7 +141,7 @@ from .games import (
     grand_coalition,
 )
 from .lpcore import LinearSystem, enumerate_vertices, feasible
-from .numerics import Interval, Scalar, as_fraction
+from .numerics import Interval, Scalar, as_fraction, integers
 
 
 @dataclass(frozen=True)
@@ -305,9 +298,8 @@ def _greedy_core_point(x: tuple[Fraction, ...], border, rise: bool) -> tuple[Fra
     n = len(x)
     size = len(border)
     full = size - 1
-    scale = lcm(*[v.denominator for v in x], *[v.denominator for v in border])
-    ints = [v.numerator * (scale // v.denominator) for v in border]
-    y = [v.numerator * (scale // v.denominator) for v in x]
+    both, scale = integers(x + border)
+    y, ints = both[:n], both[n:]
     if rise:
         floor = [ints[full ^ m] - ints[full] for m in range(size)]
         y = [-v for v in y]
@@ -516,15 +508,17 @@ def is_generated_core_member(w: IntervalGame, x) -> bool:
 def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     """Decide whether the generated set fills the whole SC polytope.
 
-    A game in the supermodular interval class is decided in closed form
-    (``_supermodular_coincidence``); any other game by its SC vertices
-    (``_coincidence_by_vertices``).  The budget caps the player count of
-    that vertex enumeration only.
+    A game whose borders both pass the convexity gate
+    ``check_classical(border, CONVEX)`` (a supermodular interval game) is
+    decided in closed form (``_supermodular_coincidence``); any other game
+    by its SC vertices (``_coincidence_by_vertices``).  The budget caps the
+    player count of that vertex enumeration only.
     """
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise TypeError(f"budget must be an int, got {type(budget).__name__} {budget!r}")
-    if check_interval_class(w, IntervalClass.SUPERMODULAR):
-        return _supermodular_coincidence(w)
+    borders = border_games(w)
+    if all(check_classical(border, ClassicalProperty.CONVEX) for border in borders):
+        return _supermodular_coincidence(w, *borders)
     if w.n > budget:
         raise BudgetExceededError(
             f"coincidence needs vertex enumeration; {w.n} players exceeds budget {budget}"
@@ -532,29 +526,26 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     return _coincidence_by_vertices(w)
 
 
-def _supermodular_coincidence(w: IntervalGame) -> CoincidenceVerdict:
+def _supermodular_coincidence(w: IntervalGame, lower, upper) -> CoincidenceVerdict:
     """Coincident iff every proper coalition's worth is degenerate.
 
     Otherwise T is the lowest-mask proper coalition with a real interval,
     and the counterexample is the marginal vector of the lower border, its
     grand worth raised to up(N), along T's players and then the rest, each
-    part in ascending order (module docstring).
+    part in ascending order (module docstring).  lower and upper are w's
+    border games, already through the convexity gate.
     """
     n = w.n
     full = grand_coalition(n)
     t = next((m for m in range(1, full) if not w.values[m].degenerate), None)
     if t is None:
         return CoincidenceVerdict(coincident=True)
-    lower, upper = border_games(w)
     order = [i for i in range(n) if t >> i & 1] + [i for i in range(n) if not t >> i & 1]
     x = _marginal_vector(lower.values[:-1] + upper.values[-1:], order)
     if not _accepts(x, lower.values, upper.values, core=True):
         raise AssertionError("internal error: counterexample lies outside the selection core")
-    miss = NotGenerated(
-        lower_feasible=_greedy_core_point(x, lower.values, rise=False) is not None,
-        upper_feasible=_greedy_core_point(x, upper.values, rise=True) is not None,
-    )
-    if miss.lower_feasible and miss.upper_feasible:
+    miss = generated_core_witness(w, x)
+    if isinstance(miss, GeneratedCoreWitness):
         raise AssertionError("internal error: counterexample is generated")
     return CoincidenceVerdict(coincident=False, counterexample=x, miss=miss)
 

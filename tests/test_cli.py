@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import intervalgames
 from intervalgames import (
     ClassicalGame,
     IntervalGame,
@@ -512,10 +514,13 @@ class TestErrors:
 
 
 def test_module_entry_point():
+    # the child process runs the package this suite imported, installed or not
+    root = os.path.dirname(os.path.dirname(intervalgames.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "intervalgames", "family", "sel-convex", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": root},
     )
     assert proc.returncode == 0
     assert proc.stdout == SEL_CONVEX_2

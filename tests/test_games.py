@@ -277,7 +277,6 @@ MALFORMED_MORE = [
     "players 3\n2,2,9 [0, 1]\n",
     "players 3\n02,2 [0, 1]\n",
     "players 2\n1,2 0\n2,1 0\n",
-    "players 2\n1 0\nplayers2 0\n",
     "players 2 3\n",
     "player 2\n",
     "players 1\n1 [1/0, " + "9" * 5000 + "]\n",
@@ -325,6 +324,11 @@ players 2
             # a label is bounded before the mask is shifted by it
             ("players 3\n0 [0, 1]\n", "line 2: invalid player label: 0$"),
             ("players 3\n4,17 [0, 1]\n", "line 2: invalid player label: 17$"),
+            # only a first field of exactly "players" is a second header; the
+            # oracle words a token that begins with it as one
+            ("players 2\n1 0\nplayers2 0\n", "^line 3: invalid player label 'players2'$"),
+            ("players 2\n1 [1,3]\n2 [1,3]\nplayers2 [1,4]\n", "^line 4: invalid player label 'players2'$"),
+            ("players 2\n1 [1,3]\n2 [1,3]\nplayers 1\n", "^line 4: duplicate 'players' header$"),
         ],
     )
     def test_errors_carry_diagnostics(self, text, fragment):

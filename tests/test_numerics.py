@@ -14,6 +14,7 @@ from intervalgames import (
     strictly_better,
     weakly_better,
 )
+from intervalgames.numerics import integers
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -161,3 +162,42 @@ class TestIntervalText:
 
     def test_zero_interval_constant(self):
         assert ZERO_INTERVAL == Interval(0, 0)
+
+
+def _prime_factors(k: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= k:
+        while k % p == 0:
+            out.add(p)
+            k //= p
+        p += 1
+    return out | ({k} if k > 1 else set())
+
+
+class TestIntegers:
+    """integers(values) -> (ints, scale): ints[k] == values[k] * scale, with
+    scale the least positive integer that clears every denominator."""
+
+    def check(self, values):
+        ints, scale = integers(values)
+        assert all(type(v) is int for v in ints) and type(scale) is int and scale > 0
+        assert len(ints) == len(values)
+        assert all(i == v * scale for i, v in zip(ints, values))
+        # least: the least clearing integer divides scale, so dropping any
+        # prime factor of scale must leave some denominator uncleared
+        for p in _prime_factors(scale):
+            assert any((v * (scale // p)).denominator != 1 for v in values)
+
+    def test_mixed_ints_and_fractions(self):
+        values = [3, Fraction(-5, 6), 0, Fraction(0), Fraction(7, 4), -2, Fraction(-9, 10)]
+        ints, scale = integers(values)
+        assert scale == 60
+        assert ints == [180, -50, 0, 0, 105, -120, -54]
+        self.check(values)
+
+    def test_empty(self):
+        assert integers([]) == ([], 1)
+
+    @given(st.lists(st.one_of(rationals, st.integers(min_value=-50, max_value=50)), max_size=12))
+    def test_random(self, values):
+        self.check(values)

@@ -8,6 +8,7 @@ import pytest
 from intervalgames import (
     BudgetExceededError,
     ClassicalGame,
+    ClassicalProperty,
     CoincidenceVerdict,
     GeneratedCoreWitness,
     Interval,
@@ -47,7 +48,7 @@ from intervalgames import (
     verify_selection_core_witness,
     weakly_better,
 )
-from intervalgames import solutions
+from intervalgames import classes, solutions
 from intervalgames.lpcore import feasible
 from helpers import (
     endpoint_selections,
@@ -831,6 +832,30 @@ class TestConvexClosedForms:
             for k, (kind, coincident) in enumerate(CONVEX_KINDS):
                 self.check_game(rng, kind(rng, n), coincident, seen, oracle=n < 7 or k < 2 or k == 3, lp=False)
         assert len(seen) == 7 and min(seen.values()) >= 50, seen
+
+
+class TestOneConvexityGate:
+    """Every closed form asks the same gate of each border,
+    ``check_classical(border, CONVEX)``, so a coincidence verdict and a later
+    generated-core question share its cached runs."""
+
+    def test_two_borders_run_the_kernel_twice(self, monkeypatch):
+        runs = []
+        kernel = classes._KERNELS[ClassicalProperty.CONVEX]
+
+        def counting(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setitem(classes._KERNELS, ClassicalProperty.CONVEX, counting)
+        # w(S) = [|S|, 3|S|/2]: the lower border's own denominator is 1, the
+        # borders' shared one 2
+        w = IntervalGame.from_function(6, lambda m: Interval(m.bit_count(), F(3 * m.bit_count(), 2)))
+        classes._verdict.cache_clear()
+        verdict = core_coincidence(w)
+        assert not verdict.coincident
+        assert isinstance(generated_core_witness(w, verdict.counterexample), NotGenerated)
+        assert len(runs) == 2
 
 
 class TestStrongConcepts:
