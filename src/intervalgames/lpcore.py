@@ -9,36 +9,47 @@ system in ``_Tableau.solution``.  Every LP question of the solver asks
 for a feasible point, not an optimum, so phase one is the whole simplex.
 
 Vertex enumeration runs no simplex.  It uses the double-description method
-(Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).
-Gauss-Jordan elimination solves the equalities as x = x0 + Z t, and each
-inequality and nonnegativity mark becomes a row h of the homogenised cone
-C = {(lam, t) : lam >= 0, h . (lam, t) >= 0}, whose points at lam = 1 are
-the region.  A pointed cone is generated by its extreme rays.  The method
-starts from d + 1 independent rows, whose cone is simplicial with the
-columns of their inverse as rays, and adds the other rows one at a time:
-a row h keeps the rays with h . r >= 0 and adds the ray (h . p) n - (h . n) p,
-which lies on h . y = 0, for each adjacent pair p, n on opposite sides.
-Adjacency is combinatorial, on bitmasks of the rows tight on each ray: p
-and n are adjacent when at least d - 1 rows are tight on both and no third
-ray is tight on all of those rows.
+(Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on the
+cone C over (lam, x) that homogenises the system: -b lam + a . x = 0 for an
+equality row a . x = b, lam >= 0, -b lam + a . x >= 0 for an inequality row
+a . x >= b, and x_j >= 0 for a mark.  Its points at lam = 1 are the region.
+The method starts from the whole space, with the unit vectors as lineality
+basis and no rays, and reads the rows in that order.  A row h that is
+nonzero on some lineality vector l (the first one, turned so that
+h . l > 0) moves every other generator g along l onto h . y = 0, as
+(h . l) g - (h . g) l; that keeps the sign of g on each earlier row, which
+l is zero on.  An equality then drops l, and an inequality keeps it as a
+new ray, tight on every row inserted before it.  A row that is zero on
+every lineality vector is deferred: an equality is then implied by the
+earlier ones, since no ray exists while equalities are read, and an
+inequality is cut once the pass is over.  The pass leaves a simplicial cone
+over the remaining lineality, one ray per dimension D of its pointed part
+(dim + 1 - rank(equalities) - len(lineality)).  A deferred row h keeps the
+rays with h . r >= 0 and adds the ray (h . p) n - (h . n) p, which lies on
+h . y = 0, for each adjacent pair p, n on opposite sides.  Adjacency is
+combinatorial, on bitmasks of the rows tight on each ray: p and n are
+adjacent when at least D - 2 rows are tight on both and no third ray is
+tight on all of those rows.  When the rows have full rank, the rows that
+use up the lineality are the first independent ones and their rays are the
+columns of their inverse, up to positive scale: the textbook simplicial
+start, so every deferred row meets the rays that solving the equalities
+first and starting from that basis would give, in the same order.
 
-Rows are scaled to coprime integers and rays are divided by their gcd, so
-the whole pass runs on Python ints: exact, and each ray entry stays within
-a subdeterminant of the rows, since the rows tight on an extreme ray fix it
-up to scale.  The answer is read off lam.  No ray with lam > 0 means an
-empty region.  Rays with lam = 0 generate the recession cone: the region is
-unbounded in +x_j or -x_j exactly when one of them moves x_j that way, and
-the first such direction in the order +x1, -x1, +x2, ... is reported.
-Otherwise each ray is a vertex x0 + Z t / lam.  Over the common
-denominator D = Q lam, where Q clears the denominators of x0 and Z, it is
-X / D with integer X, and it is checked in integers against the system's
-own rows, each scaled once to integers (a . X >= b D, or = for an equality
-row), not against the homogenised rows the method ran on.
-Rows of rank below d + 1 leave a cone with a lineality space, which joins
-the recession generators; y_f = 0 on the columns f outside a full-rank set
-leaves the pointed part.  Vertex output is sorted lexicographically, so
-identical systems always enumerate identically.  The work follows the rays
-met along the way, not the C(rows, dim) candidate bases of a basis walk.
+Rows are scaled to coprime integers and every generator is divided by its
+gcd, so the whole pass runs on Python ints.  It is exact, and each entry
+stays within a subdeterminant of the rows: every ray lies in the span of
+the unit vectors that the used-up lineality vectors started from, where
+the rows it is zero on fix it up to scale.  The answer is read off lam.  No
+ray with lam > 0 means an empty region.  The rays with lam = 0 and
++-lineality generate the recession cone: the region is unbounded in +x_j
+or -x_j exactly when one of them moves x_j that way, and the first such
+direction in the order +x1, -x1, +x2, ... is reported.  Otherwise each ray
+r is the vertex X / D with X = r[1:] and D = r[0], checked in integers
+against the system's own rows (a . X >= b D, or = for an equality row, and
+X_j >= 0 on a mark) before it becomes Fractions.  Vertex output is sorted
+lexicographically, so identical systems always enumerate identically.  The
+work follows the rays met along the way, not the C(rows, dim) candidate
+bases of a basis walk.
 """
 
 from dataclasses import dataclass, field
@@ -269,108 +280,56 @@ def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
     return True, tab.solution()
 
 
-def _extend_echelon(echelon, coeffs, rhs, dim):
-    """Reduce a row against a Gauss-Jordan echelon; None when dependent."""
-    r = list(coeffs)
-    c = rhs
-    for pc, er, eb in echelon:
-        f = r[pc]
-        if f:
-            r = [a - f * b for a, b in zip(r, er)]
-            c -= f * eb
-    pivot = -1
-    for k in range(dim):
-        if r[k]:
-            pivot = k
-            break
-    if pivot < 0:
-        return None  # dependent; the caller decides what a conflicting rhs means
-    inv = r[pivot]
-    r = [v / inv for v in r]
-    c = c / inv
-    out = []
-    for pc, er, eb in echelon:
-        f = er[pivot]
-        if f:
-            out.append((pc, [a - f * b for a, b in zip(er, r)], eb - f * c))
-        else:
-            out.append((pc, er, eb))
-    out.append((pivot, r, c))
-    return out
-
-
-def _integer_row(values) -> list[int]:
-    """Rational entries scaled by a positive factor to coprime integers."""
-    ints = integers(values)[0]
+def _coprime(ints: list[int]) -> list[int]:
+    """Integers divided by their gcd; an all-zero list stays as it is."""
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _parametrize(system: LinearSystem) -> list[list[Fraction]] | None:
-    """Solve the equalities by Gauss-Jordan elimination: x = x0 + Z t.
-
-    One affine form ``[constant, coefficient of t_1, ..., t_d]`` per
-    coordinate, where t runs over the coordinates that are not pivots of the
-    echelon form; None when the equalities are inconsistent.
-    """
-    dim = system.dim
-    echelon = []
-    for coeffs, rhs in system.equalities:
-        step = _extend_echelon(echelon, coeffs, rhs, dim)
-        if step is not None:
-            echelon = step
-    pivots = {pc: (er, eb) for pc, er, eb in echelon}
-    free = [j for j in range(dim) if j not in pivots]
-    forms = []
-    for j in range(dim):
-        if j in pivots:
-            er, eb = pivots[j]
-            forms.append([eb] + [-er[f] for f in free])
-        else:
-            forms.append([Fraction(0)] + [Fraction(f == j) for f in free])
-    x0 = [form[0] for form in forms]
-    for coeffs, rhs in system.equalities:
-        # x0 meets every echelon row, so it misses a row only if they conflict
-        if sum(c * v for c, v in zip(coeffs, x0)) != rhs:
-            return None
-    return forms
+def _integer_row(values) -> list[int]:
+    """Rational entries scaled by a positive factor to coprime integers."""
+    return _coprime(integers(values)[0])
 
 
-def _cone_generators(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[list[Fraction]]]:
-    """Extreme rays (coprime integer lists) and a lineality basis of the
-    cone {y : h . y >= 0 for every row h}, by double description."""
-    rows = list(rows)
-    echelon, basis = [], []
+def _cone_generators(
+    equalities: list[list[int]], inequalities: list[list[int]], width: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Extreme rays and a lineality basis, as coprime integer lists, of the
+    cone {y : e . y = 0 for every equality row e, h . y >= 0 for every
+    inequality row h}, by double description from the whole space."""
+    rows = equalities + inequalities
+    lineality = [[int(i == j) for j in range(width)] for i in range(width)]
+    rays, tights, deferred = [], [], []
+    inserted = 0  # bitmask of the inequality rows inserted so far
     for k, h in enumerate(rows):
-        step = _extend_echelon(echelon, [Fraction(v) for v in h], 0, width)
-        if step is not None:
-            echelon, basis = step, basis + [k]
-    pivots = {pc for pc, _, _ in echelon}
-    lineality = []
-    for f in range(width):
-        if f not in pivots:
-            vec = [Fraction(c == f) for c in range(width)]
-            for pc, er, _ in echelon:
-                vec[pc] = -er[f]
-            lineality.append(vec)
-            # the rows y_f >= 0 and -y_f >= 0 leave a pointed cone
-            unit = [int(c == f) for c in range(width)]
-            basis.append(len(rows))
-            rows += [unit, [-v for v in unit]]
-    # Gauss-Jordan on [B | I], B the basis rows, leaves [I | B^-1]; column i
-    # of B^-1 is tight on every basis row but the i-th
-    inverse = []
-    for i, k in enumerate(basis):
-        unit = [Fraction(i == q) for q in range(width)]
-        inverse = _extend_echelon(inverse, [Fraction(v) for v in rows[k]] + unit, 0, width)
-    inverse_rows = {pc: er[width:] for pc, er, _ in inverse}
-    rays = [_integer_row([inverse_rows[p][i] for p in range(width)]) for i in range(width)]
-    basis_bits = sum(1 << k for k in basis)
-    tights = [basis_bits ^ (1 << k) for k in basis]
-    for k, h in enumerate(rows):
-        if basis_bits >> k & 1:
+        inequality = k >= len(equalities)
+        values = [sum(a * b for a, b in zip(h, vec) if a) for vec in lineality]
+        i = next((i for i, v in enumerate(values) if v), None)
+        if i is None:
+            # an inequality waits for the cut below; an equality meets no
+            # ray, since rays come from inequalities, so earlier ones imply it
+            if inequality:
+                deferred.append(k)
             continue
-        bit = 1 << k
+        line, hl = lineality.pop(i), values.pop(i)
+        if hl < 0:
+            line, hl = [-v for v in line], -hl
+        # every other generator moves along the line onto h . y = 0
+        values += [sum(a * b for a, b in zip(h, ray) if a) for ray in rays]
+        moved = [
+            _coprime([hl * a - v * b for a, b in zip(vec, line)]) for vec, v in zip(lineality + rays, values)
+        ]
+        lineality, rays = moved[: len(lineality)], moved[len(lineality) :]
+        if inequality:
+            bit = 1 << k
+            tights = [t | bit for t in tights] + [inserted]
+            rays.append(line)
+            inserted |= bit
+    # the rays so far span a simplicial cone over the lineality, one per
+    # dimension of its pointed part: width - rank(equalities) - len(lineality)
+    pointed = len(rays)
+    for k in deferred:
+        h, bit = rows[k], 1 << k
         values = [sum(a * b for a, b in zip(h, ray)) for ray in rays]
         kept = [q for q, v in enumerate(values) if v >= 0]
         positive = [q for q in kept if values[q] > 0]
@@ -381,11 +340,9 @@ def _cone_generators(rows: list[list[int]], width: int) -> tuple[list[list[int]]
             for q in negative:
                 common = tights[p] & tights[q]
                 # adjacent: enough common tight rows, and no third ray tight on all of them
-                if common.bit_count() < width - 2 or sum(t & common == common for t in tights) > 2:
+                if common.bit_count() < pointed - 2 or sum(t & common == common for t in tights) > 2:
                     continue
-                ray = [values[p] * b - values[q] * a for a, b in zip(rays[p], rays[q])]
-                g = gcd(*ray)
-                new_rays.append([v // g for v in ray] if g > 1 else ray)
+                new_rays.append(_coprime([values[p] * b - values[q] * a for a, b in zip(rays[p], rays[q])]))
                 new_tights.append(common | bit)
         rays, tights = new_rays, new_tights
     return rays, lineality
@@ -399,40 +356,30 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
     is not described by its vertices.  The error names the first unbounded
     direction in the order +x1, -x1, +x2, ...
     """
-    forms = _parametrize(system)
-    if forms is None:
-        return ()
-    d = len(forms[0]) - 1
-    # homogenise over (lam, t): a . x >= b becomes (a . x0 - b) lam + (a Z) t >= 0
-    rows = [[1] + [0] * d]
-    for coeffs, rhs in system.inequalities:
-        form = [sum(c * f[k] for c, f in zip(coeffs, forms) if c) for k in range(d + 1)]
-        form[0] -= rhs
-        rows.append(_integer_row(form))
-    rows.extend(_integer_row(forms[j]) for j in sorted(system.nonneg))
-    rays, lineality = _cone_generators([h for h in rows if any(h)], d + 1)
+    rows = _integer_system(system)
+    equalities, inequalities, nonneg = rows
+    width = system.dim + 1
+    # homogenise over (lam, x): a . x >= b becomes -b lam + a . x >= 0
+    rays, lineality = _cone_generators(
+        [[-b] + a for a, b in equalities],
+        [[1] + [0] * system.dim]
+        + [[-b] + a for a, b in inequalities]
+        + [[int(c == j + 1) for c in range(width)] for j in nonneg],
+        width,
+    )
     if all(ray[0] == 0 for ray in rays):
         return ()
     # the recession cone is generated by the rays at lam = 0 and by +-lineality
     directions = [ray for ray in rays if ray[0] == 0] + lineality
     directions += [[-v for v in vec] for vec in lineality]
-    if directions:
-        for j, form in enumerate(forms):
-            steps = [sum(c * t for c, t in zip(form[1:], vec[1:])) for vec in directions]
-            for sign, hit in (("+", any(s > 0 for s in steps)), ("-", any(s < 0 for s in steps))):
-                if hit:
-                    raise UnboundedRegionError(f"region is unbounded in direction {sign}x{j + 1}")
-        raise AssertionError("internal error: a recession direction moves no coordinate")
-    # the vertex of a ray is X / D with X = Q (x0 lam + Z t), D = Q lam, where
-    # Q clears every denominator of the forms
-    flat, scale = integers([v for form in forms for v in form])
-    int_forms = [flat[k : k + d + 1] for k in range(0, len(flat), d + 1)]
-    rows = _integer_system(system)
+    for j in range(1, width):
+        steps = [vec[j] for vec in directions]
+        for sign, hit in (("+", any(s > 0 for s in steps)), ("-", any(s < 0 for s in steps))):
+            if hit:
+                raise UnboundedRegionError(f"region is unbounded in direction {sign}x{j}")
     points = []
     for ray in rays:
-        X = [sum(f * r for f, r in zip(form, ray) if r) for form in int_forms]
-        D = scale * ray[0]
-        if not _satisfies_integer(rows, X, D):
+        if not _satisfies_integer(rows, ray[1:], ray[0]):
             raise AssertionError("internal error: enumerated vertex failed verification")
-        points.append(tuple(Fraction(v, D) for v in X))
+        points.append(tuple(Fraction(v, ray[0]) for v in ray[1:]))
     return tuple(sorted(points))

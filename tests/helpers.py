@@ -20,7 +20,7 @@ from intervalgames import (
     members,
 )
 from intervalgames.numerics import ZERO_INTERVAL
-from intervalgames.lpcore import LinearSystem, UnboundedRegionError, _extend_echelon, feasible, satisfies
+from intervalgames.lpcore import LinearSystem, UnboundedRegionError, feasible, satisfies
 
 DENOMINATORS = (1, 1, 2, 3, 4)
 
@@ -166,6 +166,36 @@ def majority_game(n: int = 3) -> ClassicalGame:
     )
 
 
+def _extend_echelon(echelon, coeffs, rhs, dim):
+    """Reduce a row against a Gauss-Jordan echelon; None when dependent."""
+    r = list(coeffs)
+    c = rhs
+    for pc, er, eb in echelon:
+        f = r[pc]
+        if f:
+            r = [a - f * b for a, b in zip(r, er)]
+            c -= f * eb
+    pivot = -1
+    for k in range(dim):
+        if r[k]:
+            pivot = k
+            break
+    if pivot < 0:
+        return None  # dependent; the caller decides what a conflicting rhs means
+    inv = r[pivot]
+    r = [v / inv for v in r]
+    c = c / inv
+    out = []
+    for pc, er, eb in echelon:
+        f = er[pivot]
+        if f:
+            out.append((pc, [a - f * b for a, b in zip(er, r)], eb - f * c))
+        else:
+            out.append((pc, er, eb))
+    out.append((pivot, r, c))
+    return out
+
+
 def walk_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
     """Oracle vertex enumeration by the basis walk.
 
@@ -179,7 +209,9 @@ def walk_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
     (inequalities and nonnegativity marks, on top of the equalities) is
     solved exactly, and the solutions that satisfy the whole system are the
     vertices, deduplicated and sorted.  The walk visits C(rows, dim)
-    subsets, so it is kept for small systems only.
+    subsets, so it is kept for small systems only.  Its Gauss-Jordan
+    elimination, ``_extend_echelon``, lives here: the oracle shares no
+    elimination code with the double description it checks.
     """
     if not feasible(system)[0]:
         return ()

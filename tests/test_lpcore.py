@@ -1,13 +1,25 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
 import pytest
 import sympy
 
-from intervalgames import embed_classical, lpcore, selection_core_system, strong_core_system
+from intervalgames import (
+    ClassicalGame,
+    ClassicalProperty,
+    Interval,
+    IntervalGame,
+    border_games,
+    check_classical,
+    embed_classical,
+    lpcore,
+    selection_core_system,
+    strong_core_system,
+)
 from intervalgames.lpcore import (
     LinearSystem,
     UnboundedRegionError,
@@ -465,14 +477,22 @@ class TestDoubleDescription:
                 assert outcome(enumerate_vertices, variant) == expected
 
     def test_rank_deficient_systems(self):
+        # every other system gets equalities, which the lines may survive,
+        # and every fourth also gets nonnegativity marks, which may cut them
         rng = random.Random(64)
-        seen = {"empty": 0, "unbounded": 0}
-        for _ in range(120):
+        seen = {"empty": 0, "unbounded": 0, "bounded": 0}
+        for i in range(240):
             system = rank_deficient_system(rng, rng.randint(1, 4))
+            if i % 2:
+                system = with_equalities(rng, system)
+                if i % 4 == 3:
+                    marks = frozenset(j for j in range(system.dim) if rng.random() < 0.5)
+                    system = replace(system, nonneg=marks)
             got = outcome(enumerate_vertices, system)
             assert got == outcome(walk_vertices, system)
-            assert got == () or isinstance(got, str)
-            seen["unbounded" if got else "empty"] += 1
+            if i % 2 == 0:
+                assert got == () or isinstance(got, str)
+            seen["unbounded" if isinstance(got, str) else "bounded" if got else "empty"] += 1
         assert min(seen.values()) >= 10
 
     def test_starts_no_tableau(self, monkeypatch):
@@ -570,3 +590,32 @@ class TestOnePhaseOne:
             calls.clear()
             call()
             assert len(calls) == phase_ones
+
+
+class TestIntegerEnumeration:
+    def test_one_fraction_per_output_coordinate(self, monkeypatch):
+        # double description runs on Python ints: a Fraction is built for
+        # each coordinate of each vertex returned, and for nothing else
+        def around_a_point(mask):
+            # borders around x = (1, ..., 5): lowered by mask % 5, raised by
+            # 1, and the single grand worth x(N)
+            total = sum(i + 1 for i in range(5) if mask >> i & 1)
+            return Interval(total) if mask == 31 else Interval(total - mask % 5, total + 1)
+
+        convex = embed_classical(ClassicalGame.from_function(6, lambda mask: F(mask.bit_count() ** 2)))
+        nonconvex = IntervalGame.from_function(5, around_a_point)
+        assert not any(check_classical(border, ClassicalProperty.CONVEX) for border in border_games(nonconvex))
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return F(*args)
+
+        for game, count in ((convex, 720), (nonconvex, 9)):
+            system = selection_core_system(game)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lpcore, "Fraction", counting_fraction)
+                vertices = enumerate_vertices(system)
+            assert len(vertices) == count
+            assert len(built) == system.dim * count
