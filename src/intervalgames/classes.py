@@ -46,11 +46,14 @@ runs the pair and marginal forms of convexity, and
 ``selection_class_oracle`` runs the pair and 3^n scans on every endpoint
 selection, so neither route goes through the local kernels.
 
-All comparisons are made on integers after rescaling a game's worths by a
-common denominator, which preserves every inequality exactly.  ``classify``
-decides every class of one interval game in one pass: the lower, upper and
-length games are rescaled once, to the borders' shared denominator, and
-each kernel runs at most once per game, superadditivity reading the cached
+All comparisons are made on a game's integer form (``games.IntegerForm``):
+its border worths times one positive scale, which preserves every
+inequality exactly.  ``parse_game`` builds that form straight from the
+digits of a game file, and a game built from rational worths derives it
+once, on first use; the border and length games of an interval game share
+its scale.  ``classify`` decides every class of one interval game in one
+pass: it reads the lower, upper and length games' integers, and each
+kernel runs at most once per game, superadditivity reading the cached
 convexity verdict.
 """
 
@@ -58,8 +61,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import BudgetExceededError
-from .games import ClassicalGame, IntervalGame
-from .numerics import integers
+from .games import ClassicalGame, IntervalGame, length_game
 
 ORACLE_MAX_PLAYERS = 4
 
@@ -86,16 +88,6 @@ class SelectionClass(Enum):
     CONVEX = "selection-convex"
 
 
-def _scaled_values(v: ClassicalGame) -> tuple[int, ...]:
-    return tuple(integers(v.values)[0])
-
-
-def _scaled_borders(w: IntervalGame) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # one shared denominator, the characterizations mix both borders
-    both = integers([x for iv in w.values for x in (iv.lower, iv.upper)])[0]
-    return tuple(both[::2]), tuple(both[1::2])
-
-
 def _additive(vals, n: int) -> bool:
     # peeling off the lowest player, every worth must be the sum of its
     # singletons, which is additivity over all disjoint coalition pairs
@@ -108,9 +100,8 @@ def _additive(vals, n: int) -> bool:
 
 @lru_cache(maxsize=256)
 def _verdict(lo: tuple[int, ...], up: tuple[int, ...], n: int, prop: ClassicalProperty) -> bool:
-    # keyed on the rescaled integers: hashing a game's Fractions costs more
-    # than rescaling them; a classical game passes (v, v), and additivity is
-    # asked of classical games only
+    # keyed on the integer forms: a classical game passes (v, v), and
+    # additivity is asked of classical games only
     if prop is ClassicalProperty.ADDITIVE:
         return _additive(lo, n)
     if prop is ClassicalProperty.SUPERADDITIVE:
@@ -129,18 +120,12 @@ def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
     Monotonicity, superadditivity and convexity run the selection kernel
     with both borders set to v; additivity is one pass over the coalitions.
     """
-    vals = _scaled_values(v)
-    return _verdict(vals, vals, v.n, prop)
+    lo, up, _ = v.integer_form
+    return _verdict(lo, up, v.n, prop)
 
 
 # the cache behind the public name reports its hits under that name too
 check_classical.cache_info = _verdict.cache_info
-
-
-def _scaled_games(w: IntervalGame) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The lower, upper and length games on the borders' shared scale."""
-    lower, upper = _scaled_borders(w)
-    return lower, upper, tuple([b - a for a, b in zip(lower, upper)])
 
 
 def _interval_verdict(lower, upper, length, n: int, cls: IntervalClass) -> bool:
@@ -161,7 +146,8 @@ def _interval_verdict(lower, upper, length, n: int, cls: IntervalClass) -> bool:
 def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
     """Interval classes are conjunctions of classical properties of the
     border and length games."""
-    return _interval_verdict(*_scaled_games(w), w.n, cls)
+    lower, upper, _ = w.integer_form
+    return _interval_verdict(lower, upper, length_game(w).integer_form.lower, w.n, cls)
 
 
 def classify(w: IntervalGame) -> tuple[dict, dict[IntervalClass, bool], dict[SelectionClass, bool]]:
@@ -169,10 +155,11 @@ def classify(w: IntervalGame) -> tuple[dict, dict[IntervalClass, bool], dict[Sel
 
     Returns the classical properties of the lower, upper and length games
     (keyed by those names), the interval classes and the selection classes.
-    The three games are rescaled once, and superadditivity reads the
-    convexity verdict of the same borders.
+    The three games are read from the integer form, and superadditivity
+    reads the convexity verdict of the same borders.
     """
-    lower, upper, length = _scaled_games(w)
+    lower, upper, _ = w.integer_form
+    length = length_game(w).integer_form.lower
     n = w.n
     games = {
         name: {prop: _verdict(g, g, n, prop) for prop in ClassicalProperty}
@@ -310,7 +297,7 @@ def _selection_property(cls: SelectionClass) -> ClassicalProperty:
 
 def check_selection_class(w: IntervalGame, cls: SelectionClass) -> bool:
     """Endpoint characterization of a selection class."""
-    lo, up = _scaled_borders(w)
+    lo, up, _ = w.integer_form
     return _verdict(lo, up, w.n, _selection_property(cls))
 
 
@@ -322,7 +309,7 @@ def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
                          with the base coalition
     ``marginal-single``  the same with single-player additions only
     """
-    lo, up = _scaled_borders(w)
+    lo, up, _ = w.integer_form
     if variant == "pairs":
         return _convex_pairs(lo, up, w.n)
     if variant == "marginal":
@@ -345,7 +332,7 @@ def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
             f"endpoint selection oracle supports at most {ORACLE_MAX_PLAYERS} players, got {w.n}"
         )
     kernel = _ORACLE_KERNELS[_selection_property(cls)]
-    lo, up = _scaled_borders(w)
+    lo, up, _ = w.integer_form
     n = w.n
     m = (1 << n) - 1
     vals = [0] * (m + 1)

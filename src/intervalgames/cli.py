@@ -49,13 +49,12 @@ from .games import (
     coalition_labels,
     family,
     format_game,
-    grand_coalition,
     is_selection,
     parse_game,
     to_classical,
 )
 from .lpcore import enumerate_vertices
-from .numerics import format_interval, format_scalar, parse_scalar
+from .numerics import Interval, format_interval, format_scalar, parse_scalar
 from .solutions import (
     GeneratedCoreWitness,
     core_coincidence,
@@ -192,7 +191,8 @@ def coincidence_report(w: IntervalGame, budget: int) -> tuple[dict, int]:
 
 
 def strong_report(w: IntervalGame, payoff: tuple[Fraction, ...] | None) -> tuple[dict, int]:
-    grand = w.worth(grand_coalition(w.n))
+    lower, upper = border_games(w)
+    grand = Interval(lower.values[-1], upper.values[-1])
     witness = strong_core_witness(w)
     doc: dict = {
         "grand_coalition": format_interval(grand),
@@ -317,63 +317,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="intervalgames",
-        description="Exact solver for cooperative interval games.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="class membership report")
-    p.add_argument("game", help="game file, or - for stdin")
-    _add_format(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("membership", help="decide a solution concept for a payoff vector")
-    p.add_argument("game")
-    p.add_argument("concept", choices=MEMBERSHIP_CONCEPTS)
-    p.add_argument("payoff", help="comma-separated rationals, e.g. 2,1/2")
-    p.add_argument(
-        "--selection",
-        help="for classical concepts: lower, upper, or a degenerate game file",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_membership)
-
-    p = sub.add_parser("coincidence", help="does the generated set fill the selection core?")
-    p.add_argument("game")
-    p.add_argument(
-        "--budget",
-        type=_count,
-        default=6,
-        help="player cap for vertex enumeration only; games whose borders are both convex need none",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_coincidence)
-
-    p = sub.add_parser("strong", help="strong core report")
-    p.add_argument("game")
-    p.add_argument("--payoff", help="also judge this payoff vector")
-    _add_format(p)
-    p.set_defaults(func=_cmd_strong)
-
-    p = sub.add_parser("family", help="emit a built-in separating family game")
-    p.add_argument("kind", choices=FAMILY_KINDS)
-    p.add_argument("n", type=_count, help="number of players (>= 2)")
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("oracle", help="cross-check characterizations against brute force")
-    p.add_argument("game")
-    _add_format(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    return parser
-
-
 def _cmd_classify(args) -> int:
     doc = classify_report(_load_game(args.game))
     _emit(doc, args.format)
@@ -413,8 +356,65 @@ def _cmd_oracle(args) -> int:
     return code
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+_BUDGET_HELP = "player cap for vertex enumeration only; games whose borders are both convex need none"
+
+# name -> (help, handler, the add_argument calls of its parser)
+_COMMANDS = {
+    "classify": ("class membership report", _cmd_classify, (_arg("game", help="game file, or - for stdin"), _FORMAT)),
+    "membership": ("decide a solution concept for a payoff vector", _cmd_membership, (
+        _arg("game"),
+        _arg("concept", choices=MEMBERSHIP_CONCEPTS),
+        _arg("payoff", help="comma-separated rationals, e.g. 2,1/2"),
+        _arg("--selection", help="for classical concepts: lower, upper, or a degenerate game file"),
+        _FORMAT,
+    )),
+    "coincidence": ("does the generated set fill the selection core?", _cmd_coincidence, (
+        _arg("game"), _arg("--budget", type=_count, default=6, help=_BUDGET_HELP), _FORMAT,
+    )),
+    "strong": ("strong core report", _cmd_strong, (
+        _arg("game"), _arg("--payoff", help="also judge this payoff vector"), _FORMAT,
+    )),
+    "family": ("emit a built-in separating family game", _cmd_family, (
+        _arg("kind", choices=FAMILY_KINDS), _arg("n", type=_count, help="number of players (>= 2)"),
+    )),
+    "oracle": ("cross-check characterizations against brute force", _cmd_oracle, (_arg("game"), _FORMAT)),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or with ``only`` one.
+
+    A parser built for one subcommand still lists all of them in its usage
+    line, which argparse prints with an unrecognized argument, so it words
+    that subcommand's help and errors as the full parser does.  The full
+    parser keeps the default listing, because its errors for a missing or
+    unknown command name the listing's action by it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="intervalgames",
+        description="Exact solver for cooperative interval games.",
+    )
+    listing = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name in _COMMANDS if only is None else (only,):
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
+        p.set_defaults(func=handler)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand's parser is built; anything else (help, an
+    # unknown command, no command) gets the full parser and its messages
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

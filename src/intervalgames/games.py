@@ -3,13 +3,24 @@
 Players carry labels 1..n.  A coalition is an ``int`` bitmask in which bit
 i-1 stands for player i, so the empty coalition is 0 and the grand
 coalition is ``(1 << n) - 1``.  Characteristic functions are stored densely
-as a tuple of length ``2**n`` indexed by mask, which keeps every check a
+as tuples of length ``2**n`` indexed by mask, which keeps every check a
 flat array scan.
+
+Each game has one integer form (``IntegerForm``): its lower and upper
+worths as integers over one positive scale.  ``parse_game`` builds it from
+the digits of the game file, with no Fraction in between, and a game built
+from rational worths derives it once through ``numerics.integers``.  The
+class checks read only this form; the rational ``values`` of a parsed game
+are built on first read, for output and for the LP layers.  The border and
+length games are built once per interval game, on its scale.
 """
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import GameFormatError
 from .numerics import (
@@ -17,8 +28,8 @@ from .numerics import (
     ZERO_INTERVAL,
     as_fraction,
     format_scalar,
-    parse_interval,
-    parse_scalar,
+    integers,
+    parse_endpoints,
 )
 
 Coalition = int
@@ -66,19 +77,66 @@ def _as_mask(s, n: int) -> int:
     return mask
 
 
+class IntegerForm(NamedTuple):
+    """A game's border worths as integers over one positive scale: coalition
+    m's endpoints are ``lower[m] / scale`` and ``upper[m] / scale``.  A game
+    read from text or built from rational worths has the least such scale,
+    the one ``numerics.integers`` gives; the border and length games of an
+    interval game keep its scale.  A classical game has ``lower is upper``."""
+
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    scale: int
+
+
 class _Game:
     """Body shared by the two game types, which differ only in how a worth is
-    coerced (``_coerce``), the empty coalition's worth (``_zero``) and the
-    noun of the length error (``_noun``)."""
+    coerced (``_coerce``), the empty coalition's worth (``_zero``), the noun
+    of the length error (``_noun``) and how ``values`` and ``integer_form``
+    are derived from each other (``_form_of``, ``_values_of``).
 
-    def __post_init__(self):
-        _check_n(self.n)
-        vals = tuple(self._coerce(v) for v in self.values)
-        if len(vals) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} {self._noun}, got {len(vals)}")
+    A game holds whichever of the two it was built from and derives the
+    other on first read: ``parse_game`` builds the integer form, which is
+    all the class checks read, and the constructors build ``values``.
+    """
+
+    def __init__(self, n: int, values):
+        _check_n(n)
+        vals = tuple(self._coerce(v) for v in values)
+        if len(vals) != 1 << n:
+            raise ValueError(f"expected {1 << n} {self._noun}, got {len(vals)}")
         if vals[0] != self._zero:
             raise ValueError(f"the empty coalition must be worth {self._zero}")
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(n=n, values=vals)
+
+    @classmethod
+    def _from_form(cls, n: int, form: IntegerForm) -> "_Game":
+        """A game from its integer form, unchecked: the caller vouches for it."""
+        game = object.__new__(cls)
+        game.__dict__.update(n=n, integer_form=form)
+        return game
+
+    @cached_property
+    def values(self) -> tuple:
+        return self._values_of(self.integer_form)
+
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        return self._form_of(self.values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.values) == (other.n, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.values))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
@@ -113,16 +171,22 @@ class _Game:
         return cls(n, tuple(values))
 
 
-@dataclass(frozen=True, repr=False)
 class ClassicalGame(_Game):
     """Characteristic function with one exact rational worth per coalition."""
-
-    n: int
-    values: tuple[Fraction, ...]
 
     _coerce = staticmethod(as_fraction)
     _zero = Fraction(0)
     _noun = "worths"
+
+    @staticmethod
+    def _form_of(values) -> IntegerForm:
+        ints, scale = integers(values)
+        ints = tuple(ints)
+        return IntegerForm(ints, ints, scale)
+
+    @staticmethod
+    def _values_of(form: IntegerForm) -> tuple[Fraction, ...]:
+        return tuple([Fraction(a, form.scale) for a in form.lower])
 
 
 def _as_interval(value) -> Interval:
@@ -133,28 +197,48 @@ def _as_interval(value) -> Interval:
     return Interval(value)
 
 
-@dataclass(frozen=True, repr=False)
 class IntervalGame(_Game):
     """Characteristic function assigning each coalition a rational interval."""
-
-    n: int
-    values: tuple[Interval, ...]
 
     _coerce = staticmethod(_as_interval)
     _zero = ZERO_INTERVAL
     _noun = "worth intervals"
 
+    @staticmethod
+    def _form_of(values) -> IntegerForm:
+        ints, scale = integers([x for iv in values for x in (iv.lower, iv.upper)])
+        return IntegerForm(tuple(ints[::2]), tuple(ints[1::2]), scale)
+
+    @staticmethod
+    def _values_of(form: IntegerForm) -> tuple[Interval, ...]:
+        lower, upper, scale = form
+        return tuple([Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in zip(lower, upper)])
+
+    @cached_property
+    def _borders(self) -> tuple[ClassicalGame, ClassicalGame]:
+        lower, upper, scale = self.integer_form
+        return (
+            ClassicalGame._from_form(self.n, IntegerForm(lower, lower, scale)),
+            ClassicalGame._from_form(self.n, IntegerForm(upper, upper, scale)),
+        )
+
+    @cached_property
+    def _length(self) -> ClassicalGame:
+        lower, upper, scale = self.integer_form
+        length = tuple([b - a for a, b in zip(lower, upper)])
+        return ClassicalGame._from_form(self.n, IntegerForm(length, length, scale))
+
 
 def border_games(w: IntervalGame) -> tuple[ClassicalGame, ClassicalGame]:
-    """The lower and upper border games of an interval game."""
-    lower = ClassicalGame(w.n, tuple(iv.lower for iv in w.values))
-    upper = ClassicalGame(w.n, tuple(iv.upper for iv in w.values))
-    return lower, upper
+    """The lower and upper border games of an interval game, built once per
+    game, on its integer form's scale."""
+    return w._borders
 
 
 def length_game(w: IntervalGame) -> ClassicalGame:
-    """Pointwise interval widths as a classical game."""
-    return ClassicalGame(w.n, tuple(iv.width for iv in w.values))
+    """Pointwise interval widths as a classical game, built once per game, on
+    its integer form's scale."""
+    return w._length
 
 
 def is_selection(v: ClassicalGame, w: IntervalGame) -> bool:
@@ -230,11 +314,15 @@ def parse_game(text: str) -> IntervalGame:
     appear exactly once.
 
     A line costs one table lookup of its coalition among the canonical
-    labels and one pattern match of its worth; only a label outside the
-    table (unsorted, zero-padded or malformed) is decoded player by player.
+    labels and one pattern match of its worth, whose digit groups become
+    integer endpoints (``numerics.parse_endpoints``); only a label outside
+    the table (unsorted, zero-padded or malformed) is decoded player by
+    player.  The game is built in its integer form, over the least common
+    denominator of all its endpoints; no Fraction or Interval is built
+    until ``values`` is read.
     """
     n = None
-    values: list = []
+    ends: list = []
     labels: list[str] = []
     masks: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -252,8 +340,8 @@ def parse_game(text: str) -> IntervalGame:
                 raise GameFormatError(
                     f"line {lineno}: player count must be between 1 and {MAX_PLAYERS}, got {n}"
                 )
-            values = [None] * (1 << n)
-            values[0] = ZERO_INTERVAL
+            ends = [None] * (1 << n)
+            ends[0] = (0, 1, 0, 1)
             labels = coalition_labels(n)
             masks = {label: m for m, label in enumerate(labels) if m}
             continue
@@ -267,21 +355,31 @@ def parse_game(text: str) -> IntervalGame:
         if mask is None:
             mask = _parse_coalition_token(token, n, lineno)
         try:
-            if worth_text.startswith("["):
-                iv = parse_interval(worth_text)
-            else:
-                iv = Interval(parse_scalar(worth_text))
+            worth = parse_endpoints(worth_text)
         except ValueError as exc:
             raise GameFormatError(f"line {lineno}: {exc}") from None
-        if values[mask] is not None:
+        if ends[mask] is not None:
             raise GameFormatError(f"line {lineno}: coalition {token} given twice")
-        values[mask] = iv
+        ends[mask] = worth
     if n is None:
         raise GameFormatError("empty input: missing 'players <n>' header")
-    for m in range(1, 1 << n):
-        if values[m] is None:
-            raise GameFormatError(f"missing worth for coalition {labels[m]}")
-    return IntervalGame(n, tuple(values))
+    if None in ends:
+        raise GameFormatError(f"missing worth for coalition {labels[ends.index(None)]}")
+    lower, lower_den, upper, upper_den = zip(*ends)
+    scale = lcm(*lower_den, *upper_den)
+    if scale > 1:
+        lower = [a * (scale // b) for a, b in zip(lower, lower_den)]
+        upper = [a * (scale // b) for a, b in zip(upper, upper_den)]
+        # the endpoints came unreduced, so scale = D * k for the least
+        # common denominator D of the reduced ones, and every int is a
+        # multiple of k; dividing by g leaves D, since no prime of D divides
+        # all the ints over D: the reduced endpoint whose denominator holds
+        # that prime's full power in D has a numerator free of it
+        g = gcd(scale, *lower, *upper)
+        scale //= g
+        lower = tuple([a // g for a in lower])
+        upper = tuple([a // g for a in upper])
+    return IntervalGame._from_form(n, IntegerForm(lower, upper, scale))
 
 
 def _decimal(text: str) -> int | None:

@@ -16,6 +16,8 @@ Scalar = Fraction
 _RATIONAL = r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?"
 _SCALAR_RE = re.compile(_RATIONAL + r"\Z")
 _INTERVAL_RE = re.compile(rf"\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]\Z")
+# A worth: an interval (groups 1-4) or a bare rational (groups 5 and 6).
+_WORTH_RE = re.compile(rf"(?:\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]|{_RATIONAL})\Z")
 # Splits an interval at its comma, so that parse_scalar words the error of
 # a malformed endpoint.
 _ENDPOINTS_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
@@ -50,6 +52,30 @@ def _fraction(num: str, den: str | None) -> Fraction:
     ``ValueError`` on a literal longer than it converts, and a zero
     denominator raises ``ZeroDivisionError``."""
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
+def parse_endpoints(text: str) -> tuple[int, int, int, int]:
+    """The endpoints of ``[p, q]``, or of a bare rational read as a degenerate
+    interval, as ``(a, b, c, d)``: lower a/b and upper c/d, b and d
+    positive but not reduced.  Lower <= upper is checked as a*d <= c*b, so
+    an accepted literal builds no Fraction; a refused one raises the
+    ``ValueError`` that ``parse_interval`` or ``parse_scalar`` raises on it."""
+    token = text.strip()
+    match = _WORTH_RE.match(token)
+    if match:
+        lo_num, lo_den, up_num, up_den, num, den = match.groups()
+        if num is not None:
+            lo_num, lo_den = up_num, up_den = num, den
+        try:
+            a, b, c, d = int(lo_num), int(lo_den or 1), int(up_num), int(up_den or 1)
+        except ValueError:  # longer than int converts
+            pass
+        else:
+            if b and d and a * d <= c * b:
+                return a, b, c, d
+    # the Fraction readers word the error
+    iv = parse_interval(token) if token.startswith("[") else Interval(parse_scalar(token))
+    return (*iv.lower.as_integer_ratio(), *iv.upper.as_integer_ratio())
 
 
 def integers(values) -> tuple[list[int], int]:

@@ -443,7 +443,8 @@ def _slack_half(w: IntervalGame, sums: list[Fraction], upper: bool) -> tuple:
     """``_core_system`` arguments of one slack half.  Sink slacks l >= 0 with
     x - l in the lower border core are -l on the gap lower - x; rise slacks
     u >= 0 with x + u in the upper border core are u on the gap upper - x."""
-    gap = [(iv.upper if upper else iv.lower) - s for iv, s in zip(w.values, sums)]
+    border = border_games(w)[1 if upper else 0].values
+    gap = [b - s for b, s in zip(border, sums)]
     return w.n, gap, gap, 1 if upper else -1, frozenset(range(w.n))
 
 
@@ -537,7 +538,8 @@ def _supermodular_coincidence(w: IntervalGame, lower, upper) -> CoincidenceVerdi
     """
     n = w.n
     full = grand_coalition(n)
-    t = next((m for m in range(1, full) if not w.values[m].degenerate), None)
+    lo, up, _ = w.integer_form
+    t = next((m for m in range(1, full) if lo[m] != up[m]), None)
     if t is None:
         return CoincidenceVerdict(coincident=True)
     order = [i for i in range(n) if t >> i & 1] + [i for i in range(n) if not t >> i & 1]
@@ -593,7 +595,8 @@ def strong_core_system(w: IntervalGame) -> LinearSystem:
 
 def strong_core_witness(w: IntervalGame) -> tuple[Fraction, ...] | None:
     """A strong core member when one exists: any core point of the upper border."""
-    if not w.worth(grand_coalition(w.n)).degenerate:
+    lo, up, _ = w.integer_form
+    if lo[-1] != up[-1]:
         return None
     return core_witness(border_games(w)[1])
 

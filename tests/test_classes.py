@@ -18,12 +18,14 @@ from intervalgames import (
     check_selection_convex_variant,
     embed_classical,
     family,
+    format_game,
     grand_coalition,
     length_game,
+    parse_game,
     selection_class_oracle,
     truncate_grand,
 )
-from intervalgames import classes
+from intervalgames import classes, games, numerics
 from intervalgames.cli import classify_report
 from helpers import (
     endpoint_selections,
@@ -394,7 +396,7 @@ def random_borders(rng, n):
 
 
 def embedded_convex_borders(rng, n):
-    v = classes._scaled_values(rand_convex_classical(rng, n))
+    v = rand_convex_classical(rng, n).integer_form.lower
     return v, v
 
 
@@ -568,8 +570,8 @@ class TestOneReport:
             assert interval == {c: check_interval_class(w, c) for c in IntervalClass}
             assert selection == {c: check_selection_class(w, c) for c in SelectionClass}
 
-    def test_a_report_rescales_once_and_runs_each_kernel_once(self, monkeypatch):
-        calls = {"convex": 0, "monotonic": 0, "scan": 0, "rescale": 0}
+    def test_a_parsed_report_rescales_nothing_and_runs_each_kernel_once(self, monkeypatch):
+        calls = {"convex": 0, "monotonic": 0, "scan": 0, "integers": 0, "interval": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -581,21 +583,27 @@ class TestOneReport:
         for prop, name in ((ClassicalProperty.CONVEX, "convex"), (ClassicalProperty.MONOTONIC, "monotonic")):
             monkeypatch.setitem(classes._KERNELS, prop, counting(name, classes._KERNELS[prop]))
         monkeypatch.setattr(classes, "_superadditive", counting("scan", classes._superadditive))
-        monkeypatch.setattr(classes, "_scaled_borders", counting("rescale", classes._scaled_borders))
-        monkeypatch.setattr(classes, "_scaled_values", counting("rescale", classes._scaled_values))
+        for module in (games, numerics):
+            monkeypatch.setattr(module, "integers", counting("integers", numerics.integers))
+        monkeypatch.setattr(numerics.Interval, "__init__", counting("interval", numerics.Interval.__init__))
         rng = random.Random(35)
         for _ in range(20):
-            w = rand_interval_game(rng, 4)
-            lower, upper, length = classes._scaled_games(w)
+            text = format_game(rand_interval_game(rng, 4))
             classes._verdict.cache_clear()
             for name in calls:
                 calls[name] = 0
+            w = parse_game(text)
             classify_report(w)
+            # the parser builds the integer form, and the report reads it
+            # without building a Fraction worth or rescaling anything
+            assert calls["integers"] == calls["interval"] == 0
+            assert "values" not in vars(w)
             # lower, upper and length games, and the selection borders, each
             # once; the 3^n scan only for those that are not convex
+            lower, upper, _ = w.integer_form
+            length = tuple(b - a for a, b in zip(lower, upper))
             distinct = len({lower, upper, length}) + 1
             convex = [classes._convex_local(*pair, 4) for pair in
                       ((lower, lower), (upper, upper), (length, length), (lower, upper))]
-            assert calls["rescale"] == 1
             assert calls["convex"] == calls["monotonic"] == distinct
             assert calls["scan"] <= convex.count(False)

@@ -18,6 +18,7 @@ from intervalgames import (
     parse_game,
     solutions,
 )
+from intervalgames import cli
 from intervalgames.cli import main
 from helpers import (
     majority_game,
@@ -511,6 +512,61 @@ class TestErrors:
 
     def test_no_command(self, capsys):
         assert run_cli([], capsys)[0] == 2
+
+
+SUBCOMMAND_USAGE_ERRORS = {
+    "classify": ["classify"],
+    "membership": ["membership", "game.txt", "nope", "1,2"],
+    "coincidence": ["coincidence", "game.txt", "--budget", "+6"],
+    "strong": ["strong", "game.txt", "--payoff"],
+    "family": ["family", "sel-convex", "3", "4"],
+    "oracle": ["oracle", "game.txt", "--format", "xml"],
+}
+
+
+class TestOneSubcommandParser:
+    """main builds only the parser of the subcommand it is given, and prints
+    what the full parser prints."""
+
+    @staticmethod
+    def full_parser(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        seen = []
+        build = cli._build_parser
+
+        def recording(only=None):
+            seen.append(only)
+            return build(only)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMAND_USAGE_ERRORS))
+    def test_help_and_usage_error_match_the_full_parser(self, name, built, capsys):
+        for argv in ([name, "-h"], SUBCOMMAND_USAGE_ERRORS[name]):
+            expected = self.full_parser(argv, capsys)
+            assert run_cli(argv, capsys) == expected
+            assert expected[0] == (0 if argv[-1] == "-h" else 2)
+        assert built == [None, name, None, name]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["nope"], ["--format", "json", "classify"]])
+    def test_anything_else_gets_the_full_parser(self, argv, built, capsys):
+        expected = self.full_parser(argv, capsys)
+        assert run_cli(argv, capsys) == expected
+        assert built == [None, None]
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0
+        assert out.startswith("usage: intervalgames [-h]")
+        for name, (help_text, _, _) in cli._COMMANDS.items():
+            assert f"    {name}" in out and help_text in out
 
 
 def test_module_entry_point():

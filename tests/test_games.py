@@ -26,6 +26,7 @@ from intervalgames import (
 )
 from helpers import parse_game_oracle, rand_interval_game, random_selection
 from intervalgames.games import coalition_labels
+from intervalgames.numerics import integers
 
 WORKED_EXAMPLE = IntervalGame.from_map(
     2, {(1,): (1, 3), (2,): (1, 3), (1, 2): (1, 4)}
@@ -146,6 +147,25 @@ class TestBordersAndLength:
         assert lower == v
         assert upper == v
         assert length_game(w) == ClassicalGame(2, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("source", ["values", "text"])
+    def test_built_once_per_game(self, source):
+        w = rand_interval_game(random.Random(7), 3)
+        expected = w.values
+        if source == "text":
+            w = parse_game(format_game(w))
+        lower, upper = border_games(w)
+        length = length_game(w)
+        assert border_games(w)[0] is lower and border_games(w)[1] is upper
+        assert length_game(w) is length
+        assert lower.values == tuple(iv.lower for iv in expected)
+        assert upper.values == tuple(iv.upper for iv in expected)
+        assert length.values == tuple(iv.width for iv in expected)
+        for game in (lower, upper, length):
+            assert all(type(x) is Fraction for x in game.values)
+            # the interval game's scale, so class verdicts share cache keys
+            assert game.integer_form.scale == w.integer_form.scale
+        assert lower == ClassicalGame(3, lower.values) and hash(lower) == hash(ClassicalGame(3, lower.values))
 
 
 class TestSelections:
@@ -283,6 +303,11 @@ MALFORMED_MORE = [
     "players 1\n1 [" + "9" * 5000 + ", 1/0]\n",
     "players 1\n1 " + "9" * 5000 + "/0\n",
     "players 1\n1 1/" + "9" * 5000 + "\n",
+    # lower above upper, and a zero denominator, among other lines
+    "players 1\n1 [3, 2]\n",
+    "players 2\n1 0\n2,1 [3, 2]\n2 0\n",
+    "players 2\n1 [-1/2, -2/3]\n",
+    "players 2\n1 0\n2 [1/0, 2]\n1,2 [3, 2]\n",
 ]
 
 
@@ -410,6 +435,23 @@ def _render_game(rng: random.Random, w: IntervalGame) -> str:
     return "\n".join(["# game", "", header, *lines]) + rng.choice(("", "\n"))
 
 
+def _oracle_form(w: IntervalGame) -> tuple:
+    """The integer form numerics.integers gives for w's endpoints."""
+    ints, scale = integers([x for iv in w.values for x in (iv.lower, iv.upper)])
+    return tuple(ints[::2]), tuple(ints[1::2]), scale
+
+
+# fractional, negative and zero endpoints, bare scalars, and labels off the
+# canonical table
+FORM_CASES = [
+    "players 2\n1 [-1/2, 2/3]\n2 [0, 0]\n1,2 [ -7/4 , -1/6 ]\n",
+    "players 2\n01 -3/4\n2,1 5\n02 [4/6, 10/4]\n",
+    "players 2\n1 0\n2 -0/5\n2,1 [-0, +0]\n",
+    "players 3\n1 1/3\n2 [1/3, 1/2]\n3 -2/8\n1,2 0\n01,3 [-5, -4/3]\n3,2 7\n3,2,1 [1/6, 1/6]\n",
+    "players 1\n1 [6/4, 12/8]\n",
+]
+
+
 class TestParserAgainstOracle:
     """parse_game against the line loop it replaced (tests/helpers.py)."""
 
@@ -421,7 +463,15 @@ class TestParserAgainstOracle:
         if rng.random() < 0.5:  # degenerate worths, so that bare scalars appear
             w = IntervalGame(n, tuple(Interval(iv.lower) for iv in w.values))
         text = _render_game(rng, w)
-        assert parse_game(text) == parse_game_oracle(text) == w
+        got, expected = parse_game(text), parse_game_oracle(text)
+        assert got == expected == w
+        assert got.integer_form == _oracle_form(expected)
+
+    @pytest.mark.parametrize("text", FORM_CASES)
+    def test_integer_form_of_fixed_texts(self, text):
+        got, expected = parse_game(text), parse_game_oracle(text)
+        assert got == expected
+        assert got.integer_form == _oracle_form(expected)
 
     @pytest.mark.parametrize("text", [text for text, _ in MALFORMED] + MALFORMED_MORE)
     def test_same_errors(self, text):
