@@ -21,6 +21,14 @@ Witnesses and counterexamples are printed as the library returns them: the
 library has verified each one once already (see ``solutions``), so this
 module neither checks nor re-solves any of them.
 
+A command line takes one of two routes to its arguments.  A well-formed
+one (``_read_argv`` says which are) is read straight from ``_COMMANDS``,
+the table of subcommands, their handlers and their ``add_argument`` calls,
+without building a parser.  Anything else (help, ``=`` forms, abbreviated
+flags, every usage error) goes to the ``argparse`` parser built from the
+same table.  argparse stays: it is the only route for help and error
+messages, and the reference the tests compare the direct reading against.
+
 Exit codes: 0 success / affirmative verdict, 1 negative verdict or oracle
 disagreement, 2 input error, 3 enumeration budget exceeded.
 """
@@ -191,8 +199,8 @@ def coincidence_report(w: IntervalGame, budget: int) -> tuple[dict, int]:
 
 
 def strong_report(w: IntervalGame, payoff: tuple[Fraction, ...] | None) -> tuple[dict, int]:
-    lower, upper = border_games(w)
-    grand = Interval(lower.values[-1], upper.values[-1])
+    lower, upper, scale = w.integer_form
+    grand = Interval(Fraction(lower[-1], scale), Fraction(upper[-1], scale))
     witness = strong_core_witness(w)
     doc: dict = {
         "grand_coalition": format_interval(grand),
@@ -386,23 +394,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand or with ``only`` one.
-
-    A parser built for one subcommand still lists all of them in its usage
-    line, which argparse prints with an unrecognized argument, so it words
-    that subcommand's help and errors as the full parser does.  The full
-    parser keeps the default listing, because its errors for a missing or
-    unknown command name the listing's action by it.
-    """
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intervalgames",
         description="Exact solver for cooperative interval games.",
     )
-    listing = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
-    for name in _COMMANDS if only is None else (only,):
-        help_text, handler, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for args, kwargs in arguments:
             p.add_argument(*args, **kwargs)
@@ -410,15 +408,67 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read
+    straight from ``_COMMANDS`` for a well-formed argv; None for any other.
+
+    Well-formed: a subcommand name first; then exact long flags of that
+    subcommand, each followed by a value that does not start with "-", and
+    positionals, exactly as many as the subcommand declares; at most one
+    "--", with at least one positional after it; and every ``type`` and
+    ``choices`` check passing.  Help, "=" forms, abbreviations and every
+    error are left to argparse, which words them.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    positionals, options = [], {}
+    for flags, kwargs in arguments:
+        dest = flags[0].lstrip("-")
+        values[dest] = kwargs.get("default")
+        if flags[0].startswith("-"):
+            options[flags[0]] = dest, kwargs
+        else:
+            positionals.append((dest, kwargs))
+    head, tail = argv[1:], []
+    if "--" in head:
+        cut = head.index("--")
+        head, tail = head[:cut], head[cut + 1:]
+        if not tail or "--" in tail:
+            return None
+    given, settings, words = [], [], iter(head)
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        value = next(words, "-")  # a flag with no value left reads as "-", refused below
+        if word not in options or value.startswith("-"):
+            return None
+        settings.append((*options[word], value))
+    given += tail
+    if len(given) != len(positionals):
+        return None
+    settings += [(dest, kwargs, word) for (dest, kwargs), word in zip(positionals, given)]
+    try:
+        for dest, kwargs, word in settings:
+            value = kwargs.get("type", str)(word)
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+            values[dest] = value
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the named subcommand's parser is built; anything else (help, an
-    # unknown command, no command) gets the full parser and its messages
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

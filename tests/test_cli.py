@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -10,16 +11,19 @@ import pytest
 
 import intervalgames
 from intervalgames import (
+    FAMILY_KINDS,
     ClassicalGame,
     IntervalGame,
+    border_games,
     embed_classical,
     family,
     format_game,
+    format_interval,
     parse_game,
     solutions,
 )
 from intervalgames import cli
-from intervalgames.cli import main
+from intervalgames.cli import MEMBERSHIP_CONCEPTS, main
 from helpers import (
     majority_game,
     rand_additive_border_game,
@@ -275,6 +279,13 @@ class TestStrongCommand:
         assert doc["strong_core_nonempty"] is False
         assert "witness" not in doc
 
+    def test_a_payoffless_report_leaves_the_lower_worths_unbuilt(self):
+        source = rand_degenerate_grand_convex(random.Random(7), 6)
+        w = parse_game(format_game(source))
+        doc, code = cli.strong_report(w, None)
+        assert "values" not in border_games(w)[0].__dict__
+        assert code == 0 and doc["grand_coalition"] == format_interval(source.values[-1])
+
 
 class TestNegativePayoffs:
     """A payoff that starts with a minus sign looks like an option to the
@@ -288,6 +299,12 @@ class TestNegativePayoffs:
         assert code == 0 and "payoff: (-1, 1)" in out
         code, out, _ = run_cli(["membership", game_file(UNIT), "gen", "--", "-1,0"], capsys)
         assert code == 1 and "payoff: (-1, 0)" in out and "lower_feasible: false" in out
+
+    def test_readme_input_errors(self, game_file, capsys):
+        path = game_file(self.NEG)
+        for argv in (["membership", path, "gen", "-1,0"], ["strong", path, "--payoff", "-1,1"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and out == "" and "error" in err
 
     def test_strong_payoff_with_equals(self, game_file, capsys):
         code, out, _ = run_cli(
@@ -525,8 +542,8 @@ SUBCOMMAND_USAGE_ERRORS = {
 
 
 class TestOneSubcommandParser:
-    """main builds only the parser of the subcommand it is given, and prints
-    what the full parser prints."""
+    """main reads a well-formed argv without building a parser; help and
+    usage errors build the full parser once, and print what it prints."""
 
     @staticmethod
     def full_parser(argv, capsys):
@@ -540,9 +557,9 @@ class TestOneSubcommandParser:
         seen = []
         build = cli._build_parser
 
-        def recording(only=None):
-            seen.append(only)
-            return build(only)
+        def recording():
+            seen.append(True)
+            return build()
 
         monkeypatch.setattr(cli, "_build_parser", recording)
         return seen
@@ -551,15 +568,30 @@ class TestOneSubcommandParser:
     def test_help_and_usage_error_match_the_full_parser(self, name, built, capsys):
         for argv in ([name, "-h"], SUBCOMMAND_USAGE_ERRORS[name]):
             expected = self.full_parser(argv, capsys)
+            built.clear()
             assert run_cli(argv, capsys) == expected
             assert expected[0] == (0 if argv[-1] == "-h" else 2)
-        assert built == [None, name, None, name]
+            assert len(built) == 1
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["nope"], ["--format", "json", "classify"]])
     def test_anything_else_gets_the_full_parser(self, argv, built, capsys):
         expected = self.full_parser(argv, capsys)
+        built.clear()
         assert run_cli(argv, capsys) == expected
-        assert built == [None, None]
+        assert len(built) == 1
+
+    def test_well_formed_argvs_build_no_parser(self, built, game_file, capsys):
+        path = game_file(UNIT)
+        # perfbench's shape: command, --format json, --, game, arguments
+        for argv, code in [
+            (["classify", "--format", "json", "--", path], 0),
+            (["coincidence", "--format", "json", "--", path], 1),
+            (["membership", "--format", "json", "--", path, "gen", "-1,0"], 1),
+            (["strong", "--format", "json", "--", path], 1),
+            (["family", "sel-convex", "3"], 0),
+        ]:
+            assert run_cli(argv, capsys)[0] == code
+        assert built == []
 
     def test_top_level_help_lists_every_command(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)
@@ -567,6 +599,126 @@ class TestOneSubcommandParser:
         assert out.startswith("usage: intervalgames [-h]")
         for name, (help_text, _, _) in cli._COMMANDS.items():
             assert f"    {name}" in out and help_text in out
+
+
+def both_readings(argv, parser=None):
+    """``cli._read_argv(argv)`` and the full parser's namespace for argv
+    (None where argparse exits), each as a dict."""
+    direct = cli._read_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = (parser or cli._build_parser()).parse_args(argv)
+    except SystemExit:
+        full = None
+    return (None if direct is None else vars(direct)), (None if full is None else vars(full))
+
+
+# the pieces random argvs are made of: every flag, abbreviations, "=" forms,
+# help, "--", "-", negative numbers, empty strings and unknown flags
+FLAGS = ["--format", "--budget", "--payoff", "--selection"]
+ODD_WORDS = [
+    "--form", "--b", "--pay", "--sel", "--format=json", "--budget=3", "--payoff=-1,1",
+    "-h", "--help", "--he", "--", "-", "-1", "-3", "-1,0", "-1.5", "", "--nope", "-x", "a b",
+]
+VALUES = [
+    "json", "text", "xml", "game.txt", "1,2", "2,2,2", "3", "03", "+3", " 3", "0",
+    "lower", "upper", "sel-convex", "nope", *MEMBERSHIP_CONCEPTS, *FAMILY_KINDS,
+]
+
+
+def random_argv(rng):
+    """A mostly well-formed argv, then up to two random edits."""
+    name = rng.choice(list(cli._COMMANDS))
+    positionals, options = [], []
+    for flags, kwargs in cli._COMMANDS[name][2]:
+        value = rng.choice(kwargs.get("choices", VALUES) if rng.random() < 0.8 else VALUES)
+        if flags[0].startswith("-"):
+            options += [[flags[0], value]] * rng.choice((0, 1, 1, 2))
+        else:
+            positionals.append(value)
+    if rng.random() < 0.3:
+        # perfbench's order: options, "--", positionals, which may lead with "-"
+        after = [v if rng.random() < 0.7 else rng.choice(ODD_WORDS) for v in positionals]
+        argv = [name, *(w for group in options for w in group), "--", *after]
+    else:
+        groups = [[v] for v in positionals] + options
+        rng.shuffle(groups)
+        argv = [name, *(w for group in groups for w in group)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(argv))
+        edit = rng.randrange(3)
+        if edit == 0:
+            argv.insert(at + 1, rng.choice(FLAGS + ODD_WORDS + VALUES))
+        elif edit == 1:
+            del argv[at]
+        else:
+            argv[at] = rng.choice(FLAGS + ODD_WORDS + VALUES + list(cli._COMMANDS))
+    return argv
+
+
+class TestDirectReading:
+    """``cli._read_argv`` against the argparse parser it stands in for."""
+
+    def test_random_argvs(self):
+        rng = random.Random(17)
+        parser = cli._build_parser()
+        read = fallback = 0
+        for _ in range(4000):
+            argv = random_argv(rng)
+            direct, full = both_readings(argv, parser)
+            if direct is not None:
+                assert direct == full, argv
+                read += 1
+            elif full is not None:
+                fallback += 1
+        # both routes are well exercised
+        assert read > 1000 and fallback > 10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "g"],
+            ["classify", "--", "g"],
+            ["classify", "--", "-"],
+            ["classify", "--", "-h"],
+            ["classify", ""],
+            ["classify", "g", "--format", "json", "--format", "text"],
+            ["membership", "--format", "json", "g", "--selection", "lower", "core", "1,1"],
+            ["membership", "g", "gen", "--", "-1,0"],
+            ["membership", "g", "--", "gen", "-1,0"],
+            ["coincidence", "--budget", "03", "g"],
+            ["family", "sel-convex", "3"],
+        ],
+    )
+    def test_well_formed(self, argv):
+        direct, full = both_readings(argv)
+        assert direct is not None and direct == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["nope", "g"],
+            ["classify", "g", "-h"],
+            ["classify", "g", "--"],
+            ["classify", "--", "--", "g"],
+            ["classify", "-"],
+            ["classify", "g", "--form", "json"],
+            ["classify", "g", "--format=json"],
+            ["classify", "g", "--format", "xml"],
+            ["classify", "g", "--nope", "x"],
+            ["classify", "g", "h"],
+            ["membership", "g", "gen", "-1,0"],
+            ["strong", "g", "--payoff", "-1,1"],
+            ["coincidence", "g", "--budget", "-1"],
+            ["coincidence", "g", "--budget", "+6"],
+            ["family", "sel-convex", "-3"],
+            ["family", "nope", "3"],
+        ],
+    )
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
 
 
 def test_module_entry_point():

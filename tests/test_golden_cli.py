@@ -12,7 +12,7 @@ import pytest
 from intervalgames import FAMILY_KINDS, IntervalGame, embed_classical, family, format_game
 from intervalgames.cli import main
 from helpers import majority_game
-from test_cli import BAND, TIGHT, UNIT
+from test_cli import BAND, TIGHT, UNIT, both_readings
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -60,13 +60,16 @@ CASES = [
 ] + [(f"family {kind} 3", "family", None, [kind, "3"], None) for kind in FAMILY_KINDS]
 
 
+def case_argv(command, game, args, fmt, path) -> list[str]:
+    return [command, *args] if game is None else [command, path, *args, "--format", fmt]
+
+
 def run_case(command, game, args, fmt, directory: Path, capsys) -> dict:
-    argv = [command, *args]
+    path = None
     if game is not None:
         path = directory / f"{game}.game"
         path.write_text(format_game(GAMES[game]), encoding="utf-8")
-        argv = [command, str(path), *args, "--format", fmt]
-    code = main(argv)
+    code = main(case_argv(command, game, args, fmt, str(path)))
     out, _ = capsys.readouterr()
     return {"code": code, "stdout": out}
 
@@ -79,3 +82,9 @@ def golden():
 @pytest.mark.parametrize("name,command,game,args,fmt", CASES, ids=[c[0] for c in CASES])
 def test_output_is_unchanged(name, command, game, args, fmt, golden, tmp_path, capsys):
     assert run_case(command, game, args, fmt, tmp_path, capsys) == golden[name]
+
+
+@pytest.mark.parametrize("name,command,game,args,fmt", CASES, ids=[c[0] for c in CASES])
+def test_read_without_a_parser(name, command, game, args, fmt):
+    direct, full = both_readings(case_argv(command, game, args, fmt, "GAME"))
+    assert direct is not None and direct == full
