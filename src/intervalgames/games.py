@@ -10,9 +10,9 @@ Each game has one integer form (``IntegerForm``): its lower and upper
 worths as integers over one positive scale.  ``parse_game`` builds it from
 the digits of the game file, with no Fraction in between, and a game built
 from rational worths derives it once through ``numerics.integers``.  The
-class checks read only this form; the rational ``values`` of a parsed game
-are built on first read, for output and for the LP layers.  The border and
-length games are built once per interval game, on its scale.
+class checks and solution concepts read only this form; a parsed game
+builds its rational ``values`` on first read, for output and transforms.
+The border and length games are built once per interval game, on its scale.
 """
 
 from collections.abc import Callable, Iterable, Mapping
@@ -82,7 +82,8 @@ class IntegerForm(NamedTuple):
     m's endpoints are ``lower[m] / scale`` and ``upper[m] / scale``.  A game
     read from text or built from rational worths has the least such scale,
     the one ``numerics.integers`` gives; the border and length games of an
-    interval game keep its scale.  A classical game has ``lower is upper``."""
+    interval game keep its scale, and games the solvers build may keep a
+    larger one.  A classical game has ``lower is upper``."""
 
     lower: tuple[int, ...]
     upper: tuple[int, ...]

@@ -32,7 +32,10 @@ upper endpoints on (upper, upper).  The closed forms are validated against
 endpoint-enumeration oracles in the test suite.  Every coalition system is
 the row form of the same test, built by ``_core_system`` (the slack halves
 run it on the gaps lower - x and upper - x); a grand range that is a single
-point is one equality row.
+point is one equality row.  The test reads the game's integer form
+(``games.IntegerForm``), never Fraction worths: ``_accepts`` scales x once
+to integers X / d and compares X(S) * scale with lo(S) * d.  Fractions exist
+only at the boundary: payoffs in and out, and the rows' right-hand sides.
 
 Convex borders are decided in closed form, without a linear program or
 vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
@@ -135,6 +138,7 @@ from .classes import ORACLE_MAX_PLAYERS, ClassicalProperty, check_classical
 from .errors import BudgetExceededError
 from .games import (
     ClassicalGame,
+    IntegerForm,
     IntervalGame,
     _as_interval,
     border_games,
@@ -207,56 +211,68 @@ def _interval_payoff(entries, n: int) -> tuple[Interval, ...]:
     return payoff
 
 
-def _coalition_sums(x) -> list:
-    """sums[m] = total payoff of the coalition with bitmask m."""
+def _scaled_sums(point: tuple[Fraction, ...], scale: int) -> tuple[list[int], int]:
+    """(sums, d): d is the least common denominator of x, and sums[m] is
+    x(S) * scale * d, an integer, for the coalition S with bitmask m."""
+    ints, d = integers(point)
+    x = [a * scale for a in ints]
     sums = [0] * (1 << len(x))
     for m in range(1, len(sums)):
         low = m & -m
         sums[m] = sums[m ^ low] + x[low.bit_length() - 1]
-    return sums
+    return sums, d
 
 
-def _shortfalls(point: tuple[Fraction, ...], lo):
-    """Yield (x(S) - lo(S), S) for every proper coalition S with x(S) < lo(S)."""
-    sums = _coalition_sums(point)
-    return ((sums[m] - lo[m], m) for m in range(1, len(sums) - 1) if sums[m] < lo[m])
+def _shortfalls(point: tuple[Fraction, ...], form: IntegerForm):
+    """Yield (shortfall, S) for every proper coalition S with x(S) < lo(S),
+    the shortfall being x(S) - lo(S) times the positive integer scale * d."""
+    sums, d = _scaled_sums(point, form.scale)
+    floor = [b * d for b in form.lower]
+    return ((sums[m] - floor[m], m) for m in range(1, len(sums) - 1) if sums[m] < floor[m])
 
 
-def _accepts(point: tuple[Fraction, ...], lo, up, core: bool) -> bool:
+def _accepts(point: tuple[Fraction, ...], form: IntegerForm, core: bool) -> bool:
     """lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper S (a core)
-    or for every singleton S (an imputation); lo and up are indexed by mask."""
+    or for every singleton S (an imputation), for the borders (lo, up) of
+    form.  x is scaled once to integers X / d, and X(S) * scale is compared
+    with lo(S) * d."""
+    lo, up, scale = form
+    ints, d = integers(point)
     full = grand_coalition(len(point))
-    if not lo[full] <= sum(point) <= up[full]:
+    if not lo[full] * d <= sum(ints) * scale <= up[full] * d:
         return False
     if not core:
-        return all(xi >= lo[1 << i] for i, xi in enumerate(point))
-    return next(_shortfalls(point, lo), None) is None
+        return all(a * scale >= lo[1 << i] * d for i, a in enumerate(ints))
+    return next(_shortfalls(point, form), None) is None
 
 
-def _rows(n: int, masks, rhs, sign: int = 1) -> tuple:
-    """One row ``sign * y(S) >= rhs[S]`` (or ``=``) per coalition S in masks."""
-    return tuple((tuple(sign if m >> i & 1 else 0 for i in range(n)), rhs[m]) for m in masks)
+def _rows(n: int, masks, worths, scale: int, sign: int = 1) -> tuple:
+    """One row ``sign * y(S) >= worths[S] / scale`` (or ``=``) per coalition S in masks."""
+    return tuple(
+        (tuple(sign if m >> i & 1 else 0 for i in range(n)), Fraction(worths[m], scale)) for m in masks
+    )
 
 
-def _core_system(n: int, lo, up, sign: int = 1, nonneg=frozenset(), masks=None) -> LinearSystem:
-    """The rows of ``_accepts(sign * y, lo, up, core=True)`` over y.
+def _core_system(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset(), masks=None) -> LinearSystem:
+    """The rows of ``_accepts(sign * y, form, core=True)`` over y.
 
     The grand range lo(N) <= sign * y(N) <= up(N) is one equality when it is
     a single point and two inequality rows otherwise; every proper S in
-    masks (all of them by default) adds sign * y(S) >= lo(S).  lo and up are
-    indexed by mask.
+    masks (all of them by default) adds sign * y(S) >= lo(S).  The right-hand
+    sides are the form's integers over its scale.
     """
+    lo, up, scale = form
     full = grand_coalition(n)
-    grand = _rows(n, [full], lo, sign)
-    proper = _rows(n, range(1, full) if masks is None else masks, lo, sign)
+    grand = _rows(n, [full], lo, scale, sign)
+    proper = _rows(n, range(1, full) if masks is None else masks, lo, scale, sign)
     if lo[full] == up[full]:
         return LinearSystem(dim=n, equalities=grand, inequalities=proper, nonneg=nonneg)
-    cap = _rows(n, [full], {full: -up[full]}, -sign)
+    cap = _rows(n, [full], {full: -up[full]}, scale, -sign)
     return LinearSystem(dim=n, inequalities=grand + cap + proper, nonneg=nonneg)
 
 
-def _core_feasible(n: int, lo, up, sign: int = 1, nonneg=frozenset()) -> tuple[Fraction, ...] | None:
-    """A point of ``_core_system(n, lo, up, sign, nonneg)``, or None when it
+def _core_feasible(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset()) -> tuple[Fraction, ...] | None:
+    """A point of ``_core_system(n, form, sign, nonneg)``, or None when it
     has none, by row generation over the proper coalitions.
 
     Each round solves the grand rows plus the active coalitions (at first
@@ -265,48 +281,49 @@ def _core_feasible(n: int, lo, up, sign: int = 1, nonneg=frozenset()) -> tuple[F
     """
     active = [1 << i for i in range(n)]
     while True:
-        ok, y = feasible(_core_system(n, lo, up, sign, nonneg, masks=active))
+        ok, y = feasible(_core_system(n, form, sign, nonneg, masks=active))
         if not ok:
             return None
-        missed = sorted(_shortfalls(tuple(sign * v for v in y), lo))
+        missed = sorted(_shortfalls(tuple(sign * v for v in y), form))
         if not missed:
             return y
         active = sorted(active + [m for _, m in missed[:n]])
 
 
-def _marginal_vector(values, order) -> tuple[Fraction, ...]:
-    """What each player adds to the players before it in order; values indexed by mask."""
+def _marginal_vector(form: IntegerForm, order) -> tuple[Fraction, ...]:
+    """What each player adds to the players before it in order, on form's lower border."""
+    lo, _, scale = form
     x = [Fraction(0)] * len(order)
     before = 0
     for i in order:
-        x[i] = values[before | 1 << i] - values[before]
+        x[i] = Fraction(lo[before | 1 << i] - lo[before], scale)
         before |= 1 << i
     return tuple(x)
 
 
-def _greedy_core_point(x: tuple[Fraction, ...], border, rise: bool) -> tuple[Fraction, ...] | None:
+def _greedy_core_point(x: tuple[Fraction, ...], form: IntegerForm, rise: bool) -> tuple[Fraction, ...] | None:
     """A core point y <= x (y >= x when rise) of a convex border game, or
-    None when there is none; border is indexed by mask.
+    None when there is none; form is the border's, lower is upper.
 
     Sinking: each player in turn drops by the least slack y(S) - border(S)
     over the coalitions S that contain it, never below zero.  Raising is
     sinking -x against the dual floor S -> border(N - S) - border(N).  The
-    greedy runs on integers rescaled by a common denominator, and the
-    border scan decides: the greedy point is a core point exactly when one
-    exists (module docstring).
+    greedy runs on integers over scale * d, d the least common denominator
+    of x, and the border scan decides: the greedy point is a core point
+    exactly when one exists (module docstring).
     """
-    n = len(x)
-    size = len(border)
+    border, _, scale = form
+    sums, d = _scaled_sums(x, scale)
+    size = len(sums)
     full = size - 1
-    both, scale = integers(x + border)
-    y, ints = both[:n], both[n:]
+    sign = -1 if rise else 1
+    y = [sign * sums[1 << i] for i in range(len(x))]
     if rise:
-        floor = [ints[full ^ m] - ints[full] for m in range(size)]
-        y = [-v for v in y]
+        floor = [(border[full ^ m] - border[full]) * d for m in range(size)]
     else:
-        floor = ints
-    slack = [s - f for s, f in zip(_coalition_sums(y), floor)]
-    for i in range(n):
+        floor = [b * d for b in border]
+    slack = [sign * s - f for s, f in zip(sums, floor)]
+    for i in range(len(y)):
         bit = 1 << i
         own = [m for m in range(bit, size) if m & bit]
         drop = min([slack[m] for m in own])
@@ -314,8 +331,8 @@ def _greedy_core_point(x: tuple[Fraction, ...], border, rise: bool) -> tuple[Fra
             y[i] -= drop
             for m in own:
                 slack[m] -= drop
-    point = tuple(Fraction(-v if rise else v, scale) for v in y)
-    return point if _accepts(point, border, border, core=True) else None
+    point = tuple(Fraction(sign * v, scale * d) for v in y)
+    return point if _accepts(point, form, core=True) else None
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +341,26 @@ def _greedy_core_point(x: tuple[Fraction, ...], border, rise: bool) -> tuple[Fra
 
 def is_imputation(v: ClassicalGame, x) -> bool:
     """Efficiency plus individual rationality, checked exactly."""
-    return _accepts(_payoff(x, v.n), v.values, v.values, core=False)
+    return _accepts(_payoff(x, v.n), v.integer_form, core=False)
 
 
 def is_core_member(v: ClassicalGame, x) -> bool:
     """Efficient and no coalition can improve on its summed payoff."""
-    return _accepts(_payoff(x, v.n), v.values, v.values, core=True)
+    return _accepts(_payoff(x, v.n), v.integer_form, core=True)
 
 
 def core_system(v: ClassicalGame) -> LinearSystem:
     """Core of a classical game as an exact linear system over payoffs."""
-    return _core_system(v.n, v.values, v.values)
+    return _core_system(v.n, v.integer_form)
 
 
 def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
     """A core point: the identity-order marginal vector of a convex game,
     otherwise row generation."""
     if not check_classical(v, ClassicalProperty.CONVEX):
-        return _core_feasible(v.n, v.values, v.values)
-    x = _marginal_vector(v.values, range(v.n))
-    if not _accepts(x, v.values, v.values, core=True):
+        return _core_feasible(v.n, v.integer_form)
+    x = _marginal_vector(v.integer_form, range(v.n))
+    if not _accepts(x, v.integer_form, core=True):
         raise AssertionError("internal error: marginal vector of a convex game left its core")
     return x
 
@@ -358,14 +375,12 @@ def core_nonempty(v: ClassicalGame) -> bool:
 
 def is_selection_imputation(w: IntervalGame, x) -> bool:
     """Some selection accepts x as an imputation: the test on (lower, upper)."""
-    lower, upper = border_games(w)
-    return _accepts(_payoff(x, w.n), lower.values, upper.values, core=False)
+    return _accepts(_payoff(x, w.n), w.integer_form, core=False)
 
 
 def is_selection_core_member(w: IntervalGame, x) -> bool:
     """Some selection puts x in its core (x lies in the SC polytope)."""
-    lower, upper = border_games(w)
-    return _accepts(_payoff(x, w.n), lower.values, upper.values, core=True)
+    return _accepts(_payoff(x, w.n), w.integer_form, core=True)
 
 
 def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
@@ -373,22 +388,16 @@ def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
 
     Construction: pin the grand coalition at the total of x and cap every
     other coalition at what x pays it; any selection of the result is a
-    selection of w that accepts x.
+    selection of w that accepts x, built over w's scale times x's denominator.
     """
     point = _payoff(x, w.n)
     if not is_selection_core_member(w, point):
         return None
-    sums = _coalition_sums(point)
-    full = grand_coalition(w.n)
-    total = sums[full]
-
-    def worth(m: int) -> Interval:
-        if m == full:
-            return Interval(total)
-        original = w.worth(m)
-        return Interval(original.lower, min(sums[m], original.upper))
-
-    witness = IntervalGame.from_function(w.n, worth)
+    lo, up, scale = w.integer_form
+    sums, d = _scaled_sums(point, scale)
+    lower = [b * d for b in lo[:-1]] + sums[-1:]
+    upper = [min(s, b * d) for s, b in zip(sums[:-1], up)] + sums[-1:]
+    witness = IntervalGame._from_form(w.n, IntegerForm(tuple(lower), tuple(upper), scale * d))
     if not verify_selection_core_witness(w, point, witness):
         raise AssertionError("internal error: witness sub-game failed verification")
     return witness
@@ -407,8 +416,7 @@ def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
 
 def selection_core_system(w: IntervalGame) -> LinearSystem:
     """The SC polytope over payoff vectors: the border test on (lower, upper)."""
-    lower, upper = border_games(w)
-    return _core_system(w.n, lower.values, upper.values)
+    return _core_system(w.n, w.integer_form)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +427,9 @@ def _accepts_endpoints(w: IntervalGame, payoff, core: bool) -> bool:
     # interval sums and the weakly-better order both act endpoint by endpoint
     entries = _interval_payoff(payoff, w.n)
     lows, ups = tuple(p.lower for p in entries), tuple(p.upper for p in entries)
-    lower, upper = border_games(w)
-    return (
-        _accepts(lows, lower.values, lower.values, core)
-        and _accepts(ups, upper.values, upper.values, core)
-    )
+    lo, up, scale = w.integer_form
+    lower, upper = IntegerForm(lo, lo, scale), IntegerForm(up, up, scale)
+    return _accepts(lows, lower, core) and _accepts(ups, upper, core)
 
 
 def is_interval_imputation(w: IntervalGame, payoff) -> bool:
@@ -439,21 +445,14 @@ def is_interval_core_member(w: IntervalGame, payoff) -> bool:
 # points generated by the interval core
 
 
-def _slack_half(w: IntervalGame, sums: list[Fraction], upper: bool) -> tuple:
+def _slack_half(w: IntervalGame, point: tuple[Fraction, ...], upper: bool) -> tuple:
     """``_core_system`` arguments of one slack half.  Sink slacks l >= 0 with
     x - l in the lower border core are -l on the gap lower - x; rise slacks
     u >= 0 with x + u in the upper border core are u on the gap upper - x."""
-    border = border_games(w)[1 if upper else 0].values
-    gap = [b - s for b, s in zip(border, sums)]
-    return w.n, gap, gap, 1 if upper else -1, frozenset(range(w.n))
-
-
-def _lower_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
-    return _core_system(*_slack_half(w, sums, upper=False))
-
-
-def _upper_system(w: IntervalGame, sums: list[Fraction]) -> LinearSystem:
-    return _core_system(*_slack_half(w, sums, upper=True))
+    lo, up, scale = w.integer_form
+    sums, d = _scaled_sums(point, scale)
+    gap = [b * d - s for b, s in zip(up if upper else lo, sums)]
+    return w.n, IntegerForm(gap, gap, scale * d), 1 if upper else -1, frozenset(range(w.n))
 
 
 def generated_core_system(w: IntervalGame, x) -> LinearSystem:
@@ -463,8 +462,8 @@ def generated_core_system(w: IntervalGame, x) -> LinearSystem:
     2n-variable system for verification, while the solver-facing path uses
     the two independent halves.
     """
-    sums = _coalition_sums(_payoff(x, w.n))
-    lower, upper = _lower_system(w, sums), _upper_system(w, sums)
+    point = _payoff(x, w.n)
+    lower, upper = (_core_system(*_slack_half(w, point, rise)) for rise in (False, True))
     zero = (0,) * w.n
 
     def stack(left, right):
@@ -487,15 +486,13 @@ def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGene
     verifies the pair against the joint system.
     """
     point = _payoff(x, w.n)
-    sums = None
     slacks = []
     for border, upper in zip(border_games(w), (False, True)):
         if check_classical(border, ClassicalProperty.CONVEX):
-            y = _greedy_core_point(point, border.values, rise=upper)
+            y = _greedy_core_point(point, border.integer_form, rise=upper)
             slacks.append(None if y is None else tuple(b - a if upper else a - b for a, b in zip(point, y)))
         else:
-            sums = sums or _coalition_sums(point)
-            slacks.append(_core_feasible(*_slack_half(w, sums, upper)))
+            slacks.append(_core_feasible(*_slack_half(w, point, upper)))
     l, u = slacks
     if l is not None and u is not None:
         return GeneratedCoreWitness(l=l, u=u)
@@ -517,9 +514,8 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     """
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise TypeError(f"budget must be an int, got {type(budget).__name__} {budget!r}")
-    borders = border_games(w)
-    if all(check_classical(border, ClassicalProperty.CONVEX) for border in borders):
-        return _supermodular_coincidence(w, *borders)
+    if all(check_classical(border, ClassicalProperty.CONVEX) for border in border_games(w)):
+        return _supermodular_coincidence(w)
     if w.n > budget:
         raise BudgetExceededError(
             f"coincidence needs vertex enumeration; {w.n} players exceeds budget {budget}"
@@ -527,24 +523,24 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     return _coincidence_by_vertices(w)
 
 
-def _supermodular_coincidence(w: IntervalGame, lower, upper) -> CoincidenceVerdict:
+def _supermodular_coincidence(w: IntervalGame) -> CoincidenceVerdict:
     """Coincident iff every proper coalition's worth is degenerate.
 
     Otherwise T is the lowest-mask proper coalition with a real interval,
     and the counterexample is the marginal vector of the lower border, its
     grand worth raised to up(N), along T's players and then the rest, each
-    part in ascending order (module docstring).  lower and upper are w's
-    border games, already through the convexity gate.
+    part in ascending order (module docstring).  Both of w's border games
+    have passed the convexity gate.
     """
     n = w.n
     full = grand_coalition(n)
-    lo, up, _ = w.integer_form
+    lo, up, scale = w.integer_form
     t = next((m for m in range(1, full) if lo[m] != up[m]), None)
     if t is None:
         return CoincidenceVerdict(coincident=True)
     order = [i for i in range(n) if t >> i & 1] + [i for i in range(n) if not t >> i & 1]
-    x = _marginal_vector(lower.values[:-1] + upper.values[-1:], order)
-    if not _accepts(x, lower.values, upper.values, core=True):
+    x = _marginal_vector(IntegerForm(lo[:-1] + up[-1:], up, scale), order)
+    if not _accepts(x, w.integer_form, core=True):
         raise AssertionError("internal error: counterexample lies outside the selection core")
     miss = generated_core_witness(w, x)
     if isinstance(miss, GeneratedCoreWitness):
@@ -576,21 +572,21 @@ def is_strong_imputation(w: IntervalGame, x) -> bool:
     Efficiency under every choice of grand worth forces w(N) degenerate;
     individual rationality must survive each singleton's upper endpoint.
     """
-    lower, upper = border_games(w)
-    return _accepts(_payoff(x, w.n), upper.values, lower.values, core=False)
+    lo, up, scale = w.integer_form
+    return _accepts(_payoff(x, w.n), IntegerForm(up, lo, scale), core=False)
 
 
 def is_strong_core_member(w: IntervalGame, x) -> bool:
     """x is in the core of every selection (worst case: upper endpoints)."""
-    lower, upper = border_games(w)
-    return _accepts(_payoff(x, w.n), upper.values, lower.values, core=True)
+    lo, up, scale = w.integer_form
+    return _accepts(_payoff(x, w.n), IntegerForm(up, lo, scale), core=True)
 
 
 def strong_core_system(w: IntervalGame) -> LinearSystem:
     """The strong core: the border test on (upper, lower), whose two grand
     rows contradict each other when w(N) is non-degenerate."""
-    lower, upper = border_games(w)
-    return _core_system(w.n, upper.values, lower.values)
+    lo, up, scale = w.integer_form
+    return _core_system(w.n, IntegerForm(up, lo, scale))
 
 
 def strong_core_witness(w: IntervalGame) -> tuple[Fraction, ...] | None:
@@ -615,9 +611,10 @@ def is_strongly_balanced(w: IntervalGame) -> bool:
     With w(N) degenerate the worst selection is the upper border game, so
     the answer is strong-core nonemptiness.
     """
-    lower, upper = border_games(w)
+    lo, up, scale = w.integer_form
     # the grand coalition has the last mask
-    return core_nonempty(ClassicalGame(w.n, upper.values[:-1] + lower.values[-1:]))
+    worst = up[:-1] + lo[-1:]
+    return core_nonempty(ClassicalGame._from_form(w.n, IntegerForm(worst, worst, scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,26 @@ def additive_worths(a, n: int) -> list[Fraction]:
     return worths
 
 
+def fraction_shortfalls(point, lo):
+    """Yield (x(S) - lo(S), S) for every proper coalition S with x(S) < lo(S),
+    lo indexed by mask: the Fraction scan that the integer border test of
+    ``solutions`` replaced, kept as its oracle."""
+    sums = additive_worths(point, len(point))
+    return ((sums[m] - lo[m], m) for m in range(1, len(sums) - 1) if sums[m] < lo[m])
+
+
+def fraction_accepts(point, lo, up, core: bool) -> bool:
+    """The border test on (lo, up) in Fractions: lo(N) <= x(N) <= up(N), and
+    x(S) >= lo(S) for every proper S (a core) or every singleton S (an
+    imputation)."""
+    full = grand_coalition(len(point))
+    if not lo[full] <= sum(point) <= up[full]:
+        return False
+    if not core:
+        return all(xi >= lo[1 << i] for i, xi in enumerate(point))
+    return next(fraction_shortfalls(point, lo), None) is None
+
+
 def rand_additive_classical(rng: random.Random, n: int, lo: int = -4, hi: int = 8) -> ClassicalGame:
     a = [rand_fraction(rng, lo, hi) for _ in range(n)]
     return ClassicalGame(n=n, values=tuple(additive_worths(a, n)))

@@ -424,6 +424,57 @@ class TestOneSolvePerQuestion:
         assert questions == [] and systems == []
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every game the command line parses during one run."""
+    games = []
+
+    def record(text):
+        games.append(parse_game(text))
+        return games[-1]
+
+    monkeypatch.setattr(cli, "parse_game", record)
+    return games
+
+
+def built_worths(w: IntervalGame) -> list[str]:
+    """Which of w and its border games have built their Fraction worths."""
+    named = zip(("game", "lower", "upper"), (w, *border_games(w)))
+    return [name for name, game in named if "values" in vars(game)]
+
+
+class TestIntegerVerdicts:
+    """The verdicts read a parsed game's integer form, so a report builds
+    Fraction worths only to print them: none on convex borders, and for
+    ``sel-core`` only the game's, for its witness sub-game."""
+
+    @pytest.mark.parametrize(
+        "w, argv",
+        [
+            (UNIT, ["membership", "sel-imputation", "0,1"]),
+            (UNIT, ["membership", "sel-imputation", "0,3"]),
+            (UNIT, ["membership", "strong-imputation", "1,1"]),
+            (UNIT, ["membership", "strong-core", "1,1"]),
+            (UNIT, ["membership", "gen", "0,0"]),
+            (UNIT, ["membership", "gen", "0,2"]),
+            (UNIT, ["membership", "gen", "0,-1"]),
+            (CRITERION_10, ["membership", "gen", "1/2,1,1,3/2"]),
+            (CRITERION_10, ["coincidence"]),
+            (CONVEX_3, ["coincidence"]),
+            (CRITERION_10, ["strong", "--payoff", "1,1,1,1"]),
+            (CONVEX_3, ["strong", "--payoff", "1,3,5"]),
+        ],
+    )
+    def test_reports_build_no_fraction_worths(self, w, argv, parsed, game_file, capsys):
+        run_cli([argv[0], game_file(w), *argv[1:]], capsys)
+        assert [built_worths(game) for game in parsed] == [[]]
+
+    def test_sel_core_builds_only_the_game_worths(self, parsed, game_file, capsys):
+        code, out, _ = run_cli(["membership", game_file(UNIT), "sel-core", "1,1", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["witness_subgame"] == {"1": "[0, 1]", "2": "[0, 1]", "1,2": "[2, 2]"}
+        assert [built_worths(game) for game in parsed] == [["game"]]
+
+
 class TestTwelvePlayers:
     """Coalition LPs with 4096 rows, which row generation solves on a few
     dozen; the verdicts are known by construction."""

@@ -49,9 +49,12 @@ from intervalgames import (
     weakly_better,
 )
 from intervalgames import classes, solutions
+from intervalgames.games import IntegerForm
 from intervalgames.lpcore import feasible
 from helpers import (
     endpoint_selections,
+    fraction_accepts,
+    fraction_shortfalls,
     majority_game,
     rand_additive_border_game,
     rand_additive_classical,
@@ -90,7 +93,6 @@ def test_system_rows_for_the_band_game():
     # rows, their order and the nonnegativity marks decide which vertex the
     # simplex returns, so every builder is pinned row by row
     lower, _ = border_games(BAND)
-    sums = solutions._coalition_sums((F(2), F(2)))
     assert core_system(lower) == LinearSystem(
         dim=2, equalities=(((1, 1), 1),), inequalities=(((1, 0), 1), ((0, 1), 1))
     )
@@ -108,13 +110,13 @@ def test_system_rows_for_the_band_game():
     )
     # the slack halves are the core rows of -l and u on their gaps; the
     # grand equality already implies the grand inequality, so there is none
-    assert solutions._lower_system(BAND, sums) == LinearSystem(
+    assert solutions._core_system(*solutions._slack_half(BAND, (F(2), F(2)), upper=False)) == LinearSystem(
         dim=2,
         equalities=(((-1, -1), -3),),
         inequalities=(((-1, 0), -1), ((0, -1), -1)),
         nonneg=frozenset({0, 1}),
     )
-    assert solutions._upper_system(BAND, sums) == LinearSystem(
+    assert solutions._core_system(*solutions._slack_half(BAND, (F(2), F(2)), upper=True)) == LinearSystem(
         dim=2,
         equalities=(((1, 1), 0),),
         inequalities=(((1, 0), 1), ((0, 1), 1)),
@@ -624,12 +626,12 @@ def lp_routes(system, *args) -> bool:
     return ok
 
 
-def lp_halves(w, sums) -> tuple[bool, bool]:
+def lp_halves(w, point) -> tuple[bool, bool]:
     """The full LP's verdict on each generated-core half, checked against
     row generation as in ``lp_routes``."""
     return tuple(
-        lp_routes(system, *solutions._slack_half(w, sums, upper))
-        for system, upper in ((solutions._lower_system(w, sums), False), (solutions._upper_system(w, sums), True))
+        lp_routes(solutions._core_system(*args), *args)
+        for args in (solutions._slack_half(w, point, upper) for upper in (False, True))
     )
 
 
@@ -644,19 +646,19 @@ class TestRowGeneration:
         worst = ClassicalGame(w.n, upper.values[:-1] + lower.values[-1:])
         for v in (lower, upper):
             x = core_witness(v)
-            assert (x is not None) == lp_routes(core_system(v), v.n, v.values, v.values)
+            assert (x is not None) == lp_routes(core_system(v), v.n, v.integer_form)
             assert x is None or satisfies(core_system(v), x)
             seen["core", x is not None] += 1
         x = strong_core_witness(w)
-        assert (x is not None) == lp_routes(strong_core_system(w), w.n, upper.values, lower.values)
+        lo, up, scale = w.integer_form
+        assert (x is not None) == lp_routes(strong_core_system(w), w.n, IntegerForm(up, lo, scale))
         assert x is None or satisfies(strong_core_system(w), x)
         seen["strong", x is not None] += 1
         got = is_strongly_balanced(w)
-        assert got == lp_routes(core_system(worst), w.n, worst.values, worst.values)
+        assert got == lp_routes(core_system(worst), w.n, worst.integer_form)
         seen["balanced", got] += 1
         for point in points:
-            sums = solutions._coalition_sums(point)
-            halves = lp_halves(w, sums)
+            halves = lp_halves(w, point)
             result = generated_core_witness(w, point)
             if isinstance(result, GeneratedCoreWitness):
                 assert halves == (True, True)
@@ -689,13 +691,12 @@ class TestRowGeneration:
         for kind in (SEEDED_KINDS[0], rand_degenerate_grand_convex, rand_additive_border_game):
             upper = border_games(kind(rng, 6))[1]
             x = core_witness(upper)
-            assert (x is not None) == lp_routes(core_system(upper), 6, upper.values, upper.values)
+            assert (x is not None) == lp_routes(core_system(upper), 6, upper.integer_form)
             assert x is None or satisfies(core_system(upper), x)
         # an embedded convex game at its lower corner: only the rise half is feasible
         w = embed_classical(rand_convex_classical(rng, 7))
         corner = tuple(w.worth(1 << i).lower for i in range(7))
-        sums = solutions._coalition_sums(corner)
-        halves = lp_halves(w, sums)
+        halves = lp_halves(w, corner)
         assert halves == (False, True)
         assert generated_core_witness(w, corner) == NotGenerated(*halves)
 
@@ -769,14 +770,14 @@ class TestConvexClosedForms:
     def points(self, rng, w, verdict):
         lower, upper = border_games(w)
         n = w.n
-        inside = solutions._marginal_vector(lower.values, range(n))
+        inside = solutions._marginal_vector(lower.integer_form, range(n))
         below = (inside[0] - 1,) + inside[1:]
         points = [
             tuple(w.worth(1 << i).lower for i in range(n)),
             tuple(w.worth(1 << i).upper for i in range(n)),
             inside,
             below,
-            solutions._marginal_vector(upper.values, range(n)[::-1]),
+            solutions._marginal_vector(upper.integer_form, range(n)[::-1]),
             rand_payoff(rng, n),
         ]
         if not verdict.coincident:
@@ -807,8 +808,8 @@ class TestConvexClosedForms:
         for point in self.points(rng, w, verdict):
             halves = plain_halves(w, point)
             if lp:
-                sums = solutions._coalition_sums(point)
-                systems = solutions._lower_system(w, sums), solutions._upper_system(w, sums)
+                halves_args = (solutions._slack_half(w, point, upper) for upper in (False, True))
+                systems = [solutions._core_system(*args) for args in halves_args]
                 assert halves == tuple(feasible(system)[0] for system in systems)
             result = generated_core_witness(w, point)
             if isinstance(result, GeneratedCoreWitness):
@@ -1075,6 +1076,83 @@ class TestBorderKernelCrossChecks:
             assert got == plain_interval_core_member(w, payoff)
             seen["core", got] += 1
         assert min(seen.values()) >= 10, seen
+
+
+def rescaled(w: IntervalGame, k: int) -> IntervalGame:
+    """w with its integer form on k times its scale, as the solvers build
+    sub-games: the same worths over a scale that is not the least one."""
+    lo, up, scale = w.integer_form
+    return IntervalGame._from_form(w.n, IntegerForm(tuple(k * a for a in lo), tuple(k * a for a in up), k * scale))
+
+
+def off_scale_points(rng: random.Random, x) -> list[tuple]:
+    """x, x with one payoff moved by 1/7, and x with 1/5 moved between two
+    players: the last two have denominators no game here is scaled by."""
+    n = len(x)
+    i, j = rng.randrange(n), rng.randrange(n)
+    step = rng.choice((F(1, 7), F(-1, 7)))
+    moved = [xi + step if k == i else xi for k, xi in enumerate(x)]
+    shifted = [xi + F(1, 5) * ((k == i) - (k == j)) for k, xi in enumerate(x)]
+    return [x, tuple(moved), tuple(shifted)] if i != j else [x, tuple(moved)]
+
+
+class TestIntegerBorderTest:
+    """Every point predicate runs the border test on integers: the payoff
+    scaled once to X / d, and X(S) * scale compared with lo(S) * d.  The
+    Fraction scan it replaced (``helpers.fraction_accepts``) is the oracle,
+    on games with negative worths, degenerate and nondegenerate grand
+    worths and non-least scales, and on payoffs whose denominators do not
+    divide the game's scale."""
+
+    def test_point_predicates_match_the_fraction_scan(self):
+        rng = random.Random(65)
+        seen = Counter()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            x = rand_payoff(rng, n)
+            # half of the grand worths are exactly [x(N), x(N)]
+            w = rescaled(game_around(rng, x, x), rng.choice((1, 1, 2, 3)))
+            lo, up = [iv.lower for iv in w.values], [iv.upper for iv in w.values]
+            selections = (*border_games(w), random_selection(rng, w))
+            for p in off_scale_points(rng, x):
+                widths = [rng.choice((F(0), F(1, 7))) for _ in range(n)]
+                payoff = tuple(Interval(a, a + e) for a, e in zip(p, widths))
+                highs = tuple(a + e for a, e in zip(p, widths))
+                verdicts = {
+                    "selection imputation": (is_selection_imputation(w, p), fraction_accepts(p, lo, up, False)),
+                    "selection core": (is_selection_core_member(w, p), fraction_accepts(p, lo, up, True)),
+                    "strong imputation": (is_strong_imputation(w, p), fraction_accepts(p, up, lo, False)),
+                    "strong core": (is_strong_core_member(w, p), fraction_accepts(p, up, lo, True)),
+                    "interval imputation": (
+                        is_interval_imputation(w, payoff),
+                        fraction_accepts(p, lo, lo, False) and fraction_accepts(highs, up, up, False),
+                    ),
+                    "interval core": (
+                        is_interval_core_member(w, payoff),
+                        fraction_accepts(p, lo, lo, True) and fraction_accepts(highs, up, up, True),
+                    ),
+                }
+                for v in selections:
+                    verdicts["imputation"] = (is_imputation(v, p), fraction_accepts(p, v.values, v.values, False))
+                    verdicts["core"] = (is_core_member(v, p), fraction_accepts(p, v.values, v.values, True))
+                    for name, (got, want) in verdicts.items():
+                        assert got == want, (name, w, p)
+                        seen[name, got] += 1
+        assert len(seen) == 16 and min(seen.values()) >= 10, seen
+
+    def test_shortfall_order_matches_the_fraction_scan(self):
+        # row generation adds the largest shortfalls first, ties by mask
+        rng = random.Random(66)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            x = rand_payoff(rng, n)
+            w = rescaled(game_around(rng, x, x), rng.choice((1, 2, 3)))
+            lo, up, scale = w.integer_form
+            for p in off_scale_points(rng, x):
+                for form in (IntegerForm(lo, up, scale), IntegerForm(up, lo, scale)):
+                    floor = [F(a, scale) for a in form.lower]
+                    got = [m for _, m in sorted(solutions._shortfalls(p, form))]
+                    assert got == [m for _, m in sorted(fraction_shortfalls(p, floor))]
 
 
 # ---------------------------------------------------------------------------
