@@ -90,6 +90,17 @@ class IntegerForm(NamedTuple):
     scale: int
 
 
+def _within(inner: IntegerForm, outer: IntegerForm) -> bool:
+    """Whether every worth interval of inner lies inside outer's for the same
+    coalition: a / p >= c / q is read as a * q >= c * p across the scales p
+    of inner and q of outer."""
+    p, q = inner.scale, outer.scale
+    return all(
+        c * p <= a * q and b * q <= d * p
+        for a, b, c, d in zip(inner.lower, inner.upper, outer.lower, outer.upper)
+    )
+
+
 class _Game:
     """Body shared by the two game types, which differ only in how a worth is
     coerced (``_coerce``), the empty coalition's worth (``_zero``), the noun
@@ -246,7 +257,7 @@ def is_selection(v: ClassicalGame, w: IntervalGame) -> bool:
     """Whether v picks a worth inside w's interval for every coalition."""
     if v.n != w.n:
         raise ValueError(f"player counts differ: {v.n} vs {w.n}")
-    return all(v.values[m] in w.values[m] for m in range(1 << w.n))
+    return _within(v.integer_form, w.integer_form)
 
 
 def embed_classical(v: ClassicalGame) -> IntervalGame:

@@ -4,9 +4,9 @@ Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
 nonnegativity marks on individual variables.  Feasibility uses a dense
 phase-one simplex on ``fractions.Fraction`` with Bland's rule (so no
 cycling, no tolerances).  Each call builds one tableau for its system and
-runs phase one on it once; the point it returns is checked against the
-system in ``_Tableau.solution``.  Every LP question of the solver asks
-for a feasible point, not an optimum, so phase one is the whole simplex.
+runs phase one on it once; ``_Tableau.solution`` checks the point it
+returns with ``satisfies``.  Every LP question of the solver asks for a
+feasible point, not an optimum, so phase one is the whole simplex.
 
 Vertex enumeration runs no simplex.  It uses the double-description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on the
@@ -44,12 +44,16 @@ ray with lam > 0 means an empty region.  The rays with lam = 0 and
 +-lineality generate the recession cone: the region is unbounded in +x_j
 or -x_j exactly when one of them moves x_j that way, and the first such
 direction in the order +x1, -x1, +x2, ... is reported.  Otherwise each ray
-r is the vertex X / D with X = r[1:] and D = r[0], checked in integers
-against the system's own rows (a . X >= b D, or = for an equality row, and
-X_j >= 0 on a mark) before it becomes Fractions.  Vertex output is sorted
-lexicographically, so identical systems always enumerate identically.  The
-work follows the rays met along the way, not the C(rows, dim) candidate
-bases of a basis walk.
+r is the vertex X / D with X = r[1:] and D = r[0], checked before it
+becomes Fractions.  Vertex output is sorted lexicographically, so identical
+systems always enumerate identically.  The work follows the rays met along
+the way, not the C(rows, dim) candidate bases of a basis walk.
+
+The simplex and double description share one point check,
+``_satisfies_integer``: the system's own rows, each scaled to coprime
+integers (a, b), hold at the point X / D when a . X >= b D (= for an
+equality row) and X_j >= 0 on a mark.  ``satisfies`` scales its point once
+to X / D and runs that check; a vertex arrives as X / D already.
 """
 
 from dataclasses import dataclass, field
@@ -105,17 +109,13 @@ class LinearSystem:
 
 
 def satisfies(system: LinearSystem, x) -> bool:
-    """Exact check of a candidate point against every row of the system."""
+    """Exact check of a candidate point against every row of the system: the
+    point is scaled once to integers X / D and checked on the integer rows."""
     point = tuple(as_fraction(v) for v in x)
     if len(point) != system.dim:
         raise ValueError(f"point has {len(point)} coordinates, expected {system.dim}")
-    for coeffs, rhs in system.equalities:
-        if sum(c * v for c, v in zip(coeffs, point) if c) != rhs:
-            return False
-    for coeffs, rhs in system.inequalities:
-        if sum(c * v for c, v in zip(coeffs, point) if c) < rhs:
-            return False
-    return all(point[j] >= 0 for j in system.nonneg)
+    X, D = integers(point)
+    return _satisfies_integer(_integer_system(system), X, D)
 
 
 def _integer_system(system: LinearSystem) -> tuple:
@@ -130,7 +130,7 @@ def _integer_system(system: LinearSystem) -> tuple:
 
 
 def _satisfies_integer(rows: tuple, X: list[int], D: int) -> bool:
-    """``satisfies`` for the point X / D (D > 0) on rows from ``_integer_system``:
+    """Whether the point X / D (D > 0) satisfies rows from ``_integer_system``:
     a . X = b D on equalities, a . X >= b D on inequalities, X_j >= 0 on marks."""
     equalities, inequalities, nonneg = rows
     for a, b in equalities:

@@ -15,11 +15,10 @@ Scalar = Fraction
 # q, or None for an integer.  Every pattern below is built from it.
 _RATIONAL = r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?"
 _SCALAR_RE = re.compile(_RATIONAL + r"\Z")
-_INTERVAL_RE = re.compile(rf"\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]\Z")
 # A worth: an interval (groups 1-4) or a bare rational (groups 5 and 6).
 _WORTH_RE = re.compile(rf"(?:\[\s*{_RATIONAL}\s*,\s*{_RATIONAL}\s*\]|{_RATIONAL})\Z")
 # Splits an interval at its comma, so that parse_scalar words the error of
-# a malformed endpoint.
+# a malformed endpoint; a text it does not match is no interval literal.
 _ENDPOINTS_RE = re.compile(r"\[([^,\[\]]+),([^,\[\]]+)\]\Z")
 
 
@@ -41,17 +40,12 @@ def parse_scalar(text: str) -> Fraction:
     match = _SCALAR_RE.match(text.strip())
     if not match:
         raise ValueError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
     try:
-        return _fraction(*match.groups())
+        # int raises ValueError on a literal longer than it converts
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
-
-
-def _fraction(num: str, den: str | None) -> Fraction:
-    """The value of a rational literal's two groups.  ``int`` raises
-    ``ValueError`` on a literal longer than it converts, and a zero
-    denominator raises ``ZeroDivisionError``."""
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 def parse_endpoints(text: str) -> tuple[int, int, int, int]:
@@ -73,8 +67,13 @@ def parse_endpoints(text: str) -> tuple[int, int, int, int]:
         else:
             if b and d and a * d <= c * b:
                 return a, b, c, d
-    # the Fraction readers word the error
-    iv = parse_interval(token) if token.startswith("[") else Interval(parse_scalar(token))
+    # refused: parse_scalar, or Interval on reversed endpoints, words the error
+    if not token.startswith("["):
+        return (*parse_scalar(token).as_integer_ratio(),) * 2
+    match = _ENDPOINTS_RE.match(token)
+    if not match:
+        raise ValueError(f"not an interval literal: {token!r}")
+    iv = Interval(parse_scalar(match.group(1)), parse_scalar(match.group(2)))
     return (*iv.lower.as_integer_ratio(), *iv.upper.as_integer_ratio())
 
 
@@ -168,18 +167,10 @@ def strictly_better(x: Interval, y: Interval) -> bool:
 def parse_interval(text: str) -> Interval:
     """Parse ``[p, q]`` with rational endpoints."""
     token = text.strip()
-    match = _INTERVAL_RE.match(token)
-    if match:
-        lo_num, lo_den, up_num, up_den = match.groups()
-        try:
-            return Interval(_fraction(lo_num, lo_den), _fraction(up_num, up_den))
-        except ZeroDivisionError:
-            pass
-    # no match, or a zero denominator: parse_scalar words the endpoint's error
-    match = _ENDPOINTS_RE.match(token)
-    if not match:
+    if not _ENDPOINTS_RE.match(token):
         raise ValueError(f"not an interval literal: {text!r}")
-    return Interval(parse_scalar(match.group(1)), parse_scalar(match.group(2)))
+    a, b, c, d = parse_endpoints(token)
+    return Interval(Fraction(a, b), Fraction(c, d))
 
 
 def format_interval(value: Interval) -> str:

@@ -55,30 +55,28 @@ the empty set, and y(S) is the sum of y over S.
   game returns its identity-order marginal vector, which also decides
   ``strong_core_witness`` (the upper border) and ``is_strongly_balanced``
   (the worst selection) whenever the game they solve is convex.
-* Tight sets.  Let y(S) >= lo(S) for every S, and call S tight when
-  equality holds.  For tight A and B, y(A | B) + y(A & B) = lo(A) + lo(B)
-  <= lo(A | B) + lo(A & B), while each term on the left is at least its
-  counterpart on the right; so both A | B and A & B are tight.  Hence the
-  minimal points of {y : y(S) >= lo(S) for every S} are exactly core(lo):
-  a point from which no coordinate can drop has every player in a tight
-  set, so their union N is tight, and a core point cannot drop at all.
-* Lower half.  Slacks l >= 0 with x - l in core(lo) exist iff x(S) >=
-  lo(S) for every S, N included.  Necessity: x(S) >= (x - l)(S) >= lo(S).
-  Sufficiency is the greedy of ``_greedy_core_point``: from y = x, each
-  player i in turn drops by the least slack y(S) - lo(S) over the S that
-  contain it.  That keeps every slack nonnegative (only sets holding i
-  change, each by at most its slack) and makes some S_i holding i tight.
-  A tight set stays tight: a later player j inside it drops by 0, and one
-  outside it does not touch it.  At the end every player lies in a tight
-  set, so N is tight and y is in core(lo).  When some x(S) < lo(S), no
-  drop is taken below zero, y stays under x, and y(S) < lo(S) remains; so
-  the border scan ``_accepts`` on the greedy point decides the half.
-* Upper half.  Slacks u >= 0 with x + u in core(up) exist iff x(S) +
-  up(N - S) <= up(N) for every S.  Write z = -(x + u) and f(S) = up(N - S)
-  - up(N), which is supermodular with f(empty) = 0.  Then x + u lies in
-  core(up) iff z(N) = f(N) and z(S) >= f(S) for every S, the latter being
-  (x + u)(N - S) >= up(N - S).  So the upper half is the lower half of -x
-  against f: the greedy raises x, and the condition is -x(S) >= f(S).
+* Slack halves.  On ``_slack_half``'s gap form g (lo - x for the sinks,
+  up - x for the rises), each half asks for z >= 0 with z(S) <= cap(S) for
+  every S and z(N) = cap(N).  Sinks l, with x - l in core(lo), are z = l
+  under cap = -g.  Rises u, with x + u in core(up), are z = u under cap(S)
+  = g(N) - g(N - S): given u(N) = g(N), u(N - S) >= g(N - S) reads u(S) <=
+  cap(S).  Both caps are submodular with cap(empty) = 0, as lo and up are
+  supermodular and x is additive.  A solution exists iff cap >= 0.
+  Necessity: cap(S) >= z(S) >= 0.  Sufficiency is the greedy of
+  ``_greedy_slack``: each player i in turn takes the least remaining cap
+  cap(S) - z(S) over the S that contain it.  That keeps every remaining
+  cap nonnegative (only sets holding i change, each by at most its
+  remainder) and makes some S_i holding i tight, z(S_i) = cap(S_i).  Tight
+  sets are closed under | and &: for tight A and B, z(A | B) + z(A & B) =
+  cap(A) + cap(B) >= cap(A | B) + cap(A & B), while each term on the left
+  is at most its counterpart on the right, so both are tight.  A tight
+  set stays tight: a later player inside it takes 0, and one outside it
+  does not touch it.  At the end every player lies in a tight set, so
+  their union N is tight and z solves the half.  When some cap(S) < 0, no
+  take falls below zero, and z(S) >= 0 > cap(S) remains; so the border
+  scan that ends row generation, ``_accepts(sign * z, g)``, decides the
+  half.  In x, the sinks exist iff x(S) >= lo(S) for every S, N included,
+  and the rises iff x(S) + up(N - S) <= up(N) for every S.
 * Coincidence.  On a convex lower border the lower half holds on all of
   SC, since SC asks x(S) >= lo(S) for proper S and x(N) >= lo(N).  If
   every proper coalition's worth is degenerate, the upper half holds too:
@@ -113,11 +111,12 @@ system.
 Each witness and counterexample is verified once, here, before it is
 returned: the simplex checks every point it returns against its active
 subsystem and row generation the rest (for the generated core, the two
-halves); every marginal vector and greedy core point passes ``_accepts``
-on its border; ``selection_core_witness`` checks its sub-game with
-``verify_selection_core_witness``; and ``core_coincidence`` checks its
-counterexample with the closed-form selection-core test.  Callers, the
-command line included, use the results without checking them again.
+halves); every marginal vector passes ``_accepts`` on its border, and every
+greedy slack on its half's gap form; ``selection_core_witness`` checks its
+sub-game with ``verify_selection_core_witness``, in integers; and
+``core_coincidence`` checks its counterexample with the closed-form
+selection-core test.  Callers, the command line included, use the results
+without checking them again.
 
 Off the supermodular interval class, the coincidence question is decided
 by vertices (``_coincidence_by_vertices``).  The generated set is the
@@ -141,6 +140,7 @@ from .games import (
     IntegerForm,
     IntervalGame,
     _as_interval,
+    _within,
     border_games,
     grand_coalition,
 )
@@ -301,40 +301,6 @@ def _marginal_vector(form: IntegerForm, order) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-def _greedy_core_point(x: tuple[Fraction, ...], form: IntegerForm, rise: bool) -> tuple[Fraction, ...] | None:
-    """A core point y <= x (y >= x when rise) of a convex border game, or
-    None when there is none; form is the border's, lower is upper.
-
-    Sinking: each player in turn drops by the least slack y(S) - border(S)
-    over the coalitions S that contain it, never below zero.  Raising is
-    sinking -x against the dual floor S -> border(N - S) - border(N).  The
-    greedy runs on integers over scale * d, d the least common denominator
-    of x, and the border scan decides: the greedy point is a core point
-    exactly when one exists (module docstring).
-    """
-    border, _, scale = form
-    sums, d = _scaled_sums(x, scale)
-    size = len(sums)
-    full = size - 1
-    sign = -1 if rise else 1
-    y = [sign * sums[1 << i] for i in range(len(x))]
-    if rise:
-        floor = [(border[full ^ m] - border[full]) * d for m in range(size)]
-    else:
-        floor = [b * d for b in border]
-    slack = [sign * s - f for s, f in zip(sums, floor)]
-    for i in range(len(y)):
-        bit = 1 << i
-        own = [m for m in range(bit, size) if m & bit]
-        drop = min([slack[m] for m in own])
-        if drop > 0:
-            y[i] -= drop
-            for m in own:
-                slack[m] -= drop
-    point = tuple(Fraction(sign * v, scale * d) for v in y)
-    return point if _accepts(point, form, core=True) else None
-
-
 # ---------------------------------------------------------------------------
 # classical game solutions
 
@@ -407,9 +373,7 @@ def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
     """Pure re-check of a witness sub-game: s lies inside w and x is in the
     core of every selection of s, which is the strong core of s."""
     point = _payoff(x, w.n)
-    if s.n != w.n:
-        return False
-    if any(s.worth(m) not in w.worth(m) for m in range(1, grand_coalition(w.n) + 1)):
+    if s.n != w.n or not _within(s.integer_form, w.integer_form):
         return False
     return is_strong_core_member(s, point)
 
@@ -455,6 +419,33 @@ def _slack_half(w: IntervalGame, point: tuple[Fraction, ...], upper: bool) -> tu
     return w.n, IntegerForm(gap, gap, scale * d), 1 if upper else -1, frozenset(range(w.n))
 
 
+def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[Fraction, ...] | None:
+    """The slack z of one half on a convex border, or None when it has none;
+    the arguments are ``_slack_half``'s, as for ``_core_feasible``, and every
+    z it builds is nonnegative, as nonneg asks.
+
+    With g the gap form's worths, z(S) is capped by cap = -g for sinks and
+    cap(S) = g(N) - g(N - S) for rises.  Each player in turn takes the least
+    remaining cap over the coalitions that contain it, never below 0, and
+    the border scan that ends row generation decides: the greedy slack is a
+    slack exactly when one exists (module docstring).
+    """
+    g, _, scale = form
+    full = grand_coalition(n)
+    cap = [-v for v in g] if sign < 0 else [g[full] - g[full ^ m] for m in range(full + 1)]
+    z = [0] * n
+    for i in range(n):
+        bit = 1 << i
+        own = [m for m in range(bit, full + 1) if m & bit]
+        take = min([cap[m] for m in own])
+        if take > 0:
+            z[i] = take
+            for m in own:
+                cap[m] -= take
+    slack = tuple(Fraction(v, scale) for v in z)
+    return slack if _accepts(slack if sign > 0 else tuple(-v for v in slack), form, core=True) else None
+
+
 def generated_core_system(w: IntervalGame, x) -> LinearSystem:
     """Joint system over (l, u) certifying that x is generated by the interval core.
 
@@ -482,17 +473,14 @@ def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGene
 
     The lower and upper halves share no variables, so each is decided once
     on its own: by the greedy when its border is convex, by row generation
-    otherwise.  Each half's point has passed the border scan, which
-    verifies the pair against the joint system.
+    otherwise, both on ``_slack_half``'s gap form.  Each half's slack has
+    passed the border scan, which verifies the pair against the joint system.
     """
     point = _payoff(x, w.n)
     slacks = []
     for border, upper in zip(border_games(w), (False, True)):
-        if check_classical(border, ClassicalProperty.CONVEX):
-            y = _greedy_core_point(point, border.integer_form, rise=upper)
-            slacks.append(None if y is None else tuple(b - a if upper else a - b for a, b in zip(point, y)))
-        else:
-            slacks.append(_core_feasible(*_slack_half(w, point, upper)))
+        solve = _greedy_slack if check_classical(border, ClassicalProperty.CONVEX) else _core_feasible
+        slacks.append(solve(*_slack_half(w, point, upper)))
     l, u = slacks
     if l is not None and u is not None:
         return GeneratedCoreWitness(l=l, u=u)

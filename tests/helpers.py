@@ -82,6 +82,18 @@ def fraction_accepts(point, lo, up, core: bool) -> bool:
     return next(fraction_shortfalls(point, lo), None) is None
 
 
+def fraction_satisfies(system: LinearSystem, point) -> bool:
+    """The row check in Fractions that ``lpcore.satisfies`` replaced with its
+    integer check, kept as its oracle."""
+    for coeffs, rhs in system.equalities:
+        if sum(c * v for c, v in zip(coeffs, point) if c) != rhs:
+            return False
+    for coeffs, rhs in system.inequalities:
+        if sum(c * v for c, v in zip(coeffs, point) if c) < rhs:
+            return False
+    return all(point[j] >= 0 for j in system.nonneg)
+
+
 def rand_additive_classical(rng: random.Random, n: int, lo: int = -4, hi: int = 8) -> ClassicalGame:
     a = [rand_fraction(rng, lo, hi) for _ in range(n)]
     return ClassicalGame(n=n, values=tuple(additive_worths(a, n)))

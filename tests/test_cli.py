@@ -444,9 +444,9 @@ def built_worths(w: IntervalGame) -> list[str]:
 
 
 class TestIntegerVerdicts:
-    """The verdicts read a parsed game's integer form, so a report builds
-    Fraction worths only to print them: none on convex borders, and for
-    ``sel-core`` only the game's, for its witness sub-game."""
+    """The verdicts read a parsed game's integer form, so a report builds no
+    Fraction worths of the parsed game or its borders: ``sel-core`` builds
+    only its witness sub-game's, to print them."""
 
     @pytest.mark.parametrize(
         "w, argv",
@@ -463,16 +463,12 @@ class TestIntegerVerdicts:
             (CONVEX_3, ["coincidence"]),
             (CRITERION_10, ["strong", "--payoff", "1,1,1,1"]),
             (CONVEX_3, ["strong", "--payoff", "1,3,5"]),
+            (UNIT, ["membership", "sel-core", "1,1"]),
         ],
     )
     def test_reports_build_no_fraction_worths(self, w, argv, parsed, game_file, capsys):
         run_cli([argv[0], game_file(w), *argv[1:]], capsys)
         assert [built_worths(game) for game in parsed] == [[]]
-
-    def test_sel_core_builds_only_the_game_worths(self, parsed, game_file, capsys):
-        code, out, _ = run_cli(["membership", game_file(UNIT), "sel-core", "1,1", "--format", "json"], capsys)
-        assert code == 0 and json.loads(out)["witness_subgame"] == {"1": "[0, 1]", "2": "[0, 1]", "1,2": "[2, 2]"}
-        assert [built_worths(game) for game in parsed] == [["game"]]
 
 
 class TestTwelvePlayers:

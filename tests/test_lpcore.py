@@ -28,6 +28,7 @@ from intervalgames.lpcore import (
     satisfies,
 )
 from helpers import (
+    fraction_satisfies,
     rand_additive_border_game,
     rand_convex_classical,
     rand_interval_game,
@@ -544,8 +545,9 @@ def rescaled(rng, system):
 
 
 class TestIntegerVertexCheck:
-    """enumerate_vertices checks each vertex X / D against the system's own
-    rows scaled to integers; that check must agree with satisfies."""
+    """satisfies and enumerate_vertices check points X / D against the
+    system's own rows scaled to integers; satisfies and that check must both
+    agree with the Fraction row check satisfies used to run."""
 
     def test_agrees_with_satisfies(self):
         rng = random.Random(67)
@@ -557,14 +559,15 @@ class TestIntegerVertexCheck:
             vertices = outcome(enumerate_vertices, system)
             if not isinstance(vertices, str):
                 for vertex in vertices[:6]:
-                    assert satisfies(system, vertex)
+                    assert fraction_satisfies(system, vertex)
                     step = F(rng.choice([-1, 1]), rng.randint(2, 7))
                     j = rng.randrange(system.dim)
                     points += [vertex, vertex[:j] + (vertex[j] + step,) + vertex[j + 1 :]]
             for point in points:
+                expected = fraction_satisfies(system, point)
+                assert satisfies(system, point) == expected
                 D = lcm(*(v.denominator for v in point)) * rng.randint(1, 3)
                 X = [int(v * D) for v in point]
-                expected = satisfies(system, point)
                 assert lpcore._satisfies_integer(rows, X, D) == expected
                 seen[expected, bool(system.equalities)] += 1
         assert min(seen.values()) >= 50

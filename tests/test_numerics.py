@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from intervalgames import (
     strictly_better,
     weakly_better,
 )
-from intervalgames.numerics import integers
+from intervalgames.numerics import integers, parse_endpoints
+from helpers import _oracle_parse_interval, _oracle_parse_scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -159,6 +161,39 @@ class TestIntervalText:
     @given(st_interval())
     def test_round_trip(self, x):
         assert parse_interval(format_interval(x)) == x
+
+    def test_matches_the_oracle_on_seeded_literals(self):
+        # parse_interval reads through parse_endpoints; both must accept what
+        # the old Fraction readers accepted and raise their messages byte for
+        # byte: parse_interval's quote the text as given, parse_endpoints's the
+        # stripped token
+        rng = random.Random(19)
+        pads = ["", " ", "  ", "\t", " \n"]
+        valid = ["0", "3", "-2", "+5", "7/2", "-3/4", "1 / 3", "12/8"]
+        bad = ["2/0", "-1/0", "a", "1/", "/2", "1.5", "--1", "", " "]
+
+        def outcome(read, text):
+            try:
+                iv = read(text)
+            except ValueError as exc:
+                return str(exc)
+            return iv if isinstance(iv, Interval) else Interval(Fraction(*iv[:2]), Fraction(*iv[2:]))
+
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            lo, up = (rng.choice(valid if rng.random() < 0.8 else bad) for _ in range(2))
+            body = f"[{rng.choice(pads)}{lo}{rng.choice(pads)},{rng.choice(pads)}{up}{rng.choice(pads)}]"
+            body = rng.choice([body, body, body, body[1:], body[:-1], f"[{body}]", lo, f"{body}]"])
+            text = rng.choice(pads) + body + rng.choice(pads)
+            token = text.strip()
+            expected = outcome(_oracle_parse_interval, text)
+            assert outcome(parse_interval, text) == expected
+            if token.startswith("["):
+                assert outcome(parse_endpoints, text) == outcome(_oracle_parse_interval, token)
+            else:
+                assert outcome(parse_endpoints, text) == outcome(lambda t: Interval(_oracle_parse_scalar(t)), token)
+            seen[isinstance(expected, Interval)] += 1
+        assert min(seen.values()) >= 200, seen
 
     def test_zero_interval_constant(self):
         assert ZERO_INTERVAL == Interval(0, 0)

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -32,6 +33,7 @@ from intervalgames import (
     is_imputation,
     is_interval_core_member,
     is_interval_imputation,
+    is_selection,
     is_selection_core_member,
     is_selection_imputation,
     is_strong_core_member,
@@ -285,6 +287,44 @@ class TestSelectionCoreWitness:
             assert s is not None and verify_selection_core_witness(w, x, s)
             for _ in range(4):
                 assert is_core_member(random_selection(rng, s), x)
+
+    def test_containment_matches_interval_containment(self):
+        # witnesses live on scale * d, d the denominator of x, and most of
+        # their endpoints touch w's; each forgery moves one endpoint by
+        # 1 / (scale * d), the least step on that scale, and Interval
+        # containment of the Fraction worths is the oracle
+        rng = random.Random(19)
+        seen = Counter()
+        for k in range(240):
+            n = 1 + k % 4
+            full = grand_coalition(n)
+            x = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(n))
+            sums = [plain_coalition_sum(x, m) for m in range(full + 1)]
+
+            def worth(m):
+                low = sums[m] - abs(rand_fraction(rng, 0, 2)) * rng.randint(0, 1)
+                high = max(low, sums[m]) if m == full else low + abs(rand_fraction(rng, 0, 3))
+                return Interval(low, high)
+
+            w = IntervalGame.from_function(n, worth)
+            s = selection_core_witness(w, x)
+            lower, upper, scale = s.integer_form
+            assert scale == w.integer_form.scale * lcm(*(v.denominator for v in x))
+            m = rng.randint(1, full)
+            lower, upper = list(lower), list(upper)
+            if rng.random() < 0.5:
+                lower[m] += rng.choice((-1, 1)) if lower[m] < upper[m] else -1
+            else:
+                upper[m] += rng.choice((-1, 1)) if lower[m] < upper[m] else 1
+            forged = IntervalGame._from_form(n, IntegerForm(tuple(lower), tuple(upper), scale))
+            inside = all(iv in outer for iv, outer in zip(forged.values, w.values))
+            ups, lows = [iv.upper for iv in forged.values], [iv.lower for iv in forged.values]
+            expected = inside and fraction_accepts(x, ups, lows, core=True)
+            assert verify_selection_core_witness(w, x, forged) == expected
+            selection = border_games(forged)[0]
+            assert is_selection(selection, w) == all(v in iv for v, iv in zip(lows, w.values))
+            seen[inside, expected] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestIntervalMembership:
