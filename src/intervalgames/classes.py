@@ -51,14 +51,59 @@ its border worths times one positive scale, which preserves every
 inequality exactly.  ``parse_game`` builds that form straight from the
 digits of a game file, and a game built from rational worths derives it
 once, on first use; the border and length games of an interval game share
-its scale.  ``classify`` decides every class of one interval game in one
-pass: it reads the lower, upper and length games' integers, and each
-kernel runs at most once per game, superadditivity reading the cached
-convexity verdict.
+its scale.
+
+Packed lanes.  From ``_PACKED_MIN_PLAYERS`` = 7 players on, the
+monotonicity and convexity kernels test every coalition at once for one
+player i or one pair i < j.  A border's 2^n worths become one Python int
+whose lane S, bits 64S to 64S + 63, holds coalition S: ``array("q")`` of
+the worths (native byte order, so it is byteswapped when ``sys.byteorder``
+is "big"), read by ``int.from_bytes`` as little-endian; XOR of every
+lane's top bit turns the two's complement v into the offset binary
+v + 2^63, and subtracting 2^63 - 2^61 from every lane leaves
+a(S) = v(S) + 2^61.  The lane bound is -2^61 <= v < 2^61 for every worth
+(bits 61, 62 and 63 of v's lane agree), so 0 <= a < 2^62.
+
+Shifting a packed border up by 64 * 2^i bits moves lane S to lane S + 2^i,
+which is S+i when i is outside S.  With G the top bit of every lane:
+
+* monotonicity of i: (lo | G) - (up << 64 * 2^i) holds
+  2^63 + a_lo(T) - a_up(T - i) in every lane T that holds i;
+* convexity of i < j: lane T holding both gets
+  2^63 + a_lo(T) + a_lo(T-i-j) - a_up(T-j) - a_up(T-i).
+
+The biases cancel, so the lane is 2^63 + d, d the local inequality's
+slack.  No carry or borrow crosses a lane: every lane of every operand is
+0 or some a in [0, 2^62) (lanes that hold no checked coalition hold other
+worths or zeros shifted in), so after each step of
+2^63 + a1 - a3 + a2 - a4 a lane lies in [0, 2^64); lanes above the last
+coalition may borrow, but a borrow only travels up.  As |d| < 2^63, the
+lane's top bit is set exactly when d >= 0, and one mask-compare with the
+top bits of the lanes holding i (and j) decides all of them.  Below the
+threshold, and on worths outside the lane bound, the loop kernels run;
+they are also the oracles of the packed ones.  From the threshold on, the
+loop first screens the coalitions of the first ``_SCREEN_PLAYERS`` = 4
+players, the first 16 lanes, whose local inequalities are among the
+n-player ones, so most games that fail are decided before anything is
+packed.
+
+Selection classes imply border classes.  As lo <= up, a selection
+inequality implies the border one on each side: up(S) <= lo(S+i) gives
+lo(S) <= up(S) <= lo(S+i) and up(S) <= lo(S+i) <= up(S+i);
+up(S+i) + up(S+j) <= lo(S+i+j) + lo(S) gives
+lo(S+i) + lo(S+j) <= up(S+i) + up(S+j) <= lo(S+i+j) + lo(S) and
+up(S+i) + up(S+j) <= lo(S+i+j) + lo(S) <= up(S+i+j) + up(S); and
+up(S) + up(T) <= lo(S | T) gives lo(S) + lo(T) <= lo(S | T) and
+up(S) + up(T) <= up(S | T).  So ``classify`` decides the selection
+classes first, runs for each border only the kernels its selection pair
+failed, decides each distinct game and property once, packing each game
+at most once, and reads the interval classes off the same verdicts.
 """
 
+import sys
+from array import array
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceededError
 from .games import ClassicalGame, IntervalGame, length_game
@@ -111,7 +156,8 @@ def _verdict(lo: tuple[int, ...], up: tuple[int, ...], n: int, prop: ClassicalPr
     kernel = _KERNELS.get(prop)
     if kernel is None:
         raise ValueError(f"unknown classical property: {prop!r}")
-    return kernel(lo, up, n)
+    left = _Border(lo, n)
+    return kernel(left, left if up is lo else _Border(up, n), n)
 
 
 def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
@@ -127,47 +173,71 @@ def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
 # the cache behind the public name reports its hits under that name too
 check_classical.cache_info = _verdict.cache_info
 
-
-def _interval_verdict(lower, upper, length, n: int, cls: IntervalClass) -> bool:
-    def holds(prop: ClassicalProperty, *games) -> bool:
-        return all(_verdict(g, g, n, prop) for g in games)
-
-    if cls is IntervalClass.SIZE_MONOTONIC:
-        return holds(ClassicalProperty.MONOTONIC, length)
-    if cls is IntervalClass.SUPERADDITIVE:
-        return holds(ClassicalProperty.SUPERADDITIVE, lower, upper, length)
-    if cls is IntervalClass.SUPERMODULAR:
-        return holds(ClassicalProperty.CONVEX, lower, upper)
-    if cls is IntervalClass.CONVEX:
-        return holds(ClassicalProperty.CONVEX, lower, upper, length)
-    raise ValueError(f"unknown interval class: {cls!r}")
+# each interval class: one classical property asked of the named games
+_INTERVAL_TERMS = {
+    IntervalClass.SIZE_MONOTONIC: (ClassicalProperty.MONOTONIC, ("length",)),
+    IntervalClass.SUPERADDITIVE: (ClassicalProperty.SUPERADDITIVE, ("lower", "upper", "length")),
+    IntervalClass.SUPERMODULAR: (ClassicalProperty.CONVEX, ("lower", "upper")),
+    IntervalClass.CONVEX: (ClassicalProperty.CONVEX, ("lower", "upper", "length")),
+}
 
 
 def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
     """Interval classes are conjunctions of classical properties of the
     border and length games."""
+    terms = _INTERVAL_TERMS.get(cls)
+    if terms is None:
+        raise ValueError(f"unknown interval class: {cls!r}")
+    prop, names = terms
     lower, upper, _ = w.integer_form
-    return _interval_verdict(lower, upper, length_game(w).integer_form.lower, w.n, cls)
+    worths = {"lower": lower, "upper": upper, "length": length_game(w).integer_form.lower}
+    return all(_verdict(worths[name], worths[name], w.n, prop) for name in names)
+
+
+def _decide(lo: "_Border", up: "_Border", n: int, implied=None) -> dict[ClassicalProperty, bool]:
+    """Monotonicity, convexity and superadditivity of the borders (lo, up),
+    each kernel run at most once; a property ``implied`` marks True holds
+    without a run."""
+    implied = implied or {}
+    out = {prop: implied.get(prop) or kernel(lo, up, n) for prop, kernel in _KERNELS.items()}
+    out[ClassicalProperty.SUPERADDITIVE] = (
+        implied.get(ClassicalProperty.SUPERADDITIVE)
+        or out[ClassicalProperty.CONVEX]
+        or _superadditive(lo.worths, up.worths, n)
+    )
+    return out
 
 
 def classify(w: IntervalGame) -> tuple[dict, dict[IntervalClass, bool], dict[SelectionClass, bool]]:
-    """Every class verdict of one game, each kernel run at most once.
+    """Every class verdict of one game, each decided once.
 
     Returns the classical properties of the lower, upper and length games
     (keyed by those names), the interval classes and the selection classes.
-    The three games are read from the integer form, and superadditivity
-    reads the convexity verdict of the same borders.
+    The selection classes are decided first, and a border runs only the
+    kernels its selection pair failed (module docstring).  Games with equal
+    worths share their verdicts, each game is packed at most once, and the
+    interval classes are read off the border and length verdicts.
     """
     lower, upper, _ = w.integer_form
-    length = length_game(w).integer_form.lower
     n = w.n
-    games = {
-        name: {prop: _verdict(g, g, n, prop) for prop in ClassicalProperty}
-        for name, g in (("lower", lower), ("upper", upper), ("length", length))
+    lo = _Border(lower, n)
+    up = lo if upper == lower else _Border(upper, n)
+    wide = _Border(length_game(w).integer_form.lower, n)
+    selection = _decide(lo, up, n)
+    # a degenerate game's borders are its selection pair
+    decided = [(lo, {**selection, ClassicalProperty.ADDITIVE: _additive(lower, n)})] if lo is up else []
+    games = {}
+    for name, game in (("lower", lo), ("upper", up), ("length", wide)):
+        verdicts = next((known for seen, known in decided if seen.worths == game.worths), None)
+        if verdicts is None:
+            verdicts = _decide(game, game, n, None if game is wide else selection)
+            verdicts[ClassicalProperty.ADDITIVE] = _additive(game.worths, n)
+            decided.append((game, verdicts))
+        games[name] = {prop: verdicts[prop] for prop in ClassicalProperty}
+    interval = {
+        cls: all(games[name][prop] for name in names) for cls, (prop, names) in _INTERVAL_TERMS.items()
     }
-    interval = {cls: _interval_verdict(lower, upper, length, n, cls) for cls in IntervalClass}
-    selection = {cls: _verdict(lower, upper, n, _SELECTION_TO_CLASSICAL[cls]) for cls in SelectionClass}
-    return games, interval, selection
+    return games, interval, {cls: selection[_SELECTION_TO_CLASSICAL[cls]] for cls in SelectionClass}
 
 
 def _monotonic(lo, up, n: int) -> bool:
@@ -267,12 +337,118 @@ def _convex_local(lo, up, n: int) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# packed kernels: one 64-bit lane per coalition (module docstring)
+
+_LANE = 64
+_LANE_BOUND = 1 << 61  # packed worths v keep -_LANE_BOUND <= v < _LANE_BOUND
+_GUARD = bytes(_LANE // 8 - 1) + b"\x80"  # a lane with only its top bit set
+_PACKED_MIN_PLAYERS = 7
+_SCREEN_PLAYERS = 4
+
+
+@lru_cache(maxsize=2)
+def _lane_masks(n: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """For 2^n lanes: the top bit of every lane, bits 62 and 63 of every
+    lane, 2^63 - _LANE_BOUND in every lane, and for each player i the top
+    bits of the lanes whose coalition holds i."""
+    size = 1 << n
+    guards = int.from_bytes(_GUARD * size, "little")
+    fit = int.from_bytes((bytes(_LANE // 8 - 1) + b"\xc0") * size, "little")
+    offset = ((1 << (_LANE - 1)) - _LANE_BOUND).to_bytes(_LANE // 8, "little") * size
+    owners = tuple(
+        int.from_bytes((bytes(_LANE // 8 << i) + _GUARD * (1 << i)) * (size >> (i + 1)), "little")
+        for i in range(n)
+    )
+    return guards, fit, int.from_bytes(offset, "little"), owners
+
+
+def _pack(worths: tuple[int, ...], n: int) -> int | None:
+    """Lane S of the result holds worths[S] + _LANE_BOUND, or None when a
+    worth is outside the lane bound."""
+    try:
+        raw = array("q", worths)
+    except OverflowError:
+        return None
+    if sys.byteorder == "big":
+        raw.byteswap()
+    packed = int.from_bytes(raw.tobytes(), "little")
+    guards, fit, offset, _ = _lane_masks(n)
+    # -2^61 <= v < 2^61 exactly when bits 61, 62 and 63 of v's lane agree
+    if (packed ^ (packed << 1)) & fit:
+        return None
+    return (packed ^ guards) - offset
+
+
+class _Border:
+    """A border's integer worths, packed into lanes on first use."""
+
+    def __init__(self, worths: tuple[int, ...], n: int):
+        self.worths = worths
+        self.n = n
+
+    @cached_property
+    def lanes(self) -> int | None:
+        return _pack(self.worths, self.n)
+
+
+def _monotonic_lanes(lo: int, up: int, n: int) -> bool:
+    # for each player i at once over every S: lane S+i holds
+    # 2^63 + lo(S+i) - up(S), whose top bit is set exactly when it holds
+    guards, _, _, owners = _lane_masks(n)
+    left = lo | guards
+    for i in range(n):
+        own = owners[i]
+        if (left - (up << (_LANE << i))) & own != own:
+            return False
+    return True
+
+
+def _convex_lanes(lo: int, up: int, n: int) -> bool:
+    # for each pair i < j at once over every S: lane S+i+j holds
+    # 2^63 + lo(S+i+j) + lo(S) - up(S+i) - up(S+j); the shifted borders are
+    # built only up to the first failing pair
+    guards, _, _, owners = _lane_masks(n)
+    left = lo | guards
+    bases = [left - (up << _LANE)]  # bases[i]: 2^63 + lo(S+i) - up(S) in lane S+i
+    for j in range(1, n):
+        step = _LANE << j
+        rise, low = up << step, lo << step
+        for i in range(j):
+            both = owners[i] & owners[j]
+            if (bases[i] + (low << (_LANE << i)) - rise) & both != both:
+                return False
+        bases.append(left - rise)
+    return True
+
+
+def _kernel(loop, packed, lo: _Border, up: _Border, n: int) -> bool:
+    """The packed kernel from ``_PACKED_MIN_PLAYERS`` players on, once the
+    loop has screened the first ``_SCREEN_PLAYERS`` players' coalitions;
+    the loop below the threshold and on worths outside the lane bound."""
+    if n < _PACKED_MIN_PLAYERS:
+        return loop(lo.worths, up.worths, n)
+    if not loop(lo.worths, up.worths, _SCREEN_PLAYERS):
+        return False
+    if lo.lanes is None or up.lanes is None:
+        return loop(lo.worths, up.worths, n)
+    return packed(lo.lanes, up.lanes, n)
+
+
+def _monotonic_kernel(lo: _Border, up: _Border, n: int) -> bool:
+    return _kernel(_monotonic_local, _monotonic_lanes, lo, up, n)
+
+
+def _convex_kernel(lo: _Border, up: _Border, n: int) -> bool:
+    return _kernel(_convex_local, _convex_lanes, lo, up, n)
+
+
 # the kernels every verdict runs (superadditivity is read off convexity in
 # _verdict), and the pair and 3^n scans they replaced, which stay as the
 # oracles the local forms are tested against
 _KERNELS = {
-    ClassicalProperty.MONOTONIC: _monotonic_local,
-    ClassicalProperty.CONVEX: _convex_local,
+    ClassicalProperty.MONOTONIC: _monotonic_kernel,
+    ClassicalProperty.CONVEX: _convex_kernel,
 }
 
 _ORACLE_KERNELS = {

@@ -115,8 +115,13 @@ def _vec(values) -> list[str]:
 
 
 def _game_entries(w: IntervalGame) -> dict[str, str]:
+    # read from the integer form: its endpoints are ordered already, so no
+    # Interval is built and checked again
     labels = coalition_labels(w.n)
-    return {labels[m]: format_interval(w.values[m]) for m in range(1, 1 << w.n)}
+    lower, upper, scale = w.integer_form
+    return {
+        labels[m]: f"[{Fraction(lower[m], scale)}, {Fraction(upper[m], scale)}]" for m in range(1, 1 << w.n)
+    }
 
 
 # ---------------------------------------------------------------------------

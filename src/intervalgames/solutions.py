@@ -436,7 +436,8 @@ def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[Fractio
     z = [0] * n
     for i in range(n):
         bit = 1 << i
-        own = [m for m in range(bit, full + 1) if m & bit]
+        # the coalitions holding i come in blocks of 2^i, every other block
+        own = [m for b in range(bit, full + 1, 2 * bit) for m in range(b, b + bit)]
         take = min([cap[m] for m in own])
         if take > 0:
             z[i] = take

@@ -443,11 +443,11 @@ BORDER_MAKERS = (
 )
 
 
-def seeded_border_pairs(seed: int, count: int):
-    """(lo, up), (lo, lo) and (up, up) of seeded games with n = 1..6."""
+def seeded_border_pairs(seed: int, count: int, players: int = 6):
+    """(lo, up), (lo, lo) and (up, up) of seeded games with n = 1..players."""
     rng = random.Random(seed)
     for k in range(count):
-        n = 1 + k % 6
+        n = 1 + k % players
         lo, up = BORDER_MAKERS[k % len(BORDER_MAKERS)](rng, n)
         for pair in ((lo, up), (lo, lo), (up, up)):
             yield n, pair
@@ -508,6 +508,124 @@ class TestLocalKernels:
             assert not check_selection_class(w, cls)
 
 
+def packed_verdicts(lo, up, n: int) -> dict:
+    """The packed kernels on (lo, up) at any n, or None outside the lane bound."""
+    lanes = classes._pack(tuple(lo), n), classes._pack(tuple(up), n)
+    if None in lanes:
+        return None
+    return {
+        ClassicalProperty.MONOTONIC: classes._monotonic_lanes(*lanes, n),
+        ClassicalProperty.CONVEX: classes._convex_lanes(*lanes, n),
+    }
+
+
+def kernel_verdicts(lo, up, n: int) -> dict:
+    """What every verdict runs: ``_KERNELS`` on the two borders."""
+    lo, up = classes._Border(tuple(lo), n), classes._Border(tuple(up), n)
+    return {prop: kernel(lo, up, n) for prop, kernel in classes._KERNELS.items()}
+
+
+LOOPS_AND_ORACLES = {prop: LOCAL_AND_ORACLE[prop] for prop in classes._KERNELS}
+
+
+def shifted(lo, up, by: int):
+    return [a + by for a in lo], [b + by for b in up]
+
+
+def scaled_to_the_bound(lo, up):
+    """A positive affine image of (lo, up), which keeps every verdict, whose
+    least worth is -2^61, the lane bound's, and whose greatest is below 2^61."""
+    least, most = min(lo), max(up)
+    k = ((1 << 62) - 1) // max(most - least, 1)
+    return shifted([k * a for a in lo], [k * b for b in up], -(1 << 61) - k * least)
+
+
+class TestPackedKernels:
+    """The packed kernels against the loops and the pair and 3^n oracles, on
+    both sides of the player threshold and at the lane bound."""
+
+    def test_packed_kernels_agree_with_the_loops_and_the_oracles(self):
+        seen = {(prop, big): {True: 0, False: 0}
+                for prop in LOOPS_AND_ORACLES for big in (False, True)}
+        for n, (lo, up) in seeded_border_pairs(36, 400, players=10):
+            packed = packed_verdicts(lo, up, n)
+            assert packed == kernel_verdicts(lo, up, n), (n, lo, up)
+            for prop, (loop, oracle) in LOOPS_AND_ORACLES.items():
+                verdict = loop(lo, up, n)
+                assert packed[prop] == verdict == oracle(lo, up, n), (prop, n, lo, up)
+                seen[prop, n >= classes._PACKED_MIN_PLAYERS][verdict] += 1
+        assert all(min(counts.values()) >= 40 for counts in seen.values()), seen
+
+    def test_worths_at_the_lane_bound(self):
+        # shifted to either end of the bound the packed kernels run and agree
+        # with the loops; one step past it and the loops decide alone
+        seen = {True: 0, False: 0}
+        for n, (lo, up) in seeded_border_pairs(37, 200, players=10):
+            expected = {prop: loop(lo, up, n) for prop, (loop, _) in LOOPS_AND_ORACLES.items()}
+            low = scaled_to_the_bound(lo, up)
+            high = shifted(*low, (1 << 61) - 1 - max(low[1]))
+            assert min(low[0]) == -(1 << 61) and max(high[1]) == (1 << 61) - 1
+            for inside in (low, high):
+                assert packed_verdicts(*inside, n) == kernel_verdicts(*inside, n) == expected, (n, lo, up)
+            for outside in (shifted(*low, -1), shifted(*high, 1)):
+                assert packed_verdicts(*outside, n) is None
+                assert kernel_verdicts(*outside, n) == expected, (n, lo, up)
+            seen[expected[ClassicalProperty.CONVEX]] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_the_lane_bound_is_tight(self):
+        for n in (1, 3, classes._PACKED_MIN_PLAYERS):
+            for worth, fits in (((1 << 61) - 1, True), (-(1 << 61), True), (1 << 61, False),
+                                (-(1 << 61) - 1, False), (1 << 63, False), (-(1 << 63) - 1, False)):
+                worths = [0] * (1 << n)
+                worths[-1] = worth
+                lanes = classes._pack(tuple(worths), n)
+                assert (lanes is not None) == fits, (n, worth)
+                if fits:
+                    assert lanes >> (64 * ((1 << n) - 1)) == worth + (1 << 61)
+
+    def test_the_player_count_and_the_worths_choose_the_kernel(self, monkeypatch):
+        runs = []
+
+        def recording(name, kernel):
+            def wrapped(lo, up, n):
+                runs.append((name, n))
+                return kernel(lo, up, n)
+
+            return wrapped
+
+        for name in ("_convex_local", "_convex_lanes"):
+            monkeypatch.setattr(classes, name, recording(name, getattr(classes, name)))
+        rng = random.Random(38)
+        threshold = classes._PACKED_MIN_PLAYERS
+        for n, packed in ((threshold - 1, False), (threshold, True), (threshold + 2, True)):
+            lo, up = convex_with_widths(rng, n)
+            # from the threshold on, the loop screens the first players'
+            # coalitions before the lanes decide
+            screen = [("_convex_local", classes._SCREEN_PLAYERS)] if packed else []
+            runs.clear()
+            assert classes._convex_kernel(classes._Border(tuple(lo), n), classes._Border(tuple(up), n), n)
+            assert runs == screen + [("_convex_lanes" if packed else "_convex_local", n)]
+            # past the bound, and too high for lo(S+1+n) + lo(S) at S empty,
+            # which the screen does not reach
+            up[1 << (n - 1)] = 1 << 61
+            runs.clear()
+            assert not classes._convex_kernel(classes._Border(tuple(lo), n), classes._Border(tuple(up), n), n)
+            assert runs == screen + [("_convex_local", n)]
+
+    def test_a_passing_selection_property_implies_the_border_property(self):
+        seen = dict.fromkeys(LOCAL_AND_ORACLE, 0)
+        for n, (lo, up) in seeded_border_pairs(39, 1800, players=8):
+            if lo is up:
+                continue
+            for prop, (local, oracle) in LOCAL_AND_ORACLE.items():
+                if local(lo, up, n):
+                    # the implication classify rests on, checked by the oracles
+                    assert oracle(lo, lo, n) and oracle(up, up, n), (prop, n, lo, up)
+                    seen[prop] += 1
+        assert min(seen.values()) >= 150, seen
+
+
 def _labels(lower, upper, length, interval, selection) -> dict:
     names = [p.value for p in ClassicalProperty]
     return {
@@ -556,6 +674,16 @@ class TestOneReport:
         out = [family(kind, n) for kind in sorted(FAMILY_LABELS) for n in (2, 4, 6)]
         out += [rand_interval_game(rng, 1 + k % 5) for k in range(60)]
         out += [embed_classical(rand_convex_classical(rng, 1 + k % 5)) for k in range(20)]
+        # from the packed kernels' threshold on: every family, selection
+        # classes passing and failing, lo = up, and borders equal to the
+        # length game (interval-superadditive's lower border is 0)
+        big = range(classes._PACKED_MIN_PLAYERS, classes._PACKED_MIN_PLAYERS + 3)
+        out += [family(kind, n) for kind in sorted(FAMILY_LABELS) for n in big]
+        for n in big:
+            out += [rand_interval_game(rng, n), embed_classical(rand_convex_classical(rng, n))]
+            for maker in (convex_with_widths, perturbed_upper, noisy_quadratic):
+                lo, up = maker(rng, n)
+                out.append(IntervalGame(n, list(zip(lo, up))))
         return out
 
     def test_classify_matches_the_single_checks(self):
@@ -582,13 +710,21 @@ class TestOneReport:
 
         for prop, name in ((ClassicalProperty.CONVEX, "convex"), (ClassicalProperty.MONOTONIC, "monotonic")):
             monkeypatch.setitem(classes._KERNELS, prop, counting(name, classes._KERNELS[prop]))
-        monkeypatch.setattr(classes, "_superadditive", counting("scan", classes._superadditive))
+        scan = classes._superadditive
+        monkeypatch.setattr(classes, "_superadditive", counting("scan", scan))
         for module in (games, numerics):
             monkeypatch.setattr(module, "integers", counting("integers", numerics.integers))
         monkeypatch.setattr(numerics.Interval, "__init__", counting("interval", numerics.Interval.__init__))
         rng = random.Random(35)
-        for _ in range(20):
-            text = format_game(rand_interval_game(rng, 4))
+        made = [rand_interval_game(rng, 4) for _ in range(20)]
+        made += [family(kind, n) for kind in sorted(FAMILY_LABELS) for n in (4, classes._PACKED_MIN_PLAYERS)]
+        made += [embed_classical(rand_convex_classical(rng, n)) for n in (4, classes._PACKED_MIN_PLAYERS)]
+        for n in (4, classes._PACKED_MIN_PLAYERS):
+            for maker in (convex_with_widths, perturbed_upper):
+                lo, up = maker(rng, n)
+                made.append(IntervalGame(n, list(zip(lo, up))))
+        kernels = {"convex": classes._convex_local, "monotonic": classes._monotonic_local}
+        for text in map(format_game, made):
             classes._verdict.cache_clear()
             for name in calls:
                 calls[name] = 0
@@ -598,12 +734,23 @@ class TestOneReport:
             # without building a Fraction worth or rescaling anything
             assert calls["integers"] == calls["interval"] == 0
             assert "values" not in vars(w)
-            # lower, upper and length games, and the selection borders, each
-            # once; the 3^n scan only for those that are not convex
+            # the selection pair once; a border only where its selection
+            # verdict failed (a degenerate game's borders are its selection
+            # pair); the length game once; games with equal worths once
+            n = w.n
             lower, upper, _ = w.integer_form
             length = tuple(b - a for a, b in zip(lower, upper))
-            distinct = len({lower, upper, length}) + 1
-            convex = [classes._convex_local(*pair, 4) for pair in
-                      ((lower, lower), (upper, upper), (length, length), (lower, upper))]
-            assert calls["convex"] == calls["monotonic"] == distinct
-            assert calls["scan"] <= convex.count(False)
+            selection = {name: kernel(lower, upper, n) for name, kernel in kernels.items()}
+            superadditive = selection["convex"] or scan(lower, upper, n)
+            expected = {"convex": 1, "monotonic": 1, "scan": int(not selection["convex"])}
+            decided = [lower] if lower == upper else []
+            for game in (lower, upper, length):
+                if game not in decided:
+                    decided.append(game)
+                    for name in kernels:
+                        expected[name] += game is length or not selection[name]
+                    # the 3^n scan where convexity failed and nothing implies
+                    # superadditivity
+                    implied = game is not length and superadditive
+                    expected["scan"] += not implied and not kernels["convex"](game, game, n)
+            assert {name: calls[name] for name in expected} == expected

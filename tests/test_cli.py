@@ -24,6 +24,7 @@ from intervalgames import (
 )
 from intervalgames import cli
 from intervalgames.cli import MEMBERSHIP_CONCEPTS, main
+from intervalgames.games import coalition_labels
 from helpers import (
     majority_game,
     rand_additive_border_game,
@@ -445,8 +446,8 @@ def built_worths(w: IntervalGame) -> list[str]:
 
 class TestIntegerVerdicts:
     """The verdicts read a parsed game's integer form, so a report builds no
-    Fraction worths of the parsed game or its borders: ``sel-core`` builds
-    only its witness sub-game's, to print them."""
+    Fraction worths of the parsed game or its borders; ``sel-core`` prints
+    its witness sub-game from the integer form too."""
 
     @pytest.mark.parametrize(
         "w, argv",
@@ -469,6 +470,18 @@ class TestIntegerVerdicts:
     def test_reports_build_no_fraction_worths(self, w, argv, parsed, game_file, capsys):
         run_cli([argv[0], game_file(w), *argv[1:]], capsys)
         assert [built_worths(game) for game in parsed] == [[]]
+
+    def test_the_witness_subgame_prints_without_its_worths(self, game_file, capsys, monkeypatch):
+        printed = []
+        entries = cli._game_entries
+        monkeypatch.setattr(cli, "_game_entries", lambda w: printed.append(w) or entries(w))
+        code, out, _ = run_cli(["membership", game_file(UNIT), "sel-core", "--format", "json", "1,1"], capsys)
+        assert code == 0 and len(printed) == 1
+        assert "values" not in vars(printed[0])
+        assert json.loads(out)["witness_subgame"] == {
+            label: format_interval(printed[0].values[m])
+            for m, label in enumerate(coalition_labels(printed[0].n)) if m
+        }
 
 
 class TestTwelvePlayers:
