@@ -15,11 +15,13 @@ builds its rational ``values`` on first read, for output and transforms.
 The border and length games are built once per interval game, on its scale.
 """
 
+import re
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import le, mul
 from typing import NamedTuple
 
 from .errors import GameFormatError
@@ -315,6 +317,15 @@ def coalition_labels(n: int) -> list[str]:
     return labels
 
 
+# The canonical layout that format_game writes: the header, then one
+# ``label [p, q]`` row per nonempty coalition, in mask order.  Each row's
+# groups are its label and the numerator and denominator strings of its two
+# endpoints ("" for an integer).  Only ASCII digits, signs, commas, slashes,
+# brackets and single spaces match, so no match spans or skips a line.
+_HEADER_RE = re.compile(r"players ([0-9]{1,2})\n")
+_ROW_RE = re.compile(r"^([0-9,]+) \[([+-]?[0-9]+)(?:/([0-9]+))?, ([+-]?[0-9]+)(?:/([0-9]+))?\]$", re.M)
+
+
 def parse_game(text: str) -> IntervalGame:
     """Parse the line-oriented game format.
 
@@ -325,14 +336,62 @@ def parse_game(text: str) -> IntervalGame:
     coalition is implied as [0, 0], and every nonempty coalition must
     appear exactly once.
 
-    A line costs one table lookup of its coalition among the canonical
-    labels and one pattern match of its worth, whose digit groups become
-    integer endpoints (``numerics.parse_endpoints``); only a label outside
-    the table (unsorted, zero-padded or malformed) is decoded player by
-    player.  The game is built in its integer form, over the least common
-    denominator of all its endpoints; no Fraction or Interval is built
-    until ``values`` is read.
+    A text in the canonical layout (``format_game``'s) is read in one
+    pattern pass (``_parse_canonical``); any other text, and every text
+    that is refused, goes through the line loop (``_parse_lines``), which
+    words every error.  Both build the game in its integer form, over the
+    least common denominator of all its endpoints; no Fraction or Interval
+    is built until ``values`` is read.
     """
+    game = _parse_canonical(text)
+    return _parse_lines(text) if game is None else game
+
+
+def _parse_canonical(text: str) -> IntervalGame | None:
+    """The game of a text in the canonical layout, or None for any other
+    text, including every text the line loop refuses.
+
+    ``findall`` skips a line it does not match, so the rows are trusted only
+    when there is one per line.  The labels must be the canonical table, in
+    order.  Each distinct denominator string gives one factor, and the
+    endpoints, scaled to the least common denominator, must not be
+    reversed."""
+    header = _HEADER_RE.match(text)
+    # a text whose first row is not coalition 1's skips the pattern pass, so
+    # a file of labels off the table costs no more than the line loop
+    if header is None or not text.endswith("\n") or not text.startswith("1 [", header.end()):
+        return None
+    n = int(header.group(1))
+    if not 1 <= n <= MAX_PLAYERS:
+        return None
+    body = text[header.end():]
+    rows = _ROW_RE.findall(body)
+    if len(rows) != body.count("\n"):
+        return None
+    labels, lo_nums, lo_dens, up_nums, up_dens = zip(*rows)
+    if list(labels) != coalition_labels(n)[1:]:
+        return None
+    try:
+        dens = {den: int(den or 1) for den in {*lo_dens, *up_dens}}
+        scale = lcm(*dens.values())
+        if not scale:  # a zero denominator
+            return None
+        factor = {den: scale // d for den, d in dens.items()}.__getitem__
+        lower = [0, *map(mul, map(int, lo_nums), map(factor, lo_dens))]
+        upper = [0, *map(mul, map(int, up_nums), map(factor, up_dens))]
+    except ValueError:  # a literal longer than int converts
+        return None
+    if not all(map(le, lower, upper)):
+        return None
+    return _least_form(n, lower, upper, scale)
+
+
+def _parse_lines(text: str) -> IntervalGame:
+    """``parse_game`` line by line, for any layout.  A line costs one table
+    lookup of its coalition among the canonical labels and one pattern match
+    of its worth, whose digit groups become integer endpoints
+    (``numerics.parse_endpoints``); only a label outside the table
+    (unsorted, zero-padded or malformed) is decoded player by player."""
     n = None
     ends: list = []
     labels: list[str] = []
@@ -382,16 +441,25 @@ def parse_game(text: str) -> IntervalGame:
     if scale > 1:
         lower = [a * (scale // b) for a, b in zip(lower, lower_den)]
         upper = [a * (scale // b) for a, b in zip(upper, upper_den)]
+    return _least_form(n, lower, upper, scale)
+
+
+def _least_form(n: int, lower, upper, scale: int) -> IntervalGame:
+    """The game of endpoints lower[m] / scale and upper[m] / scale, scale the
+    least common multiple of their unreduced denominators, over the least
+    common denominator of the reduced ones."""
+    if scale > 1:
         # the endpoints came unreduced, so scale = D * k for the least
         # common denominator D of the reduced ones, and every int is a
         # multiple of k; dividing by g leaves D, since no prime of D divides
         # all the ints over D: the reduced endpoint whose denominator holds
         # that prime's full power in D has a numerator free of it
         g = gcd(scale, *lower, *upper)
-        scale //= g
-        lower = tuple([a // g for a in lower])
-        upper = tuple([a // g for a in upper])
-    return IntervalGame._from_form(n, IntegerForm(lower, upper, scale))
+        if g > 1:
+            scale //= g
+            lower = [a // g for a in lower]
+            upper = [a // g for a in upper]
+    return IntervalGame._from_form(n, IntegerForm(tuple(lower), tuple(upper), scale))
 
 
 def _decimal(text: str) -> int | None:

@@ -55,7 +55,7 @@ the empty set, and y(S) is the sum of y over S.
   game returns its identity-order marginal vector, which also decides
   ``strong_core_witness`` (the upper border) and ``is_strongly_balanced``
   (the worst selection) whenever the game they solve is convex.
-* Slack halves.  On ``_slack_half``'s gap form g (lo - x for the sinks,
+* Slack halves.  On a ``_slack_halves`` gap form g (lo - x for the sinks,
   up - x for the rises), each half asks for z >= 0 with z(S) <= cap(S) for
   every S and z(N) = cap(N).  Sinks l, with x - l in core(lo), are z = l
   under cap = -g.  Rises u, with x + u in core(up), are z = u under cap(S)
@@ -409,20 +409,26 @@ def is_interval_core_member(w: IntervalGame, payoff) -> bool:
 # points generated by the interval core
 
 
-def _slack_half(w: IntervalGame, point: tuple[Fraction, ...], upper: bool) -> tuple:
-    """``_core_system`` arguments of one slack half.  Sink slacks l >= 0 with
-    x - l in the lower border core are -l on the gap lower - x; rise slacks
-    u >= 0 with x + u in the upper border core are u on the gap upper - x."""
+def _slack_halves(w: IntervalGame, point: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
+    """``_core_system`` arguments of the sink and the rise slack half, on one
+    scaling of x's coalition sums.  Sink slacks l >= 0 with x - l in the
+    lower border core are -l on the gap lower - x; rise slacks u >= 0 with
+    x + u in the upper border core are u on the gap upper - x."""
     lo, up, scale = w.integer_form
     sums, d = _scaled_sums(point, scale)
-    gap = [b * d - s for b, s in zip(up if upper else lo, sums)]
-    return w.n, IntegerForm(gap, gap, scale * d), 1 if upper else -1, frozenset(range(w.n))
+    nonneg = frozenset(range(w.n))
+
+    def half(border, sign):
+        gap = [b * d - s for b, s in zip(border, sums)]
+        return w.n, IntegerForm(gap, gap, scale * d), sign, nonneg
+
+    return half(lo, -1), half(up, 1)
 
 
 def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[Fraction, ...] | None:
     """The slack z of one half on a convex border, or None when it has none;
-    the arguments are ``_slack_half``'s, as for ``_core_feasible``, and every
-    z it builds is nonnegative, as nonneg asks.
+    the arguments are one of ``_slack_halves``, as for ``_core_feasible``,
+    and every z it builds is nonnegative, as nonneg asks.
 
     With g the gap form's worths, z(S) is capped by cap = -g for sinks and
     cap(S) = g(N) - g(N - S) for rises.  Each player in turn takes the least
@@ -436,13 +442,16 @@ def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[Fractio
     z = [0] * n
     for i in range(n):
         bit = 1 << i
-        # the coalitions holding i come in blocks of 2^i, every other block
-        own = [m for b in range(bit, full + 1, 2 * bit) for m in range(b, b + bit)]
-        take = min([cap[m] for m in own])
+        # the coalitions holding i come in blocks of 2^i, every other block:
+        # sliced block by block, or offset by offset when blocks outnumber offsets
+        parts = [slice(b, b + bit) for b in range(bit, full + 1, 2 * bit)]
+        if len(parts) > bit:
+            parts = [slice(o, None, 2 * bit) for o in range(bit, 2 * bit)]
+        take = min([min(cap[part]) for part in parts])
         if take > 0:
             z[i] = take
-            for m in own:
-                cap[m] -= take
+            for part in parts:
+                cap[part] = [c - take for c in cap[part]]
     slack = tuple(Fraction(v, scale) for v in z)
     return slack if _accepts(slack if sign > 0 else tuple(-v for v in slack), form, core=True) else None
 
@@ -455,7 +464,7 @@ def generated_core_system(w: IntervalGame, x) -> LinearSystem:
     the two independent halves.
     """
     point = _payoff(x, w.n)
-    lower, upper = (_core_system(*_slack_half(w, point, rise)) for rise in (False, True))
+    lower, upper = (_core_system(*half) for half in _slack_halves(w, point))
     zero = (0,) * w.n
 
     def stack(left, right):
@@ -474,14 +483,14 @@ def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGene
 
     The lower and upper halves share no variables, so each is decided once
     on its own: by the greedy when its border is convex, by row generation
-    otherwise, both on ``_slack_half``'s gap form.  Each half's slack has
+    otherwise, both on ``_slack_halves``' gap forms.  Each half's slack has
     passed the border scan, which verifies the pair against the joint system.
     """
     point = _payoff(x, w.n)
     slacks = []
-    for border, upper in zip(border_games(w), (False, True)):
+    for border, half in zip(border_games(w), _slack_halves(w, point)):
         solve = _greedy_slack if check_classical(border, ClassicalProperty.CONVEX) else _core_feasible
-        slacks.append(solve(*_slack_half(w, point, upper)))
+        slacks.append(solve(*half))
     l, u = slacks
     if l is not None and u is not None:
         return GeneratedCoreWitness(l=l, u=u)

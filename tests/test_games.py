@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalgames import (
+    FAMILY_KINDS,
     MAX_PLAYERS,
     ClassicalGame,
     GameFormatError,
@@ -25,6 +27,7 @@ from intervalgames import (
     truncate_grand,
 )
 from helpers import parse_game_oracle, rand_interval_game, random_selection
+from intervalgames import games
 from intervalgames.games import coalition_labels
 from intervalgames.numerics import integers
 
@@ -452,6 +455,97 @@ FORM_CASES = [
 ]
 
 
+def _canonical_texts(rng: random.Random) -> list[str]:
+    """Texts in the layout format_game writes: random games at every size up
+    to 8 (half of them degenerate), the families, extreme worths, and games
+    written as the benchmark corpus writes them (labels joined by hand,
+    Fraction endpoints over denominators 1 to 4)."""
+    texts = []
+    for n in range(1, 9):
+        w = rand_interval_game(rng, n)
+        texts += [format_game(w), format_game(IntervalGame(n, tuple(Interval(iv.upper) for iv in w.values)))]
+    texts += [format_game(family(kind, n)) for kind in FAMILY_KINDS for n in (2, 5, 10)]
+    huge = Fraction(-(2**80) - 1, 3**40)
+    texts.append(format_game(IntervalGame.from_function(3, lambda m: (huge * m, Fraction(2**90, 7) + m))))
+    for n in (1, 4, 9):
+        lines = [f"players {n}"]
+        for m in range(1, 1 << n):
+            lo = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4)))
+            up = lo + Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3, 4)))
+            label = ",".join(str(i + 1) for i in range(n) if m >> i & 1)
+            lines.append(f"{label} [{lo}, {up}]")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def _one_edit_variants(rng: random.Random, text: str) -> list[str]:
+    """Texts one edit away from a canonical text, each outside the layout
+    format_game writes: some still name the same or another game, the rest
+    are refused."""
+    header, *rows = text.splitlines()
+    n = int(header.split()[1])
+    i = rng.randrange(len(rows))
+    row = rows[i]
+    label, worth = row.split(" ", 1)
+    lo, up = worth[1:-1].split(", ")
+    wide = [k for k, r in enumerate(rows) if len(set(r.split(" ", 1)[1][1:-1].split(", "))) == 2]
+
+    def edited(new_row, at=i):
+        return "\n".join([header, *rows[:at], new_row, *rows[at + 1:]]) + "\n"
+
+    def spliced(char):
+        k = rng.randint(0, len(row))
+        return edited(row[:k] + char + row[k:])
+
+    digit = next(k for k, c in enumerate(worth) if c.isdigit())
+    breaks = ("\r", "\x0c", "\x1c", "\u2028")
+    variants = [spliced(c) for c in breaks] + [edited(row.replace(" ", c, 1)) for c in breaks] + [
+        edited(row + "  # comment"),
+        edited(row + "\n"),
+        edited(row.replace(" ", "  ", 1)),
+        edited(f"{label} [{lo},  {up}]"),
+        edited(f"{label} {lo}"),
+        edited(f"{label} [{lo.split('/')[0]}/0, {up}]"),
+        edited(f"{label} [{up}, {lo}]" if i in wide else f"{label} [1, 0]"),
+        edited(f"{label} [-{'9' * 5000}, {up}]"),
+        edited(row + "\n" + row),
+        edited("0" + row),
+        edited(f"{label} {worth[:digit]}{chr(0x660 + int(worth[digit]))}{worth[digit + 1:]}"),
+        text[:-1],
+        text + "# comment",
+        text.replace(header, "players 0", 1),
+        text.replace(header, "players 17", 1),
+        text.replace(header, f"players {chr(0x660 + n)}", 1) if n < 10 else text + "\n",
+    ]
+    if wide:
+        k = rng.choice(wide)
+        variants.append(edited(rows[k].replace("[", "[ ", 1), at=k))
+    if n > 1:
+        j = rng.choice([k for k in range(len(rows)) if k != i])
+        swapped = list(rows)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        variants.append("\n".join([header, *swapped]) + "\n")
+        several = [k for k, r in enumerate(rows) if "," in r.split(" ", 1)[0]]
+        k = rng.choice(several)
+        players, rest = rows[k].split(" ", 1)
+        variants.append(edited(",".join(reversed(players.split(","))) + " " + rest, at=k))
+    return variants
+
+
+def _assert_as_the_oracle(text: str) -> None:
+    """parse_game gives the oracle's game and integer form, or its message."""
+    try:
+        expected = parse_game_oracle(text)
+    except GameFormatError as exc:
+        with pytest.raises(GameFormatError) as got:
+            parse_game(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_game(text)
+        assert got == expected
+        assert got.integer_form == _oracle_form(expected)
+
+
 class TestParserAgainstOracle:
     """parse_game against the line loop it replaced (tests/helpers.py)."""
 
@@ -480,3 +574,34 @@ class TestParserAgainstOracle:
         with pytest.raises(GameFormatError) as got:
             parse_game(text)
         assert str(got.value) == str(expected.value)
+
+    def test_canonical_texts_and_their_one_edit_variants(self):
+        rng = random.Random(21)
+        for text in _canonical_texts(rng):
+            _assert_as_the_oracle(text)
+            for variant in _one_edit_variants(rng, text):
+                _assert_as_the_oracle(variant)
+        # the canonical rows of one player more than the format allows
+        rows = [f"{label} [0, 1]\n" for label in coalition_labels(MAX_PLAYERS + 1)[1:]]
+        _assert_as_the_oracle(f"players {MAX_PLAYERS + 1}\n" + "".join(rows))
+
+    def test_only_a_text_off_the_canonical_layout_reaches_the_line_loop(self, monkeypatch):
+        rng = random.Random(22)
+        texts = _canonical_texts(rng)
+        variants = [v for text in texts for v in _one_edit_variants(rng, text)]
+        line_loop = games._parse_lines
+        seen = []
+
+        def spy(text):
+            seen.append(text)
+            return line_loop(text)
+
+        monkeypatch.setattr(games, "_parse_lines", spy)
+        for text in texts:
+            assert parse_game(text) == parse_game_oracle(text)
+        assert seen == []
+        for variant in variants:
+            seen.clear()
+            with contextlib.suppress(GameFormatError):
+                parse_game(variant)
+            assert seen == [variant]

@@ -112,13 +112,14 @@ def test_system_rows_for_the_band_game():
     )
     # the slack halves are the core rows of -l and u on their gaps; the
     # grand equality already implies the grand inequality, so there is none
-    assert solutions._core_system(*solutions._slack_half(BAND, (F(2), F(2)), upper=False)) == LinearSystem(
+    sinks, rises = solutions._slack_halves(BAND, (F(2), F(2)))
+    assert solutions._core_system(*sinks) == LinearSystem(
         dim=2,
         equalities=(((-1, -1), -3),),
         inequalities=(((-1, 0), -1), ((0, -1), -1)),
         nonneg=frozenset({0, 1}),
     )
-    assert solutions._core_system(*solutions._slack_half(BAND, (F(2), F(2)), upper=True)) == LinearSystem(
+    assert solutions._core_system(*rises) == LinearSystem(
         dim=2,
         equalities=(((1, 1), 0),),
         inequalities=(((1, 0), 1), ((0, 1), 1)),
@@ -671,7 +672,7 @@ def lp_halves(w, point) -> tuple[bool, bool]:
     row generation as in ``lp_routes``."""
     return tuple(
         lp_routes(solutions._core_system(*args), *args)
-        for args in (solutions._slack_half(w, point, upper) for upper in (False, True))
+        for args in solutions._slack_halves(w, point)
     )
 
 
@@ -848,8 +849,7 @@ class TestConvexClosedForms:
         for point in self.points(rng, w, verdict):
             halves = plain_halves(w, point)
             if lp:
-                halves_args = (solutions._slack_half(w, point, upper) for upper in (False, True))
-                systems = [solutions._core_system(*args) for args in halves_args]
+                systems = [solutions._core_system(*args) for args in solutions._slack_halves(w, point)]
                 assert halves == tuple(feasible(system)[0] for system in systems)
             result = generated_core_witness(w, point)
             if isinstance(result, GeneratedCoreWitness):
