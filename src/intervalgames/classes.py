@@ -56,36 +56,39 @@ its scale.
 Packed lanes.  From ``_PACKED_MIN_PLAYERS`` = 7 players on, the
 monotonicity and convexity kernels test every coalition at once for one
 player i or one pair i < j.  A border's 2^n worths become one Python int
-whose lane S, bits 64S to 64S + 63, holds coalition S: ``array("q")`` of
-the worths (native byte order, so it is byteswapped when ``sys.byteorder``
-is "big"), read by ``int.from_bytes`` as little-endian; XOR of every
-lane's top bit turns the two's complement v into the offset binary
-v + 2^63, and subtracting 2^63 - 2^61 from every lane leaves
-a(S) = v(S) + 2^61.  The lane bound is -2^61 <= v < 2^61 for every worth
-(bits 61, 62 and 63 of v's lane agree), so 0 <= a < 2^62.
+whose lane S, bits W S to W S + W - 1, holds coalition S.  The lane width
+W is the narrowest of 16, 32 and 64 bits, or else the least multiple of
+64, such that every worth lies in [-2^(W-3), 2^(W-3)): bits W - 3, W - 2
+and W - 1 of v's two's complement lane agree.  Up to 64 bits the worths go
+through ``array`` (codes "h", "i", "q"; native byte order, so byteswapped
+when ``sys.byteorder`` is "big"), wider lanes through ``int.to_bytes``, and
+``int.from_bytes`` reads them as little-endian.  XOR of every lane's top
+bit turns the two's complement v into the offset binary v + 2^(W-1), and
+subtracting 2^(W-1) - 2^(W-3) from every lane leaves a(S) = v(S) + 2^(W-3),
+so 0 <= a < 2^(W-2).  A pair kernel packs both borders at the wider of
+their two widths, where both fit.
 
-Shifting a packed border up by 64 * 2^i bits moves lane S to lane S + 2^i,
+Shifting a packed border up by W 2^i bits moves lane S to lane S + 2^i,
 which is S+i when i is outside S.  With G the top bit of every lane:
 
-* monotonicity of i: (lo | G) - (up << 64 * 2^i) holds
-  2^63 + a_lo(T) - a_up(T - i) in every lane T that holds i;
+* monotonicity of i: (lo | G) - (up << W 2^i) holds
+  2^(W-1) + a_lo(T) - a_up(T - i) in every lane T that holds i;
 * convexity of i < j: lane T holding both gets
-  2^63 + a_lo(T) + a_lo(T-i-j) - a_up(T-j) - a_up(T-i).
+  2^(W-1) + a_lo(T) + a_lo(T-i-j) - a_up(T-j) - a_up(T-i).
 
-The biases cancel, so the lane is 2^63 + d, d the local inequality's
+The biases cancel, so the lane is 2^(W-1) + d, d the local inequality's
 slack.  No carry or borrow crosses a lane: every lane of every operand is
-0 or some a in [0, 2^62) (lanes that hold no checked coalition hold other
-worths or zeros shifted in), so after each step of
-2^63 + a1 - a3 + a2 - a4 a lane lies in [0, 2^64); lanes above the last
-coalition may borrow, but a borrow only travels up.  As |d| < 2^63, the
+0 or some a in [0, 2^(W-2)) (lanes that hold no checked coalition hold
+other worths or zeros shifted in), so after each step of
+2^(W-1) + a1 - a3 + a2 - a4 a lane lies in [0, 2^W); lanes above the last
+coalition may borrow, but a borrow only travels up.  As |d| < 2^(W-1), the
 lane's top bit is set exactly when d >= 0, and one mask-compare with the
 top bits of the lanes holding i (and j) decides all of them.  Below the
-threshold, and on worths outside the lane bound, the loop kernels run;
-they are also the oracles of the packed ones.  From the threshold on, the
-loop first screens the coalitions of the first ``_SCREEN_PLAYERS`` = 4
-players, the first 16 lanes, whose local inequalities are among the
-n-player ones, so most games that fail are decided before anything is
-packed.
+threshold the loop kernels run; they are also the oracles of the packed
+ones.  From the threshold on, the loop first screens the coalitions of the
+first ``_SCREEN_PLAYERS`` = 4 players, the first 16 lanes, whose local
+inequalities are among the n-player ones, so most games that fail are
+decided before anything is packed.
 
 Selection classes imply border classes.  As lo <= up, a selection
 inequality implies the border one on each side: up(S) <= lo(S+i) gives
@@ -338,85 +341,105 @@ def _convex_local(lo, up, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# packed kernels: one 64-bit lane per coalition (module docstring)
+# packed kernels: one W-bit lane per coalition (module docstring)
 
-_LANE = 64
-_LANE_BOUND = 1 << 61  # packed worths v keep -_LANE_BOUND <= v < _LANE_BOUND
-_GUARD = bytes(_LANE // 8 - 1) + b"\x80"  # a lane with only its top bit set
+_ARRAY_WIDTHS = tuple((code, 8 * array(code).itemsize) for code in "hiq")
 _PACKED_MIN_PLAYERS = 7
 _SCREEN_PLAYERS = 4
 
 
-@lru_cache(maxsize=2)
-def _lane_masks(n: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """For 2^n lanes: the top bit of every lane, bits 62 and 63 of every
-    lane, 2^63 - _LANE_BOUND in every lane, and for each player i the top
-    bits of the lanes whose coalition holds i."""
+@lru_cache(maxsize=4)
+def _lane_masks(n: int, width: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """For 2^n lanes of width bits: the top bit of every lane, the top two
+    bits of every lane, 2^(width-1) - 2^(width-3) in every lane, and for each
+    player i the top bits of the lanes whose coalition holds i."""
     size = 1 << n
-    guards = int.from_bytes(_GUARD * size, "little")
-    fit = int.from_bytes((bytes(_LANE // 8 - 1) + b"\xc0") * size, "little")
-    offset = ((1 << (_LANE - 1)) - _LANE_BOUND).to_bytes(_LANE // 8, "little") * size
+    zeros = bytes(width // 8 - 1)
+    guard = zeros + b"\x80"  # a lane with only its top bit set
+    guards = int.from_bytes(guard * size, "little")
+    fit = int.from_bytes((zeros + b"\xc0") * size, "little")
+    offset = ((1 << (width - 1)) - (1 << (width - 3))).to_bytes(width // 8, "little") * size
     owners = tuple(
-        int.from_bytes((bytes(_LANE // 8 << i) + _GUARD * (1 << i)) * (size >> (i + 1)), "little")
+        int.from_bytes((bytes(width // 8 << i) + guard * (1 << i)) * (size >> (i + 1)), "little")
         for i in range(n)
     )
     return guards, fit, int.from_bytes(offset, "little"), owners
 
 
-def _pack(worths: tuple[int, ...], n: int) -> int | None:
-    """Lane S of the result holds worths[S] + _LANE_BOUND, or None when a
-    worth is outside the lane bound."""
-    try:
-        raw = array("q", worths)
-    except OverflowError:
-        return None
-    if sys.byteorder == "big":
-        raw.byteswap()
-    packed = int.from_bytes(raw.tobytes(), "little")
-    guards, fit, offset, _ = _lane_masks(n)
-    # -2^61 <= v < 2^61 exactly when bits 61, 62 and 63 of v's lane agree
-    if (packed ^ (packed << 1)) & fit:
-        return None
-    return (packed ^ guards) - offset
+def _pack(worths: tuple[int, ...], n: int, least: int = 16) -> tuple[int, int]:
+    """(lanes, W): lane S of lanes holds worths[S] + 2^(W-3), W the
+    narrowest of 16, 32 and 64 bits from least on, or else the least
+    multiple of 64 from least on, such that every worth lies in
+    [-2^(W-3), 2^(W-3))."""
+    for code, width in _ARRAY_WIDTHS:
+        if width < least:
+            continue
+        try:
+            raw = array(code, worths)
+        except OverflowError:
+            continue
+        if sys.byteorder == "big":
+            raw.byteswap()
+        packed = int.from_bytes(raw.tobytes(), "little")
+        guards, fit, offset, _ = _lane_masks(n, width)
+        # -2^(W-3) <= v < 2^(W-3) exactly when the top three bits of v's lane agree
+        if not (packed ^ (packed << 1)) & fit:
+            return (packed ^ guards) - offset, width
+    bits = max(max(worths), ~min(worths)).bit_length() + 3
+    width = max(least, -(-bits // 64) * 64)
+    packed = int.from_bytes(b"".join(v.to_bytes(width // 8, "little", signed=True) for v in worths), "little")
+    guards, _, offset, _ = _lane_masks(n, width)
+    return (packed ^ guards) - offset, width
 
 
 class _Border:
-    """A border's integer worths, packed into lanes on first use."""
+    """A border's integer worths, packed into lanes on first use at each
+    width."""
 
     def __init__(self, worths: tuple[int, ...], n: int):
         self.worths = worths
         self.n = n
+        self._lanes = {}
 
     @cached_property
-    def lanes(self) -> int | None:
-        return _pack(self.worths, self.n)
+    def width(self) -> int:
+        """The narrowest lane width that fits every worth."""
+        lanes, width = _pack(self.worths, self.n)
+        self._lanes[width] = lanes
+        return width
+
+    def lanes(self, width: int) -> int:
+        """The worths packed at a width of at least ``self.width``."""
+        if width not in self._lanes:
+            self._lanes[width] = _pack(self.worths, self.n, width)[0]
+        return self._lanes[width]
 
 
-def _monotonic_lanes(lo: int, up: int, n: int) -> bool:
+def _monotonic_lanes(lo: int, up: int, n: int, width: int) -> bool:
     # for each player i at once over every S: lane S+i holds
-    # 2^63 + lo(S+i) - up(S), whose top bit is set exactly when it holds
-    guards, _, _, owners = _lane_masks(n)
+    # 2^(W-1) + lo(S+i) - up(S), whose top bit is set exactly when it holds
+    guards, _, _, owners = _lane_masks(n, width)
     left = lo | guards
     for i in range(n):
         own = owners[i]
-        if (left - (up << (_LANE << i))) & own != own:
+        if (left - (up << (width << i))) & own != own:
             return False
     return True
 
 
-def _convex_lanes(lo: int, up: int, n: int) -> bool:
+def _convex_lanes(lo: int, up: int, n: int, width: int) -> bool:
     # for each pair i < j at once over every S: lane S+i+j holds
-    # 2^63 + lo(S+i+j) + lo(S) - up(S+i) - up(S+j); the shifted borders are
-    # built only up to the first failing pair
-    guards, _, _, owners = _lane_masks(n)
+    # 2^(W-1) + lo(S+i+j) + lo(S) - up(S+i) - up(S+j); the shifted borders
+    # are built only up to the first failing pair
+    guards, _, _, owners = _lane_masks(n, width)
     left = lo | guards
-    bases = [left - (up << _LANE)]  # bases[i]: 2^63 + lo(S+i) - up(S) in lane S+i
+    bases = [left - (up << width)]  # bases[i]: 2^(W-1) + lo(S+i) - up(S) in lane S+i
     for j in range(1, n):
-        step = _LANE << j
+        step = width << j
         rise, low = up << step, lo << step
         for i in range(j):
             both = owners[i] & owners[j]
-            if (bases[i] + (low << (_LANE << i)) - rise) & both != both:
+            if (bases[i] + (low << (width << i)) - rise) & both != both:
                 return False
         bases.append(left - rise)
     return True
@@ -424,15 +447,15 @@ def _convex_lanes(lo: int, up: int, n: int) -> bool:
 
 def _kernel(loop, packed, lo: _Border, up: _Border, n: int) -> bool:
     """The packed kernel from ``_PACKED_MIN_PLAYERS`` players on, once the
-    loop has screened the first ``_SCREEN_PLAYERS`` players' coalitions;
-    the loop below the threshold and on worths outside the lane bound."""
+    loop has screened the first ``_SCREEN_PLAYERS`` players' coalitions, at
+    the wider of the two borders' lane widths; the loop below the
+    threshold."""
     if n < _PACKED_MIN_PLAYERS:
         return loop(lo.worths, up.worths, n)
     if not loop(lo.worths, up.worths, _SCREEN_PLAYERS):
         return False
-    if lo.lanes is None or up.lanes is None:
-        return loop(lo.worths, up.worths, n)
-    return packed(lo.lanes, up.lanes, n)
+    width = max(lo.width, up.width)
+    return packed(lo.lanes(width), up.lanes(width), n, width)
 
 
 def _monotonic_kernel(lo: _Border, up: _Border, n: int) -> bool:

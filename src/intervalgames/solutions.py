@@ -215,11 +215,12 @@ def _scaled_sums(point: tuple[Fraction, ...], scale: int) -> tuple[list[int], in
     """(sums, d): d is the least common denominator of x, and sums[m] is
     x(S) * scale * d, an integer, for the coalition S with bitmask m."""
     ints, d = integers(point)
-    x = [a * scale for a in ints]
-    sums = [0] * (1 << len(x))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + x[low.bit_length() - 1]
+    sums = [0]
+    for a in ints:
+        # the coalitions holding this player follow, in mask order, those
+        # of the players before it
+        xi = a * scale
+        sums += [s + xi for s in sums]
     return sums, d
 
 

@@ -508,14 +508,20 @@ class TestLocalKernels:
             assert not check_selection_class(w, cls)
 
 
-def packed_verdicts(lo, up, n: int) -> dict:
-    """The packed kernels on (lo, up) at any n, or None outside the lane bound."""
-    lanes = classes._pack(tuple(lo), n), classes._pack(tuple(up), n)
-    if None in lanes:
-        return None
+# the lane widths the packer chooses among: the array codes' and the first
+# multiple of 64 past them
+WIDTHS = (16, 32, 64, 128)
+NEXT_WIDTH = dict(zip(WIDTHS, WIDTHS[1:] + (192,)))
+
+
+def packed_verdicts(lo, up, n: int, width: int) -> dict:
+    """The packed kernels on (lo, up) at any n, both borders packed at
+    ``width``, which must hold their worths."""
+    (low, low_width), (high, high_width) = (classes._pack(tuple(v), n, width) for v in (lo, up))
+    assert low_width == high_width == width, (low_width, high_width, width)
     return {
-        ClassicalProperty.MONOTONIC: classes._monotonic_lanes(*lanes, n),
-        ClassicalProperty.CONVEX: classes._convex_lanes(*lanes, n),
+        ClassicalProperty.MONOTONIC: classes._monotonic_lanes(low, high, n, width),
+        ClassicalProperty.CONVEX: classes._convex_lanes(low, high, n, width),
     }
 
 
@@ -525,6 +531,11 @@ def kernel_verdicts(lo, up, n: int) -> dict:
     return {prop: kernel(lo, up, n) for prop, kernel in classes._KERNELS.items()}
 
 
+def pair_width(lo, up, n: int) -> int:
+    """The width a pair kernel packs (lo, up) at."""
+    return max(classes._Border(tuple(lo), n).width, classes._Border(tuple(up), n).width)
+
+
 LOOPS_AND_ORACLES = {prop: LOCAL_AND_ORACLE[prop] for prop in classes._KERNELS}
 
 
@@ -532,86 +543,127 @@ def shifted(lo, up, by: int):
     return [a + by for a in lo], [b + by for b in up]
 
 
-def scaled_to_the_bound(lo, up):
+def scaled_to_the_bound(lo, up, bound: int):
     """A positive affine image of (lo, up), which keeps every verdict, whose
-    least worth is -2^61, the lane bound's, and whose greatest is below 2^61."""
+    least worth is -bound and whose greatest is below bound."""
     least, most = min(lo), max(up)
-    k = ((1 << 62) - 1) // max(most - least, 1)
-    return shifted([k * a for a in lo], [k * b for b in up], -(1 << 61) - k * least)
+    k = (2 * bound - 1) // max(most - least, 1)
+    assert k >= 1, (bound, least, most)
+    return shifted([k * a for a in lo], [k * b for b in up], -bound - k * least)
+
+
+def recording(runs: list, name: str, kernel):
+    def wrapped(*args):
+        runs.append((name, *args))
+        return kernel(*args)
+
+    return wrapped
 
 
 class TestPackedKernels:
     """The packed kernels against the loops and the pair and 3^n oracles, on
-    both sides of the player threshold and at the lane bound."""
+    both sides of the player threshold, at every lane width and at each
+    width's bound."""
 
     def test_packed_kernels_agree_with_the_loops_and_the_oracles(self):
         seen = {(prop, big): {True: 0, False: 0}
                 for prop in LOOPS_AND_ORACLES for big in (False, True)}
         for n, (lo, up) in seeded_border_pairs(36, 400, players=10):
-            packed = packed_verdicts(lo, up, n)
-            assert packed == kernel_verdicts(lo, up, n), (n, lo, up)
+            expected = kernel_verdicts(lo, up, n)
+            for width in WIDTHS:
+                assert packed_verdicts(lo, up, n, width) == expected, (width, n, lo, up)
             for prop, (loop, oracle) in LOOPS_AND_ORACLES.items():
                 verdict = loop(lo, up, n)
-                assert packed[prop] == verdict == oracle(lo, up, n), (prop, n, lo, up)
+                assert expected[prop] == verdict == oracle(lo, up, n), (prop, n, lo, up)
                 seen[prop, n >= classes._PACKED_MIN_PLAYERS][verdict] += 1
         assert all(min(counts.values()) >= 40 for counts in seen.values()), seen
 
     def test_worths_at_the_lane_bound(self):
-        # shifted to either end of the bound the packed kernels run and agree
-        # with the loops; one step past it and the loops decide alone
+        # scaled to either end of a width's bound the worths pack at that
+        # width and the packed kernels agree with the loops; one step past
+        # either end they pack at the next width and still agree
         seen = {True: 0, False: 0}
         for n, (lo, up) in seeded_border_pairs(37, 200, players=10):
             expected = {prop: loop(lo, up, n) for prop, (loop, _) in LOOPS_AND_ORACLES.items()}
-            low = scaled_to_the_bound(lo, up)
-            high = shifted(*low, (1 << 61) - 1 - max(low[1]))
-            assert min(low[0]) == -(1 << 61) and max(high[1]) == (1 << 61) - 1
-            for inside in (low, high):
-                assert packed_verdicts(*inside, n) == kernel_verdicts(*inside, n) == expected, (n, lo, up)
-            for outside in (shifted(*low, -1), shifted(*high, 1)):
-                assert packed_verdicts(*outside, n) is None
-                assert kernel_verdicts(*outside, n) == expected, (n, lo, up)
+            for width in WIDTHS:
+                bound = 1 << (width - 3)
+                low = scaled_to_the_bound(lo, up, bound)
+                high = shifted(*low, bound - 1 - max(low[1]))
+                assert min(low[0]) == -bound and max(high[1]) == bound - 1
+                past = shifted(*low, -1), shifted(*high, 1)
+                for at, pairs in ((width, (low, high)), (NEXT_WIDTH[width], past)):
+                    for pair in pairs:
+                        assert pair_width(*pair, n) == at, (width, n, lo, up)
+                        verdicts = packed_verdicts(*pair, n, at)
+                        assert verdicts == kernel_verdicts(*pair, n) == expected, (width, n, lo, up)
             seen[expected[ClassicalProperty.CONVEX]] += 1
         assert min(seen.values()) >= 50, seen
 
     def test_the_lane_bound_is_tight(self):
+        # a worth packs at the narrowest width whose bound holds it, past
+        # either end of the bound and past the array code's range at the
+        # next, and every lane holds its worth plus 2^(W-3)
         for n in (1, 3, classes._PACKED_MIN_PLAYERS):
-            for worth, fits in (((1 << 61) - 1, True), (-(1 << 61), True), (1 << 61, False),
-                                (-(1 << 61) - 1, False), (1 << 63, False), (-(1 << 63) - 1, False)):
-                worths = [0] * (1 << n)
-                worths[-1] = worth
-                lanes = classes._pack(tuple(worths), n)
-                assert (lanes is not None) == fits, (n, worth)
-                if fits:
-                    assert lanes >> (64 * ((1 << n) - 1)) == worth + (1 << 61)
+            for width in WIDTHS:
+                bound, top = 1 << (width - 3), 1 << (width - 1)
+                for worth, at in ((bound - 1, width), (-bound, width), (bound, NEXT_WIDTH[width]),
+                                  (-bound - 1, NEXT_WIDTH[width]), (top, NEXT_WIDTH[width]),
+                                  (-top - 1, NEXT_WIDTH[width])):
+                    worths = [0] * (1 << n)
+                    worths[-1] = worth
+                    lanes = sum((v + (1 << (at - 3))) << (at * s) for s, v in enumerate(worths))
+                    assert classes._pack(tuple(worths), n) == (lanes, at), (n, worth)
 
     def test_the_player_count_and_the_worths_choose_the_kernel(self, monkeypatch):
         runs = []
-
-        def recording(name, kernel):
-            def wrapped(lo, up, n):
-                runs.append((name, n))
-                return kernel(lo, up, n)
-
-            return wrapped
-
         for name in ("_convex_local", "_convex_lanes"):
-            monkeypatch.setattr(classes, name, recording(name, getattr(classes, name)))
+            monkeypatch.setattr(classes, name, recording(runs, name, getattr(classes, name)))
         rng = random.Random(38)
         threshold = classes._PACKED_MIN_PLAYERS
         for n, packed in ((threshold - 1, False), (threshold, True), (threshold + 2, True)):
             lo, up = convex_with_widths(rng, n)
-            # from the threshold on, the loop screens the first players'
-            # coalitions before the lanes decide
-            screen = [("_convex_local", classes._SCREEN_PLAYERS)] if packed else []
-            runs.clear()
-            assert classes._convex_kernel(classes._Border(tuple(lo), n), classes._Border(tuple(up), n), n)
-            assert runs == screen + [("_convex_lanes" if packed else "_convex_local", n)]
-            # past the bound, and too high for lo(S+1+n) + lo(S) at S empty,
-            # which the screen does not reach
-            up[1 << (n - 1)] = 1 << 61
-            runs.clear()
-            assert not classes._convex_kernel(classes._Border(tuple(lo), n), classes._Border(tuple(up), n), n)
-            assert runs == screen + [("_convex_local", n)]
+            for width, passes in ((16, True), (128, False)):
+                if width == 128:
+                    # too high for lo(S+1+n) + lo(S) at S empty, which the
+                    # screen does not reach, and wider than 64 bits: the
+                    # lanes decide it all the same
+                    up[1 << (n - 1)] = 1 << 61
+                left, right = classes._Border(tuple(lo), n), classes._Border(tuple(up), n)
+                runs.clear()
+                assert classes._convex_kernel(left, right, n) == passes
+                # from the threshold on, the loop screens the first players'
+                # coalitions before the lanes decide
+                if packed:
+                    assert [run[0] for run in runs] == ["_convex_local", "_convex_lanes"]
+                    assert runs[0][3] == classes._SCREEN_PLAYERS
+                    assert runs[1][3:] == (n, width)
+                else:
+                    assert [(run[0], run[3]) for run in runs] == [("_convex_local", n)]
+
+    def test_borders_of_different_widths_pack_at_the_wider(self, monkeypatch):
+        # one border's grand worth raised past the narrower bounds: the
+        # other, 16 bits wide, is packed at the raised one's width too
+        runs = []
+        for name in ("_monotonic_lanes", "_convex_lanes"):
+            monkeypatch.setattr(classes, name, recording(runs, name, getattr(classes, name)))
+        seen = {True: 0, False: 0}
+        pairs = [(n, pair) for n, pair in seeded_border_pairs(40, 150, players=10)
+                 if n >= classes._PACKED_MIN_PLAYERS]
+        for k, (n, (lo, up)) in enumerate(pairs):
+            width = WIDTHS[1 + k % 3]
+            for narrow_lo in (True, False):
+                raised = list(up if narrow_lo else lo)
+                raised[-1] = 1 << (width - 4)
+                low, high = (lo, raised) if narrow_lo else (raised, up)
+                left, right = classes._Border(tuple(low), n), classes._Border(tuple(high), n)
+                assert (left.width, right.width) == ((16, width) if narrow_lo else (width, 16))
+                runs.clear()
+                expected = {prop: loop(low, high, n) for prop, (loop, _) in LOOPS_AND_ORACLES.items()}
+                assert {prop: kernel(left, right, n) for prop, kernel in classes._KERNELS.items()} == expected
+                lanes = classes._pack(tuple(low), n, width)[0], classes._pack(tuple(high), n, width)[0]
+                assert all(run[1:] == (*lanes, n, width) for run in runs), (n, width)
+                seen[expected[ClassicalProperty.CONVEX]] += bool(runs)
+        assert min(seen.values()) >= 100, seen
 
     def test_a_passing_selection_property_implies_the_border_property(self):
         seen = dict.fromkeys(LOCAL_AND_ORACLE, 0)
@@ -663,6 +715,30 @@ def test_classify_families_at_twelve_players(kind):
     report = classify_report(family(kind, 12))
     assert report.pop("players") == 12
     assert report == FAMILY_LABELS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_LABELS))
+def test_scaled_families_classify_as_the_family(kind, monkeypatch):
+    # scaled by 2^20 the worths need 32- or 64-bit lanes, by 2^70 128-bit
+    # ones; a positive scale keeps every verdict
+    widths = []
+    pack = classes._pack
+
+    def recording(worths, n, least=16):
+        lanes, width = pack(worths, n, least)
+        widths.append(width)
+        return lanes, width
+
+    monkeypatch.setattr(classes, "_pack", recording)
+    for n in (8, 16):
+        w = family(kind, n)
+        table = classify_report(w)
+        lower, upper, _ = w.integer_form
+        for factor, lanes in ((1 << 20, (32, 64)), (1 << 70, (128,))):
+            widths.clear()
+            scaled = IntervalGame(n, [(factor * a, factor * b) for a, b in zip(lower, upper)])
+            assert classify_report(scaled) == table, (n, factor)
+            assert max(widths) in lanes, (n, factor, widths)
 
 
 class TestOneReport:

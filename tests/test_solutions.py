@@ -1180,6 +1180,18 @@ class TestIntegerBorderTest:
                         seen[name, got] += 1
         assert len(seen) == 16 and min(seen.values()) >= 10, seen
 
+    def test_scaled_sums_are_the_coalition_sums(self):
+        # sums[m] = x(S) * scale * d for the coalition S of mask m, d the
+        # least common denominator of x
+        rng = random.Random(67)
+        for n in range(1, 11):
+            for _ in range(5):
+                x = rand_payoff(rng, n)
+                scale = rng.choice((1, 2, 3, 7))
+                sums, d = solutions._scaled_sums(x, scale)
+                assert d == lcm(*(xi.denominator for xi in x))
+                assert sums == [plain_coalition_sum(x, m) * scale * d for m in range(1 << n)], (x, scale)
+
     def test_shortfall_order_matches_the_fraction_scan(self):
         # row generation adds the largest shortfalls first, ties by mask
         rng = random.Random(66)
