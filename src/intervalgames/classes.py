@@ -38,8 +38,21 @@ The kernels check local forms, which cost far less than the pair scans:
 * Superadditivity has no local form.  Convexity implies it: disjoint
   nonempty S and T are an incomparable pair, so the pair form gives
   up(S) + up(T) <= lo(S | T) + lo(empty set), and lo(empty set) = 0.  The
-  kernel returns True when the convexity kernel passes and runs the 3^n
-  scan over disjoint pairs only when it fails.
+  verdict is True when the convexity kernel passes; otherwise
+  ``_superadditive_kernel`` decides it in the steps below.
+
+Superadditivity, up(S) + up(T) <= lo(S | T) for disjoint nonempty S and
+T, is decided in three steps, stopping at the first that answers:
+
+1. Screen.  The 3^n scan over the first ``_SCREEN_PLAYERS`` = 4 players'
+   coalitions.  Up to 4 players it is the verdict; from 5 on its pairs are
+   among the n-player ones, so a failure there decides the game.
+2. Size certificate.  With a(k) the largest up(S) and b(k) the least lo(U)
+   over coalitions of size k, if a(i) + a(j) <= b(i + j) for all i, j >= 1
+   with i + j <= n, the game is superadditive: for disjoint S and T,
+   up(S) + up(T) <= a(|S|) + a(|T|) <= b(|S| + |T|) <= lo(S | T).  One pass
+   over the masks and n^2 comparisons.
+3. The 3^n scan over all n players.
 
 The pair and 3^n scans stay as oracles: ``check_selection_convex_variant``
 runs the pair and marginal forms of convexity, and
@@ -107,6 +120,9 @@ import sys
 from array import array
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import comb
+from operator import itemgetter
 
 from .errors import BudgetExceededError
 from .games import ClassicalGame, IntervalGame, length_game
@@ -155,7 +171,7 @@ def _verdict(lo: tuple[int, ...], up: tuple[int, ...], n: int, prop: ClassicalPr
     if prop is ClassicalProperty.SUPERADDITIVE:
         # convexity implies superadditivity; its verdict is cached, so the
         # convexity kernel runs once per pair of borders
-        return _verdict(lo, up, n, ClassicalProperty.CONVEX) or _superadditive(lo, up, n)
+        return _verdict(lo, up, n, ClassicalProperty.CONVEX) or _superadditive_kernel(lo, up, n)
     kernel = _KERNELS.get(prop)
     if kernel is None:
         raise ValueError(f"unknown classical property: {prop!r}")
@@ -206,7 +222,7 @@ def _decide(lo: "_Border", up: "_Border", n: int, implied=None) -> dict[Classica
     out[ClassicalProperty.SUPERADDITIVE] = (
         implied.get(ClassicalProperty.SUPERADDITIVE)
         or out[ClassicalProperty.CONVEX]
-        or _superadditive(lo.worths, up.worths, n)
+        or _superadditive_kernel(lo.worths, up.worths, n)
     )
     return out
 
@@ -268,6 +284,33 @@ def _superadditive(lo, up, n: int) -> bool:
                 return False
             t = (t - 1) & comp
     return True
+
+
+@lru_cache(maxsize=4)
+def _by_size(n: int) -> tuple[itemgetter, tuple[int, ...]]:
+    """A getter that lists the worths of every mask below 2^n by increasing
+    coalition size, and where each size's run starts in that list."""
+    starts = (0, *accumulate(comb(n, k) for k in range(n + 1)))
+    return itemgetter(*sorted(range(1 << n), key=int.bit_count)), starts
+
+
+def _size_certificate(lo, up, n: int) -> bool:
+    # a(k), the largest upper worth of size k, and b(k), the least lower one:
+    # a(|S|) + a(|T|) <= b(|S| + |T|) bounds every disjoint pair S, T
+    pick, starts = _by_size(n)
+    los, ups = pick(lo), pick(up)
+    a = [max(ups[starts[k] : starts[k + 1]]) for k in range(n + 1)]
+    b = [min(los[starts[k] : starts[k + 1]]) for k in range(n + 1)]
+    return all(a[i] + a[j] <= b[i + j] for i in range(1, n // 2 + 1) for j in range(i, n - i + 1))
+
+
+def _superadditive_kernel(lo, up, n: int) -> bool:
+    """Superadditivity of the borders (lo, up): the 3^n scan over the first
+    ``_SCREEN_PLAYERS`` players, then the size certificate, then the scan
+    over all n players (module docstring)."""
+    if not _superadditive(lo, up, min(n, _SCREEN_PLAYERS)):
+        return False
+    return n <= _SCREEN_PLAYERS or _size_certificate(lo, up, n) or _superadditive(lo, up, n)
 
 
 def _convex_pairs(lo, up, n: int) -> bool:
@@ -466,9 +509,10 @@ def _convex_kernel(lo: _Border, up: _Border, n: int) -> bool:
     return _kernel(_convex_local, _convex_lanes, lo, up, n)
 
 
-# the kernels every verdict runs (superadditivity is read off convexity in
-# _verdict), and the pair and 3^n scans they replaced, which stay as the
-# oracles the local forms are tested against
+# the kernels every verdict runs (superadditivity is read off convexity,
+# else _superadditive_kernel, in _verdict and _decide), and the pair and 3^n
+# scans they replaced, which stay as the oracles the local forms are tested
+# against
 _KERNELS = {
     ClassicalProperty.MONOTONIC: _monotonic_kernel,
     ClassicalProperty.CONVEX: _convex_kernel,

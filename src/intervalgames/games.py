@@ -313,7 +313,8 @@ def coalition_labels(n: int) -> list[str]:
     labels = [""]
     for player in range(1, n + 1):
         top = str(player)
-        labels += [top] + [rest + "," + top for rest in labels[1:]]
+        tail = "," + top
+        labels += [top] + [rest + tail for rest in labels[1:]]
     return labels
 
 

@@ -375,7 +375,7 @@ class TestSeparations:
 
 def superadditive_verdict(lo, up, n: int) -> bool:
     """The cached route every superadditivity verdict takes: convexity,
-    else the 3^n scan."""
+    else the superadditivity kernel."""
     return classes._verdict(tuple(lo), tuple(up), n, ClassicalProperty.SUPERADDITIVE)
 
 
@@ -438,6 +438,17 @@ def noisy_quadratic(rng, n):
     return lo, [0] + [a + rng.randint(0, k) for a in lo[1:]]
 
 
+def noisy_symmetric(rng, n):
+    """c|S|^2 plus noise up to d on each lower worth and widths up to w:
+    disjoint S and T keep a surplus of at least 2c|S||T| - 2d - 2w, so
+    d + w <= c passes and more noise may fail."""
+    c = rng.randint(2, 4)
+    d = rng.randint(0, c)
+    w = rng.randint(0, 2 * c - d)
+    lo = [c * _size(m) ** 2 + rng.randint(0, d) if m else 0 for m in range(1 << n)]
+    return lo, [0] + [a + rng.randint(0, w) for a in lo[1:]]
+
+
 BORDER_MAKERS = (
     random_borders, embedded_convex_borders, convex_with_widths, perturbed_upper, noisy_quadratic,
 )
@@ -492,9 +503,9 @@ class TestLocalKernels:
         classes._verdict.cache_clear()
 
     def test_oracle_does_not_run_the_local_kernels(self, monkeypatch, fresh_verdicts):
-        # with every local kernel and the scan behind the superadditivity
-        # shortcut broken, the oracle still answers from the pair and 3^n
-        # scans, so the two routes can disagree
+        # with every local kernel and the superadditivity kernel behind the
+        # convexity shortcut broken, the oracle still answers from the pair
+        # and 3^n scans, so the two routes can disagree
         w = family("sel-convex", 3)
 
         def broken(lo, up, n):
@@ -502,10 +513,105 @@ class TestLocalKernels:
 
         for prop in classes._KERNELS:
             monkeypatch.setitem(classes._KERNELS, prop, broken)
-        monkeypatch.setattr(classes, "_superadditive", broken)
+        monkeypatch.setattr(classes, "_superadditive_kernel", broken)
         for cls in SelectionClass:
             assert selection_class_oracle(w, cls)
             assert not check_selection_class(w, cls)
+
+
+def superadditive_scans(lo, up, n: int) -> tuple[bool, list]:
+    """The kernel's verdict on (lo, up) and the player counts of the 3^n
+    scans it ran: the screen's min(n, ``_SCREEN_PLAYERS``), then n where
+    neither the screen nor the size certificate decided."""
+    scans = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classes, "_superadditive", recording(scans, "scan", classes._superadditive))
+        verdict = classes._superadditive_kernel(tuple(lo), tuple(up), n)
+    return verdict, [run[-1] for run in scans]
+
+
+def tight_borders(n: int) -> tuple[list, list]:
+    """The borders [2|S| - 2, 2|S| - 1] of the sel-superadditive family,
+    whose disjoint pairs are all tight."""
+    lo = [2 * _size(m) - 2 if m else 0 for m in range(1 << n)]
+    return lo, [0] + [a + 1 for a in lo[1:]]
+
+
+class TestSuperadditiveKernel:
+    """The screen and the size certificate against the 3^n scan they put off
+    on the verdict path."""
+
+    def test_kernel_agrees_with_the_scan(self):
+        seen = {True: 0, False: 0}
+        rng = random.Random(36)
+        pairs = list(seeded_border_pairs(37, 600, players=10))
+        pairs += [(n, noisy_symmetric(rng, n)) for n in (1 + k % 10 for k in range(400))]
+        for n, (lo, up) in pairs:
+            lo, up = tuple(lo), tuple(up)
+            verdict = classes._superadditive(lo, up, n)
+            assert classes._superadditive_kernel(lo, up, n) == verdict, (n, lo, up)
+            seen[verdict] += 1
+        assert min(seen.values()) >= 400, seen
+
+    def test_the_size_certificate_is_sound(self):
+        # every certified game passes the scan; noisy symmetric games are
+        # mostly certified, and some games fail only past the screen, where
+        # a loose certificate would pass them
+        certified, late_failures = {}, 0
+        for maker in (noisy_symmetric, noisy_quadratic, convex_with_widths):
+            rng = random.Random(38)
+            certified[maker.__name__] = 0
+            for k in range(200):
+                n = 5 + k % 5
+                lo, up = maker(rng, n)
+                oracle = classes._superadditive(tuple(lo), tuple(up), n)
+                if classes._size_certificate(lo, up, n):
+                    assert oracle, (maker, n, lo, up)
+                    certified[maker.__name__] += 1
+                verdict, scans = superadditive_scans(lo, up, n)
+                assert verdict == oracle, (maker, n, lo, up)
+                late_failures += not verdict and scans == [classes._SCREEN_PLAYERS, n]
+        assert certified["noisy_symmetric"] >= 80, certified
+        assert late_failures >= 100, (late_failures, certified)
+
+    def test_the_size_certificate_is_exact_where_worths_follow_the_size(self):
+        # there a(k) and b(k) are the worths of size k and every pair of
+        # sizes i + j <= n has disjoint coalitions, so the certificate is the
+        # scan
+        seen = {True: 0, False: 0}
+        rng = random.Random(39)
+        for k in range(300):
+            n = 2 + k % 8
+            lows = [0] + [3 * size - 3 + rng.randint(0, 2) for size in range(1, n + 1)]
+            ups = [0] + [a + rng.randint(0, 2) for a in lows[1:]]
+            lo, up = ([worths[_size(m)] for m in range(1 << n)] for worths in (lows, ups))
+            verdict = classes._superadditive(tuple(lo), tuple(up), n)
+            assert classes._size_certificate(lo, up, n) == verdict, (n, lows, ups)
+            seen[verdict] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_families_skip_the_full_scan(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(classes, "_superadditive", recording(scans, "scan", classes._superadditive))
+        for n in (8, 12):
+            for kind in sorted(FAMILY_LABELS):
+                classes._verdict.cache_clear()
+                classify_report(family(kind, n))
+            assert scans and all(run[-1] < n for run in scans), [run[-1] for run in scans]
+            scans.clear()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_the_screen_decides_a_game_failing_among_the_first_players(self, n):
+        lo, up = tight_borders(n)
+        up[0b1] += 1  # up({1}) + up({2}) now exceeds lo({1,2})
+        assert superadditive_scans(lo, up, n) == (False, [min(n, classes._SCREEN_PLAYERS)])
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_up_to_the_screen_the_scan_is_the_verdict(self, n):
+        # adding 1 to player 1's worths keeps every disjoint pair tight but
+        # defeats the size certificate from 2 players on
+        lo, up = ([a + (m & 1) for m, a in enumerate(border)] for border in tight_borders(n))
+        assert superadditive_scans(lo, up, n) == (True, [n])
 
 
 # the lane widths the packer chooses among: the array codes' and the first
@@ -786,8 +892,8 @@ class TestOneReport:
 
         for prop, name in ((ClassicalProperty.CONVEX, "convex"), (ClassicalProperty.MONOTONIC, "monotonic")):
             monkeypatch.setitem(classes._KERNELS, prop, counting(name, classes._KERNELS[prop]))
-        scan = classes._superadditive
-        monkeypatch.setattr(classes, "_superadditive", counting("scan", scan))
+        scan = classes._superadditive_kernel
+        monkeypatch.setattr(classes, "_superadditive_kernel", counting("scan", scan))
         for module in (games, numerics):
             monkeypatch.setattr(module, "integers", counting("integers", numerics.integers))
         monkeypatch.setattr(numerics.Interval, "__init__", counting("interval", numerics.Interval.__init__))
@@ -825,8 +931,8 @@ class TestOneReport:
                     decided.append(game)
                     for name in kernels:
                         expected[name] += game is length or not selection[name]
-                    # the 3^n scan where convexity failed and nothing implies
-                    # superadditivity
+                    # the superadditivity kernel where convexity failed and
+                    # nothing implies superadditivity
                     implied = game is not length and superadditive
                     expected["scan"] += not implied and not kernels["convex"](game, game, n)
             assert {name: calls[name] for name in expected} == expected

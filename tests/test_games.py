@@ -383,9 +383,9 @@ players 2
         assert parse_game(format_game(w)) == w
 
     def test_coalition_labels(self):
-        labels = coalition_labels(4)
-        assert labels[:8] == ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
-        assert labels == [",".join(map(str, members(m))) for m in range(16)]
+        assert coalition_labels(4)[:8] == ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
+        for n in range(1, MAX_PLAYERS + 1):
+            assert coalition_labels(n) == [",".join(map(str, members(m))) for m in range(1 << n)], n
 
 
 def _render_scalar(rng: random.Random, q: Fraction) -> str:
