@@ -20,8 +20,9 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
-from operator import le, mul
+from operator import floordiv, le, mul
 from typing import NamedTuple
 
 from .errors import GameFormatError
@@ -308,23 +309,28 @@ def family(kind: str, n: int) -> IntervalGame:
 
 def coalition_labels(n: int) -> list[str]:
     """The canonical label of every mask below ``2**n``: its players in
-    increasing order, joined by commas (``""`` for the empty coalition).
-    Each label extends the label of the mask without its top player."""
-    labels = [""]
+    increasing order, joined by commas (``""`` for the empty coalition)."""
+    return ["", *_label_column(n).split("\n")[:-1]]
+
+
+def _label_column(n: int) -> str:
+    """The canonical labels of masks 1 .. 2**n - 1 in order, each followed
+    by a newline.  Player p's masks follow those of the players below p:
+    first ``p`` itself, then each earlier label extended by ``,p``, which is
+    one ``replace`` over the earlier column, so no label is built alone."""
+    column = ""
     for player in range(1, n + 1):
         top = str(player)
-        tail = "," + top
-        labels += [top] + [rest + tail for rest in labels[1:]]
-    return labels
+        column += top + "\n" + column.replace("\n", "," + top + "\n")
+    return column
 
 
 # The canonical layout that format_game writes: the header, then one
-# ``label [p, q]`` row per nonempty coalition, in mask order.  Each row's
-# groups are its label and the numerator and denominator strings of its two
-# endpoints ("" for an integer).  Only ASCII digits, signs, commas, slashes,
-# brackets and single spaces match, so no match spans or skips a line.
+# ``label [p, q]`` row per nonempty coalition, in mask order.  A row's label
+# and endpoint literals are made of the _ROW_CHARS only, so deleting those
+# leaves each row as " [ ]\n", the skeleton that _parse_canonical checks.
 _HEADER_RE = re.compile(r"players ([0-9]{1,2})\n")
-_ROW_RE = re.compile(r"^([0-9,]+) \[([+-]?[0-9]+)(?:/([0-9]+))?, ([+-]?[0-9]+)(?:/([0-9]+))?\]$", re.M)
+_ROW_CHARS = b"0123456789,/+-"
 
 
 def parse_game(text: str) -> IntervalGame:
@@ -337,12 +343,13 @@ def parse_game(text: str) -> IntervalGame:
     coalition is implied as [0, 0], and every nonempty coalition must
     appear exactly once.
 
-    A text in the canonical layout (``format_game``'s) is read in one
-    pattern pass (``_parse_canonical``); any other text, and every text
-    that is refused, goes through the line loop (``_parse_lines``), which
-    words every error.  Both build the game in its integer form, over the
-    least common denominator of all its endpoints; no Fraction or Interval
-    is built until ``values`` is read.
+    A text in the canonical layout (``format_game``'s) is read with one
+    skeleton check, one split and one conversion per distinct endpoint
+    literal (``_parse_canonical``); any other text, and every text that is
+    refused, goes through the line loop (``_parse_lines``), which words
+    every error.  Both build the game in its integer form, over the least
+    common denominator of all its endpoints; no Fraction or Interval is
+    built until ``values`` is read.
     """
     game = _parse_canonical(text)
     return _parse_lines(text) if game is None else game
@@ -352,36 +359,72 @@ def _parse_canonical(text: str) -> IntervalGame | None:
     """The game of a text in the canonical layout, or None for any other
     text, including every text the line loop refuses.
 
-    ``findall`` skips a line it does not match, so the rows are trusted only
-    when there is one per line.  The labels must be the canonical table, in
-    order.  Each distinct denominator string gives one factor, and the
-    endpoints, scaled to the least common denominator, must not be
-    reversed."""
+    The body after the header is taken when each row reads
+    ``<label> [<p>, <q>]`` and a newline, the labels are the canonical ones
+    in mask order, and p and q are literals ``[+-]d`` or ``[+-]d/d`` (d a
+    run of ASCII digits), p <= q; the line loop reads such a row as the
+    same interval.  Three checks pass exactly these rows, and the endpoints
+    must then not be reversed:
+
+    - Skeleton.  Deleting the _ROW_CHARS leaves " [ ]\n" once per row, so
+      the body holds no other character, and each row has its two spaces,
+      its brackets and its newline in that order.
+    - Split.  Replacing " [" and "]\n" by ", " leaves a row at most three
+      spaces, and splitting at ", " ends a field only at a space after a
+      comma.  Every third field, newline-joined, must be the canonical
+      label column.  That column holds no "]", so none of those fields
+      holds a newline (a row's newline is left only behind its "]"), and
+      it ends in a newline, so the last of them is the empty field after
+      the last row: 3 fields a row, so each row has three spaces after
+      commas.  Such a row reads ``X [Y, Z]\n`` with X, Y and Z runs of
+      _ROW_CHARS, or its label ends in a comma and characters stand
+      between its first space and its "[", which stays inside its lower
+      endpoint's field, where no literal passes.
+    - Literals.  Each distinct endpoint literal is converted once, into a
+      table that both endpoint columns are mapped through.  Without a
+      slash, it is what ``int`` reads, which over the _ROW_CHARS is a sign
+      and digits (a comma fails it).  With one, it must have exactly one,
+      an ``int`` numerator before it and only digits after it: ``int``
+      alone would take a signed denominator (``5/-2``, ``5/+2``), and
+      ``5/`` has none.  A zero denominator makes the lcm 0.
+    """
     header = _HEADER_RE.match(text)
-    # a text whose first row is not coalition 1's skips the pattern pass, so
-    # a file of labels off the table costs no more than the line loop
+    # a text whose first row is not coalition 1's skips the checks, so a
+    # file of labels off the table costs no more than the line loop
     if header is None or not text.endswith("\n") or not text.startswith("1 [", header.end()):
         return None
     n = int(header.group(1))
     if not 1 <= n <= MAX_PLAYERS:
         return None
     body = text[header.end():]
-    rows = _ROW_RE.findall(body)
-    if len(rows) != body.count("\n"):
+    rows = (1 << n) - 1
+    if not body.isascii() or body.encode().translate(None, _ROW_CHARS) != b" [ ]\n" * rows:
         return None
-    labels, lo_nums, lo_dens, up_nums, up_dens = zip(*rows)
-    if list(labels) != coalition_labels(n)[1:]:
+    fields = body.replace(" [", ", ").replace("]\n", ", ").split(", ")
+    if "\n".join(fields[::3]) != _label_column(n):
+        return None
+    lows, ups = fields[1::3], fields[2::3]
+    whole = {*lows, *ups}  # the distinct literals, less the fractions below
+    fractions = [lit for lit in whole if "/" in lit]
+    whole.difference_update(fractions)
+    # the numerator and denominator of each fraction, in turn
+    parts = "/".join(fractions).split("/") if fractions else []
+    dens = parts[1::2]
+    den_set = {*dens}
+    if len(parts) != 2 * len(fractions) or not all(map(str.isdigit, den_set)):
         return None
     try:
-        dens = {den: int(den or 1) for den in {*lo_dens, *up_dens}}
-        scale = lcm(*dens.values())
+        den_ints = list(map(int, den_set))
+        scale = lcm(*den_ints)
         if not scale:  # a zero denominator
             return None
-        factor = {den: scale // d for den, d in dens.items()}.__getitem__
-        lower = [0, *map(mul, map(int, lo_nums), map(factor, lo_dens))]
-        upper = [0, *map(mul, map(int, up_nums), map(factor, up_dens))]
-    except ValueError:  # a literal longer than int converts
+        factor = dict(zip(den_set, map(floordiv, repeat(scale), den_ints))).__getitem__
+        value = dict(zip(whole, map(mul, map(int, whole), repeat(scale))))
+        value.update(zip(fractions, map(mul, map(int, parts[::2]), map(factor, dens))))
+    except ValueError:  # a malformed literal, or one longer than int converts
         return None
+    lower = [0, *map(value.__getitem__, lows)]
+    upper = [0, *map(value.__getitem__, ups)]
     if not all(map(le, lower, upper)):
         return None
     return _least_form(n, lower, upper, scale)

@@ -459,15 +459,18 @@ def _canonical_texts(rng: random.Random) -> list[str]:
     """Texts in the layout format_game writes: random games at every size up
     to 8 (half of them degenerate), the families, extreme worths, and games
     written as the benchmark corpus writes them (labels joined by hand,
-    Fraction endpoints over denominators 1 to 4)."""
+    Fraction endpoints over denominators 1 to 4).  At 11 and 12 players
+    these come in two kinds: few distinct literals (the families and the
+    small denominators) and all-distinct literals (worths from a 10**6
+    range, as integers and as fractions)."""
     texts = []
     for n in range(1, 9):
         w = rand_interval_game(rng, n)
         texts += [format_game(w), format_game(IntervalGame(n, tuple(Interval(iv.upper) for iv in w.values)))]
-    texts += [format_game(family(kind, n)) for kind in FAMILY_KINDS for n in (2, 5, 10)]
+    texts += [format_game(family(kind, n)) for kind in FAMILY_KINDS for n in (2, 5, 10, 11, 12)]
     huge = Fraction(-(2**80) - 1, 3**40)
     texts.append(format_game(IntervalGame.from_function(3, lambda m: (huge * m, Fraction(2**90, 7) + m))))
-    for n in (1, 4, 9):
+    for n in (1, 4, 9, 11, 12):
         lines = [f"players {n}"]
         for m in range(1, 1 << n):
             lo = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4)))
@@ -475,13 +478,26 @@ def _canonical_texts(rng: random.Random) -> list[str]:
             label = ",".join(str(i + 1) for i in range(n) if m >> i & 1)
             lines.append(f"{label} [{lo}, {up}]")
         texts.append("\n".join(lines) + "\n")
+    for n, fractions in ((11, False), (12, True)):
+        # distinct numerators make distinct literals, over any denominator
+        nums = rng.sample(range(-(10**6), 10**6), 2 << n)
+        lines = [f"players {n}"]
+        for label, a, b in zip(coalition_labels(n)[1:], nums[::2], nums[1::2]):
+            if fractions:
+                a, b = f"{a}/{rng.randint(1, 9)}", f"{b}/{rng.randint(1, 9)}"
+            if Fraction(a) > Fraction(b):
+                a, b = b, a
+            lines.append(f"{label} [{a}, {b}]")
+        texts.append("\n".join(lines) + "\n")
     return texts
 
 
-def _one_edit_variants(rng: random.Random, text: str) -> list[str]:
-    """Texts one edit away from a canonical text, each outside the layout
-    format_game writes: some still name the same or another game, the rest
-    are refused."""
+def _one_edit_variants(rng: random.Random, text: str) -> tuple[list[str], list[str]]:
+    """Texts one edit away from a canonical text.  The first list holds
+    texts outside the layout format_game writes, which only the line loop
+    reads: some still name the same or another game, the rest are refused.
+    The second respells endpoint literals in ways the canonical reader
+    takes too: a plus sign, ``-0``, and zero-padded fractions (``007/04``)."""
     header, *rows = text.splitlines()
     n = int(header.split()[1])
     i = rng.randrange(len(rows))
@@ -499,7 +515,8 @@ def _one_edit_variants(rng: random.Random, text: str) -> list[str]:
 
     digit = next(k for k, c in enumerate(worth) if c.isdigit())
     breaks = ("\r", "\x0c", "\x1c", "\u2028")
-    variants = [spliced(c) for c in breaks] + [edited(row.replace(" ", c, 1)) for c in breaks] + [
+    # a lone surrogate too, which a strict encode refuses
+    variants = [spliced(c) for c in (*breaks, "\udcff")] + [edited(row.replace(" ", c, 1)) for c in breaks] + [
         edited(row + "  # comment"),
         edited(row + "\n"),
         edited(row.replace(" ", "  ", 1)),
@@ -516,6 +533,15 @@ def _one_edit_variants(rng: random.Random, text: str) -> list[str]:
         text.replace(header, "players 0", 1),
         text.replace(header, "players 17", 1),
         text.replace(header, f"players {chr(0x660 + n)}", 1) if n < 10 else text + "\n",
+        # malformed fractions, on either endpoint
+        *(edited(f"{label} [{bad}, {up}]") for bad in ("5/-2", "5/+2", "5/", "/2", "5//2", "5/2/3")),
+        *(edited(f"{label} [{lo}, {bad}]") for bad in ("5/-2", "5/", "5/2/3")),
+        # a comma inside an endpoint; the separators swapped, with the same
+        # number of each; a tab or a no-break space for either space
+        edited(f"{label} [5,6, 7]"),
+        edited(f"{label}, {lo} [{up}]"),
+        *(edited(row.replace(" ", c, 1)) for c in ("\t", "\u00a0")),
+        *(edited(f"{label} [{lo},{c}{up}]") for c in ("\t", "\u00a0")),
     ]
     if wide:
         k = rng.choice(wide)
@@ -529,7 +555,28 @@ def _one_edit_variants(rng: random.Random, text: str) -> list[str]:
         k = rng.choice(several)
         players, rest = rows[k].split(" ", 1)
         variants.append(edited(",".join(reversed(players.split(","))) + " " + rest, at=k))
-    return variants
+
+    def plus(literal):
+        return literal if literal.startswith("-") else "+" + literal
+
+    def padded(literal):  # 7/4 as 007/04, -3 as -003/01
+        num, _, den = literal.partition("/")
+        sign = "-" if num.startswith("-") else ""
+        return f"{sign}00{num.lstrip('-')}/0{den or 1}"
+
+    respelled = [edited(f"{label} [{plus(lo)}, {plus(up)}]"), edited(f"{label} [{padded(lo)}, {padded(up)}]")]
+    zeros = [k for k, r in enumerate(rows) if r.endswith(" [0, 0]")] or [k for k, r in enumerate(rows) if " [0, " in r]
+    if zeros:
+        k = rng.choice(zeros)
+        respelled.append(edited(rows[k].replace(" [0, ", " [-0, ", 1), at=k))
+    return variants, respelled
+
+
+def _edited(text: str) -> bool:
+    """Whether the tests edit a canonical text: one of at most 10 players.
+    An edit touches one row or the header, so larger texts would add oracle
+    time only."""
+    return int(text.split(None, 2)[1]) <= 10
 
 
 def _assert_as_the_oracle(text: str) -> None:
@@ -579,8 +626,9 @@ class TestParserAgainstOracle:
         rng = random.Random(21)
         for text in _canonical_texts(rng):
             _assert_as_the_oracle(text)
-            for variant in _one_edit_variants(rng, text):
-                _assert_as_the_oracle(variant)
+            for variants in _one_edit_variants(rng, text) if _edited(text) else ():
+                for variant in variants:
+                    _assert_as_the_oracle(variant)
         # the canonical rows of one player more than the format allows
         rows = [f"{label} [0, 1]\n" for label in coalition_labels(MAX_PLAYERS + 1)[1:]]
         _assert_as_the_oracle(f"players {MAX_PLAYERS + 1}\n" + "".join(rows))
@@ -588,7 +636,7 @@ class TestParserAgainstOracle:
     def test_only_a_text_off_the_canonical_layout_reaches_the_line_loop(self, monkeypatch):
         rng = random.Random(22)
         texts = _canonical_texts(rng)
-        variants = [v for text in texts for v in _one_edit_variants(rng, text)]
+        edits = [_one_edit_variants(rng, text) for text in texts if _edited(text)]
         line_loop = games._parse_lines
         seen = []
 
@@ -597,10 +645,10 @@ class TestParserAgainstOracle:
             return line_loop(text)
 
         monkeypatch.setattr(games, "_parse_lines", spy)
-        for text in texts:
+        for text in [*texts, *(v for _, respelled in edits for v in respelled)]:
             assert parse_game(text) == parse_game_oracle(text)
         assert seen == []
-        for variant in variants:
+        for variant in (v for variants, _ in edits for v in variants):
             seen.clear()
             with contextlib.suppress(GameFormatError):
                 parse_game(variant)
