@@ -34,10 +34,9 @@ disagreement, 2 input error, 3 enumeration budget exceeded.
 """
 
 import argparse
-import dataclasses
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .classes import (  # noqa: F401 - check_classical stays bound here for perfbench's tracer
     ORACLE_MAX_PLAYERS,
@@ -95,8 +94,9 @@ MEMBERSHIP_CONCEPTS = (
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    # one unbuffered read; the two replacements are text mode's universal newlines
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_game(path: str) -> IntervalGame:
@@ -181,7 +181,7 @@ def membership_report(w: IntervalGame, concept: str, x, selection: str | None) -
                 "interval_payoff": [format_interval(p) for p in result.interval_payoff(x)],
             }
         else:
-            doc["subsystems"] = dataclasses.asdict(result)
+            doc["subsystems"] = {"lower_feasible": result.lower_feasible, "upper_feasible": result.upper_feasible}
     elif concept == "strong-imputation":
         member = is_strong_imputation(w, x)
     elif concept == "strong-core":
@@ -199,7 +199,8 @@ def coincidence_report(w: IntervalGame, budget: int) -> tuple[dict, int]:
         return doc, 0
     doc["counterexample"] = _vec(verdict.counterexample)
     doc["counterexample_in_selection_core"] = True
-    doc["infeasible_subsystems"] = dataclasses.asdict(verdict.miss)
+    miss = verdict.miss
+    doc["infeasible_subsystems"] = {"lower_feasible": miss.lower_feasible, "upper_feasible": miss.upper_feasible}
     return doc, 1
 
 
@@ -312,9 +313,30 @@ def _text_lines(doc: dict, indent: int = 0) -> list[str]:
     return lines
 
 
+def _json(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for a report: dicts with
+    string keys, lists, strings, bools and ints.  CPython's C encoder serves
+    no indent, so this writes it without the pure-Python one."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not a string
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         print("\n".join(_text_lines(doc)))
 

@@ -33,9 +33,11 @@ endpoint-enumeration oracles in the test suite.  Every coalition system is
 the row form of the same test, built by ``_core_system`` (the slack halves
 run it on the gaps lower - x and upper - x); a grand range that is a single
 point is one equality row.  The test reads the game's integer form
-(``games.IntegerForm``), never Fraction worths: ``_accepts`` scales x once
-to integers X / d and compares X(S) * scale with lo(S) * d.  Fractions exist
-only at the boundary: payoffs in and out, and the rows' right-hand sides.
+(``games.IntegerForm``) and one point form, integers X over a positive d,
+not necessarily reduced, for x = X / d: ``_accepts`` compares X(S) * scale
+with lo(S) * d.  A public function converts its payoff to (X, d) once and
+makes Fractions once, for what it returns; in between, every witness,
+slack and counterexample is built and checked as (X, d).
 
 Convex borders are decided in closed form, without a linear program or
 vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
@@ -113,7 +115,7 @@ returned: the simplex checks every point it returns against its active
 subsystem and row generation the rest (for the generated core, the two
 halves); every marginal vector passes ``_accepts`` on its border, and every
 greedy slack on its half's gap form; ``selection_core_witness`` checks its
-sub-game with ``verify_selection_core_witness``, in integers; and
+sub-game by the test of ``verify_selection_core_witness`` (``_verified``); and
 ``core_coincidence`` checks its counterexample with the closed-form
 selection-core test.  Callers, the command line included, use the results
 without checking them again.
@@ -170,7 +172,7 @@ class GeneratedCoreWitness:
 
     def interval_payoff(self, x) -> tuple[Interval, ...]:
         """The interval payoff vector this witness wraps around ``x``."""
-        point = _payoff(x, len(self.l))
+        point = _fractions(*_payoff(x, len(self.l)))
         return tuple(
             Interval(xi - li, xi + ui) for xi, li, ui in zip(point, self.l, self.u)
         )
@@ -197,11 +199,12 @@ class CoincidenceVerdict:
     miss: NotGenerated | None = None
 
 
-def _payoff(x, n: int) -> tuple[Fraction, ...]:
-    point = tuple(as_fraction(v) for v in x)
+def _payoff(x, n: int) -> tuple[list[int], int]:
+    """The payoff x as the point (X, d): x = X / d, d its least common denominator."""
+    point = [as_fraction(v) for v in x]
     if len(point) != n:
         raise ValueError(f"payoff vector has {len(point)} entries, expected {n}")
-    return point
+    return integers(point)
 
 
 def _interval_payoff(entries, n: int) -> tuple[Interval, ...]:
@@ -211,40 +214,41 @@ def _interval_payoff(entries, n: int) -> tuple[Interval, ...]:
     return payoff
 
 
-def _scaled_sums(point: tuple[Fraction, ...], scale: int) -> tuple[list[int], int]:
-    """(sums, d): d is the least common denominator of x, and sums[m] is
-    x(S) * scale * d, an integer, for the coalition S with bitmask m."""
-    ints, d = integers(point)
+def _fractions(ints: list[int], d: int) -> tuple[Fraction, ...]:
+    """The payoff X / d, in lowest terms."""
+    return tuple(Fraction(a, d) for a in ints)
+
+
+def _scaled_sums(ints: list[int], scale: int) -> list[int]:
+    """sums[m] is X(S) * scale for the coalition S with bitmask m."""
     sums = [0]
     for a in ints:
         # the coalitions holding this player follow, in mask order, those
         # of the players before it
         xi = a * scale
         sums += [s + xi for s in sums]
-    return sums, d
+    return sums
 
 
-def _shortfalls(point: tuple[Fraction, ...], form: IntegerForm):
+def _shortfalls(ints: list[int], d: int, form: IntegerForm):
     """Yield (shortfall, S) for every proper coalition S with x(S) < lo(S),
-    the shortfall being x(S) - lo(S) times the positive integer scale * d."""
-    sums, d = _scaled_sums(point, form.scale)
+    x = X / d, the shortfall being x(S) - lo(S) times the positive scale * d."""
+    sums = _scaled_sums(ints, form.scale)
     floor = [b * d for b in form.lower]
     return ((sums[m] - floor[m], m) for m in range(1, len(sums) - 1) if sums[m] < floor[m])
 
 
-def _accepts(point: tuple[Fraction, ...], form: IntegerForm, core: bool) -> bool:
+def _accepts(ints: list[int], d: int, form: IntegerForm, core: bool) -> bool:
     """lo(N) <= x(N) <= up(N), and x(S) >= lo(S) for every proper S (a core)
-    or for every singleton S (an imputation), for the borders (lo, up) of
-    form.  x is scaled once to integers X / d, and X(S) * scale is compared
-    with lo(S) * d."""
+    or for every singleton S (an imputation), for x = X / d and the borders
+    (lo, up) of form: X(S) * scale is compared with lo(S) * d."""
     lo, up, scale = form
-    ints, d = integers(point)
-    full = grand_coalition(len(point))
+    full = grand_coalition(len(ints))
     if not lo[full] * d <= sum(ints) * scale <= up[full] * d:
         return False
     if not core:
         return all(a * scale >= lo[1 << i] * d for i, a in enumerate(ints))
-    return next(_shortfalls(point, form), None) is None
+    return next(_shortfalls(ints, d, form), None) is None
 
 
 def _rows(n: int, masks, worths, scale: int, sign: int = 1) -> tuple:
@@ -272,9 +276,9 @@ def _core_system(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset(), m
     return LinearSystem(dim=n, inequalities=grand + cap + proper, nonneg=nonneg)
 
 
-def _core_feasible(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset()) -> tuple[Fraction, ...] | None:
-    """A point of ``_core_system(n, form, sign, nonneg)``, or None when it
-    has none, by row generation over the proper coalitions.
+def _core_feasible(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset()) -> tuple[list[int], int] | None:
+    """A point (Y, d) of ``_core_system(n, form, sign, nonneg)``, or None
+    when it has none, by row generation over the proper coalitions.
 
     Each round solves the grand rows plus the active coalitions (at first
     the singletons), then scans every proper coalition once and adds the up
@@ -285,21 +289,23 @@ def _core_feasible(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset())
         ok, y = feasible(_core_system(n, form, sign, nonneg, masks=active))
         if not ok:
             return None
-        missed = sorted(_shortfalls(tuple(sign * v for v in y), form))
+        ints, d = integers(y)
+        missed = sorted(_shortfalls([sign * a for a in ints], d, form))
         if not missed:
-            return y
+            return ints, d
         active = sorted(active + [m for _, m in missed[:n]])
 
 
-def _marginal_vector(form: IntegerForm, order) -> tuple[Fraction, ...]:
-    """What each player adds to the players before it in order, on form's lower border."""
+def _marginal_vector(form: IntegerForm, order) -> tuple[list[int], int]:
+    """What each player adds to the players before it in order, on form's
+    lower border, as the point (X, scale)."""
     lo, _, scale = form
-    x = [Fraction(0)] * len(order)
+    x = [0] * len(order)
     before = 0
     for i in order:
-        x[i] = Fraction(lo[before | 1 << i] - lo[before], scale)
+        x[i] = lo[before | 1 << i] - lo[before]
         before |= 1 << i
-    return tuple(x)
+    return x, scale
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +314,12 @@ def _marginal_vector(form: IntegerForm, order) -> tuple[Fraction, ...]:
 
 def is_imputation(v: ClassicalGame, x) -> bool:
     """Efficiency plus individual rationality, checked exactly."""
-    return _accepts(_payoff(x, v.n), v.integer_form, core=False)
+    return _accepts(*_payoff(x, v.n), v.integer_form, core=False)
 
 
 def is_core_member(v: ClassicalGame, x) -> bool:
     """Efficient and no coalition can improve on its summed payoff."""
-    return _accepts(_payoff(x, v.n), v.integer_form, core=True)
+    return _accepts(*_payoff(x, v.n), v.integer_form, core=True)
 
 
 def core_system(v: ClassicalGame) -> LinearSystem:
@@ -325,11 +331,12 @@ def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
     """A core point: the identity-order marginal vector of a convex game,
     otherwise row generation."""
     if not check_classical(v, ClassicalProperty.CONVEX):
-        return _core_feasible(v.n, v.integer_form)
-    x = _marginal_vector(v.integer_form, range(v.n))
-    if not _accepts(x, v.integer_form, core=True):
-        raise AssertionError("internal error: marginal vector of a convex game left its core")
-    return x
+        x = _core_feasible(v.n, v.integer_form)
+    else:
+        x = _marginal_vector(v.integer_form, range(v.n))
+        if not _accepts(*x, v.integer_form, core=True):
+            raise AssertionError("internal error: marginal vector of a convex game left its core")
+    return None if x is None else _fractions(*x)
 
 
 def core_nonempty(v: ClassicalGame) -> bool:
@@ -342,12 +349,12 @@ def core_nonempty(v: ClassicalGame) -> bool:
 
 def is_selection_imputation(w: IntervalGame, x) -> bool:
     """Some selection accepts x as an imputation: the test on (lower, upper)."""
-    return _accepts(_payoff(x, w.n), w.integer_form, core=False)
+    return _accepts(*_payoff(x, w.n), w.integer_form, core=False)
 
 
 def is_selection_core_member(w: IntervalGame, x) -> bool:
     """Some selection puts x in its core (x lies in the SC polytope)."""
-    return _accepts(_payoff(x, w.n), w.integer_form, core=True)
+    return _accepts(*_payoff(x, w.n), w.integer_form, core=True)
 
 
 def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
@@ -357,15 +364,15 @@ def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
     other coalition at what x pays it; any selection of the result is a
     selection of w that accepts x, built over w's scale times x's denominator.
     """
-    point = _payoff(x, w.n)
-    if not is_selection_core_member(w, point):
+    ints, d = _payoff(x, w.n)
+    if not _accepts(ints, d, w.integer_form, core=True):
         return None
     lo, up, scale = w.integer_form
-    sums, d = _scaled_sums(point, scale)
+    sums = _scaled_sums(ints, scale)
     lower = [b * d for b in lo[:-1]] + sums[-1:]
     upper = [min(s, b * d) for s, b in zip(sums[:-1], up)] + sums[-1:]
     witness = IntervalGame._from_form(w.n, IntegerForm(tuple(lower), tuple(upper), scale * d))
-    if not verify_selection_core_witness(w, point, witness):
+    if not _verified(w, ints, d, witness):
         raise AssertionError("internal error: witness sub-game failed verification")
     return witness
 
@@ -373,10 +380,15 @@ def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
 def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
     """Pure re-check of a witness sub-game: s lies inside w and x is in the
     core of every selection of s, which is the strong core of s."""
-    point = _payoff(x, w.n)
+    return _verified(w, *_payoff(x, w.n), s)
+
+
+def _verified(w: IntervalGame, ints: list[int], d: int, s: IntervalGame) -> bool:
+    """``verify_selection_core_witness`` on the point x = X / d."""
     if s.n != w.n or not _within(s.integer_form, w.integer_form):
         return False
-    return is_strong_core_member(s, point)
+    lo, up, scale = s.integer_form
+    return _accepts(ints, d, IntegerForm(up, lo, scale), core=True)
 
 
 def selection_core_system(w: IntervalGame) -> LinearSystem:
@@ -394,7 +406,7 @@ def _accepts_endpoints(w: IntervalGame, payoff, core: bool) -> bool:
     lows, ups = tuple(p.lower for p in entries), tuple(p.upper for p in entries)
     lo, up, scale = w.integer_form
     lower, upper = IntegerForm(lo, lo, scale), IntegerForm(up, up, scale)
-    return _accepts(lows, lower, core) and _accepts(ups, upper, core)
+    return _accepts(*integers(lows), lower, core) and _accepts(*integers(ups), upper, core)
 
 
 def is_interval_imputation(w: IntervalGame, payoff) -> bool:
@@ -410,13 +422,13 @@ def is_interval_core_member(w: IntervalGame, payoff) -> bool:
 # points generated by the interval core
 
 
-def _slack_halves(w: IntervalGame, point: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
-    """``_core_system`` arguments of the sink and the rise slack half, on one
-    scaling of x's coalition sums.  Sink slacks l >= 0 with x - l in the
-    lower border core are -l on the gap lower - x; rise slacks u >= 0 with
-    x + u in the upper border core are u on the gap upper - x."""
+def _slack_halves(w: IntervalGame, ints: list[int], d: int) -> tuple[tuple, tuple]:
+    """``_core_system`` arguments of the sink and the rise slack half of
+    x = X / d, on one scaling of its coalition sums.  Sink slacks l >= 0 with
+    x - l in the lower border core are -l on the gap lower - x; rise slacks
+    u >= 0 with x + u in the upper border core are u on the gap upper - x."""
     lo, up, scale = w.integer_form
-    sums, d = _scaled_sums(point, scale)
+    sums = _scaled_sums(ints, scale)
     nonneg = frozenset(range(w.n))
 
     def half(border, sign):
@@ -426,10 +438,10 @@ def _slack_halves(w: IntervalGame, point: tuple[Fraction, ...]) -> tuple[tuple, 
     return half(lo, -1), half(up, 1)
 
 
-def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[Fraction, ...] | None:
-    """The slack z of one half on a convex border, or None when it has none;
-    the arguments are one of ``_slack_halves``, as for ``_core_feasible``,
-    and every z it builds is nonnegative, as nonneg asks.
+def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[list[int], int] | None:
+    """The slack (Z, scale) of one half on a convex border, or None when it
+    has none; the arguments are one of ``_slack_halves``, as for
+    ``_core_feasible``, and every Z it builds is nonnegative, as nonneg asks.
 
     With g the gap form's worths, z(S) is capped by cap = -g for sinks and
     cap(S) = g(N) - g(N - S) for rises.  Each player in turn takes the least
@@ -453,8 +465,7 @@ def _greedy_slack(n: int, form: IntegerForm, sign: int, nonneg) -> tuple[Fractio
             z[i] = take
             for part in parts:
                 cap[part] = [c - take for c in cap[part]]
-    slack = tuple(Fraction(v, scale) for v in z)
-    return slack if _accepts(slack if sign > 0 else tuple(-v for v in slack), form, core=True) else None
+    return (z, scale) if _accepts(z if sign > 0 else [-v for v in z], scale, form, core=True) else None
 
 
 def generated_core_system(w: IntervalGame, x) -> LinearSystem:
@@ -464,8 +475,7 @@ def generated_core_system(w: IntervalGame, x) -> LinearSystem:
     2n-variable system for verification, while the solver-facing path uses
     the two independent halves.
     """
-    point = _payoff(x, w.n)
-    lower, upper = (_core_system(*half) for half in _slack_halves(w, point))
+    lower, upper = (_core_system(*half) for half in _slack_halves(w, *_payoff(x, w.n)))
     zero = (0,) * w.n
 
     def stack(left, right):
@@ -487,19 +497,25 @@ def generated_core_witness(w: IntervalGame, x) -> GeneratedCoreWitness | NotGene
     otherwise, both on ``_slack_halves``' gap forms.  Each half's slack has
     passed the border scan, which verifies the pair against the joint system.
     """
-    point = _payoff(x, w.n)
-    slacks = []
-    for border, half in zip(border_games(w), _slack_halves(w, point)):
-        solve = _greedy_slack if check_classical(border, ClassicalProperty.CONVEX) else _core_feasible
-        slacks.append(solve(*half))
-    l, u = slacks
-    if l is not None and u is not None:
-        return GeneratedCoreWitness(l=l, u=u)
-    return NotGenerated(lower_feasible=l is not None, upper_feasible=u is not None)
+    slacks = _generated(w, *_payoff(x, w.n))
+    if isinstance(slacks, NotGenerated):
+        return slacks
+    return GeneratedCoreWitness(*(_fractions(*z) for z in slacks))
+
+
+def _generated(w: IntervalGame, ints: list[int], d: int) -> tuple | NotGenerated:
+    """The slacks (l, u) of x = X / d, each a point (Z, d'), or the failing half."""
+    l, u = (
+        (_greedy_slack if check_classical(border, ClassicalProperty.CONVEX) else _core_feasible)(*half)
+        for border, half in zip(border_games(w), _slack_halves(w, ints, d))
+    )
+    if l is None or u is None:
+        return NotGenerated(lower_feasible=l is not None, upper_feasible=u is not None)
+    return l, u
 
 
 def is_generated_core_member(w: IntervalGame, x) -> bool:
-    return isinstance(generated_core_witness(w, x), GeneratedCoreWitness)
+    return not isinstance(_generated(w, *_payoff(x, w.n)), NotGenerated)
 
 
 def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
@@ -539,12 +555,12 @@ def _supermodular_coincidence(w: IntervalGame) -> CoincidenceVerdict:
         return CoincidenceVerdict(coincident=True)
     order = [i for i in range(n) if t >> i & 1] + [i for i in range(n) if not t >> i & 1]
     x = _marginal_vector(IntegerForm(lo[:-1] + up[-1:], up, scale), order)
-    if not _accepts(x, w.integer_form, core=True):
+    if not _accepts(*x, w.integer_form, core=True):
         raise AssertionError("internal error: counterexample lies outside the selection core")
-    miss = generated_core_witness(w, x)
-    if isinstance(miss, GeneratedCoreWitness):
+    miss = _generated(w, *x)
+    if not isinstance(miss, NotGenerated):
         raise AssertionError("internal error: counterexample is generated")
-    return CoincidenceVerdict(coincident=False, counterexample=x, miss=miss)
+    return CoincidenceVerdict(coincident=False, counterexample=_fractions(*x), miss=miss)
 
 
 def _coincidence_by_vertices(w: IntervalGame) -> CoincidenceVerdict:
@@ -553,9 +569,10 @@ def _coincidence_by_vertices(w: IntervalGame) -> CoincidenceVerdict:
     is generated.  Vertices are visited in lexicographic order and the
     first failure is reported; an empty SC is vacuously coincident."""
     for vertex in enumerate_vertices(selection_core_system(w)):
-        result = generated_core_witness(w, vertex)
+        x = integers(vertex)
+        result = _generated(w, *x)
         if isinstance(result, NotGenerated):
-            if not is_selection_core_member(w, vertex):
+            if not _accepts(*x, w.integer_form, core=True):
                 raise AssertionError("internal error: counterexample lies outside the selection core")
             return CoincidenceVerdict(coincident=False, counterexample=vertex, miss=result)
     return CoincidenceVerdict(coincident=True)
@@ -572,13 +589,13 @@ def is_strong_imputation(w: IntervalGame, x) -> bool:
     individual rationality must survive each singleton's upper endpoint.
     """
     lo, up, scale = w.integer_form
-    return _accepts(_payoff(x, w.n), IntegerForm(up, lo, scale), core=False)
+    return _accepts(*_payoff(x, w.n), IntegerForm(up, lo, scale), core=False)
 
 
 def is_strong_core_member(w: IntervalGame, x) -> bool:
     """x is in the core of every selection (worst case: upper endpoints)."""
     lo, up, scale = w.integer_form
-    return _accepts(_payoff(x, w.n), IntegerForm(up, lo, scale), core=True)
+    return _accepts(*_payoff(x, w.n), IntegerForm(up, lo, scale), core=True)
 
 
 def strong_core_system(w: IntervalGame) -> LinearSystem:
@@ -646,7 +663,7 @@ def _selection_oracle(w: IntervalGame, x, accept) -> bool:
         raise BudgetExceededError(
             f"selection oracle enumerates endpoint games; {w.n} players exceeds {ORACLE_MAX_PLAYERS}"
         )
-    point = _payoff(x, w.n)
+    point = _fractions(*_payoff(x, w.n))
     total = sum(point)
     return any(accept(v, point) for v in _candidate_selections(w, total))
 

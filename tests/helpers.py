@@ -82,6 +82,39 @@ def fraction_accepts(point, lo, up, core: bool) -> bool:
     return next(fraction_shortfalls(point, lo), None) is None
 
 
+def fraction_halves(w: IntervalGame, x) -> tuple[bool, bool]:
+    """The generated-core halves of x by their characterizations on convex
+    borders, in Fractions: x(S) >= lo(S) for every S, and x(S) + up(N - S)
+    <= up(N)."""
+    full = grand_coalition(w.n)
+    sums = additive_worths(x, w.n)
+    top = w.worth(full).upper
+    return (
+        all(sums[m] >= w.worth(m).lower for m in range(1, full + 1)),
+        all(sums[m] + (w.worth(full ^ m).upper if m != full else 0) <= top for m in range(1, full + 1)),
+    )
+
+
+def fraction_coincidence(w: IntervalGame):
+    """The counterexample of a supermodular interval game and its halves,
+    built in Fractions: the route that the integer point form of
+    ``solutions`` replaced, kept as its oracle.  None when every proper
+    worth is degenerate.  Otherwise x is the marginal vector of the lower
+    border, its grand worth raised to up(N), along the players of T, the
+    lowest-mask proper coalition with a real interval, then the rest."""
+    full = grand_coalition(w.n)
+    t = next((m for m in range(1, full) if not w.worth(m).degenerate), None)
+    if t is None:
+        return None
+    floor = [w.worth(m).lower for m in range(full)] + [w.worth(full).upper]
+    order = [i for i in range(w.n) if t >> i & 1] + [i for i in range(w.n) if not t >> i & 1]
+    x, before = [Fraction(0)] * w.n, 0
+    for i in order:
+        x[i] = floor[before | 1 << i] - floor[before]
+        before |= 1 << i
+    return tuple(x), fraction_halves(w, x)
+
+
 def fraction_satisfies(system: LinearSystem, point) -> bool:
     """The row check in Fractions that ``lpcore.satisfies`` replaced with its
     integer check, kept as its oracle."""

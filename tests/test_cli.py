@@ -591,6 +591,100 @@ class TestErrors:
         assert run_cli([], capsys)[0] == 2
 
 
+def text_mode_read(path: str) -> str:
+    """A game file read in text mode with universal newlines, as files were
+    read before ``cli._read_text`` read bytes; kept as its oracle."""
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+FILE_BYTES = {
+    "crlf": SEL_CONVEX_2.replace("\n", "\r\n").encode(),
+    "lone cr": SEL_CONVEX_2.replace("\n", "\r").encode(),
+    "mixed": b"players 2\r\n1 [0, 1]\r2 [0, 1]\n\r\n1,2 [2, 3]\r",
+    "bom": b"\xef\xbb\xbf" + SEL_CONVEX_2.encode(),
+    "invalid utf-8": SEL_CONVEX_2.encode() + b"# \xff\n",
+    "non-ascii": ("# café  \n" + SEL_CONVEX_2).encode(),
+    "empty": b"",
+}
+
+
+class TestFileReading:
+    """Game files are read with one unbuffered binary read, decoded and given
+    text mode's newline translation; text mode itself is the oracle."""
+
+    def paths(self, tmp_path) -> list[str]:
+        paths = [str(tmp_path / "missing.game"), str(tmp_path)]
+        for k, data in enumerate(FILE_BYTES.values()):
+            path = tmp_path / f"{k}.game"
+            path.write_bytes(data)
+            paths.append(str(path))
+        return paths
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            return read(path)
+        except (OSError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def test_text_matches_text_mode(self, tmp_path):
+        paths = self.paths(tmp_path)
+        outcomes = [self.outcome(cli._read_text, p) for p in paths]
+        assert outcomes == [self.outcome(text_mode_read, p) for p in paths]
+        assert sum(isinstance(o, tuple) for o in outcomes) == 3  # missing, directory, invalid UTF-8
+
+    def test_reports_match_text_mode(self, tmp_path, capsys, monkeypatch):
+        paths = self.paths(tmp_path)
+        binary = [run_cli(["classify", p, "--format", "json"], capsys) for p in paths]
+        monkeypatch.setattr(cli, "_read_text", text_mode_read)
+        assert binary == [run_cli(["classify", p, "--format", "json"], capsys) for p in paths]
+        assert [code for code, _, _ in binary].count(0) == 4  # crlf, lone cr, mixed, non-ascii
+
+
+class TestJsonWriter:
+    """``cli._json`` writes what ``json.dumps(doc, indent=2)`` writes, without
+    the pure-Python encoder; json.dumps is the oracle."""
+
+    def test_seeded_report_documents(self, tmp_path):
+        rng = random.Random(91)
+        selection = tmp_path / "sel \"q\" \\ café\tÿ.game"
+        docs = []
+        for n in (2, 3, 3, 4):
+            for w in (rand_additive_border_game(rng, n), embed_classical(rand_convex_classical(rng, n)),
+                      rand_degenerate_grand_convex(rng, n)):
+                x = tuple(w.worth(1 << i).lower for i in range(n))
+                docs.append(cli.classify_report(w))
+                docs.append(cli.coincidence_report(w, 6)[0])
+                docs.append(cli.strong_report(w, x)[0])
+                docs += [cli.membership_report(w, c, x, None)[0] for c in MEMBERSHIP_CONCEPTS[2:]]
+                selection.write_text(format_game(embed_classical(border_games(w)[0])), encoding="utf-8")
+                docs.append(cli.membership_report(w, "core", x, str(selection))[0])
+        docs.append(cli.oracle_report(BAND)[0])
+        for doc in docs:
+            assert cli._json(doc) == json.dumps(doc, indent=2)
+        assert any("\\u00e9" in cli._json(doc) for doc in docs)
+
+    def test_edge_values(self):
+        doc = {
+            "empty list": [],
+            "empty dict": {},
+            "nested": {"a": [[], {}, [{}], [1, -2, 10**30]], "": ""},
+            "text": "quote \" backslash \\ slash / controls \x00\x07\b\f\n\r\t\x1f\x7f",
+            "non-ascii": "café   \U0001f600",
+            "flags": [True, False],
+            "é\"\\": 0,
+        }
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+        for value in ([], {}, "", 0, True, -1):
+            assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, None, (1,), {1}, Fraction(1, 2), {1: "a"}, {"a": [None]}])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
 SUBCOMMAND_USAGE_ERRORS = {
     "classify": ["classify"],
     "membership": ["membership", "game.txt", "nope", "1,2"],

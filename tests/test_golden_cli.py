@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from intervalgames import FAMILY_KINDS, IntervalGame, embed_classical, family, format_game
+from intervalgames import cli
 from intervalgames.cli import main
 from helpers import majority_game
 from test_cli import BAND, TIGHT, UNIT, both_readings
@@ -88,3 +89,13 @@ def test_output_is_unchanged(name, command, game, args, fmt, golden, tmp_path, c
 def test_read_without_a_parser(name, command, game, args, fmt):
     direct, full = both_readings(case_argv(command, game, args, fmt, "GAME"))
     assert direct is not None and direct == full
+
+
+JSON_CASES = [c[0] for c in CASES if c[4] == "json"]
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_json_writer_matches_json_dumps(name, golden):
+    # every golden JSON report, rendered by the writer and by json.dumps
+    doc = json.loads(golden[name]["stdout"])
+    assert cli._json(doc) + "\n" == json.dumps(doc, indent=2) + "\n" == golden[name]["stdout"]

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 
 import pytest
@@ -53,9 +53,12 @@ from intervalgames import (
 from intervalgames import classes, solutions
 from intervalgames.games import IntegerForm
 from intervalgames.lpcore import feasible
+from intervalgames.numerics import integers
 from helpers import (
     endpoint_selections,
     fraction_accepts,
+    fraction_coincidence,
+    fraction_halves,
     fraction_shortfalls,
     majority_game,
     rand_additive_border_game,
@@ -112,7 +115,7 @@ def test_system_rows_for_the_band_game():
     )
     # the slack halves are the core rows of -l and u on their gaps; the
     # grand equality already implies the grand inequality, so there is none
-    sinks, rises = solutions._slack_halves(BAND, (F(2), F(2)))
+    sinks, rises = solutions._slack_halves(BAND, [2, 2], 1)
     assert solutions._core_system(*sinks) == LinearSystem(
         dim=2,
         equalities=(((-1, -1), -3),),
@@ -663,7 +666,7 @@ def lp_routes(system, *args) -> bool:
     ok = full_lp(system)
     y = solutions._core_feasible(*args)
     assert (y is not None) == ok
-    assert y is None or satisfies(system, y)
+    assert y is None or satisfies(system, solutions._fractions(*y))
     return ok
 
 
@@ -672,7 +675,7 @@ def lp_halves(w, point) -> tuple[bool, bool]:
     row generation as in ``lp_routes``."""
     return tuple(
         lp_routes(solutions._core_system(*args), *args)
-        for args in solutions._slack_halves(w, point)
+        for args in solutions._slack_halves(w, *integers(point))
     )
 
 
@@ -790,18 +793,6 @@ def plain_counterexample(w: IntervalGame, x) -> bool:
     return in_sc and sum(x) == w.worth(full).upper and plain_coalition_sum(x, t) == w.worth(t).lower
 
 
-def plain_halves(w: IntervalGame, x) -> tuple[bool, bool]:
-    """The generated-core halves of x by their characterizations on convex
-    borders: x(S) >= lo(S) for every S, and x(S) + up(N - S) <= up(N)."""
-    full = grand_coalition(w.n)
-    sums = [plain_coalition_sum(x, m) for m in range(full + 1)]
-    top = w.worth(full).upper
-    return (
-        all(sums[m] >= w.worth(m).lower for m in range(1, full + 1)),
-        all(sums[m] + (w.worth(full ^ m).upper if m != full else 0) <= top for m in range(1, full + 1)),
-    )
-
-
 class TestConvexClosedForms:
     """On supermodular interval games every question is decided in closed
     form; the routes they replace are the oracles: vertex enumeration for
@@ -811,14 +802,14 @@ class TestConvexClosedForms:
     def points(self, rng, w, verdict):
         lower, upper = border_games(w)
         n = w.n
-        inside = solutions._marginal_vector(lower.integer_form, range(n))
+        inside = solutions._fractions(*solutions._marginal_vector(lower.integer_form, range(n)))
         below = (inside[0] - 1,) + inside[1:]
         points = [
             tuple(w.worth(1 << i).lower for i in range(n)),
             tuple(w.worth(1 << i).upper for i in range(n)),
             inside,
             below,
-            solutions._marginal_vector(upper.integer_form, range(n)[::-1]),
+            solutions._fractions(*solutions._marginal_vector(upper.integer_form, range(n)[::-1])),
             rand_payoff(rng, n),
         ]
         if not verdict.coincident:
@@ -835,9 +826,18 @@ class TestConvexClosedForms:
         if oracle:
             by_vertices = solutions._coincidence_by_vertices(w)
             assert (by_vertices.coincident, by_vertices.miss) == (verdict.coincident, verdict.miss)
-        if not coincident:
+        # the Fraction route the integer point form replaced gives the same
+        # counterexample and miss; on the game over a non-least scale too,
+        # where Fraction equality also holds the entries to lowest terms
+        by_fractions = fraction_coincidence(w)
+        assert core_coincidence(rescaled(w, 6), budget=0) == verdict
+        if coincident:
+            assert by_fractions is None
+        else:
             assert plain_counterexample(w, verdict.counterexample)
             assert verdict.miss == NotGenerated(lower_feasible=True, upper_feasible=False)
+            x, halves = by_fractions
+            assert (verdict.counterexample, verdict.miss) == (x, NotGenerated(*halves))
         lower, upper = border_games(w)
         for v in (lower, upper):
             x = core_witness(v)
@@ -847,9 +847,9 @@ class TestConvexClosedForms:
             assert not lp or feasible(core_system(v))[0]
             seen["core", True] += 1
         for point in self.points(rng, w, verdict):
-            halves = plain_halves(w, point)
+            halves = fraction_halves(w, point)
             if lp:
-                systems = [solutions._core_system(*args) for args in solutions._slack_halves(w, point)]
+                systems = [solutions._core_system(*args) for args in solutions._slack_halves(w, *integers(point))]
                 assert halves == tuple(feasible(system)[0] for system in systems)
             result = generated_core_witness(w, point)
             if isinstance(result, GeneratedCoreWitness):
@@ -869,9 +869,10 @@ class TestConvexClosedForms:
             self.check_game(rng, kind(rng, 2 + i % 3), coincident, seen, oracle=True, lp=True)
         # from five players on, one full LP takes a second or more, and
         # enumeration at seven takes 10-45 s with widths on the borders
-        for n in (5, 6, 7):
+        for n in (5, 6, 7, 8):
             for k, (kind, coincident) in enumerate(CONVEX_KINDS):
-                self.check_game(rng, kind(rng, n), coincident, seen, oracle=n < 7 or k < 2 or k == 3, lp=False)
+                oracle = n < 7 or n == 7 and (k < 2 or k == 3)
+                self.check_game(rng, kind(rng, n), coincident, seen, oracle=oracle, lp=False)
         assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
@@ -1155,6 +1156,14 @@ class TestIntegerBorderTest:
             lo, up = [iv.lower for iv in w.values], [iv.upper for iv in w.values]
             selections = (*border_games(w), random_selection(rng, w))
             for p in off_scale_points(rng, x):
+                # the point test reads X / d the same over a denominator
+                # that is not the least one
+                ints, d = integers(p)
+                k = rng.choice((2, 3, 7))
+                lows, highs, scale = w.integer_form
+                for form, core in product((w.integer_form, IntegerForm(highs, lows, scale)), (False, True)):
+                    unreduced = solutions._accepts([k * a for a in ints], k * d, form, core)
+                    assert unreduced == solutions._accepts(ints, d, form, core)
                 widths = [rng.choice((F(0), F(1, 7))) for _ in range(n)]
                 payoff = tuple(Interval(a, a + e) for a, e in zip(p, widths))
                 highs = tuple(a + e for a, e in zip(p, widths))
@@ -1181,15 +1190,16 @@ class TestIntegerBorderTest:
         assert len(seen) == 16 and min(seen.values()) >= 10, seen
 
     def test_scaled_sums_are_the_coalition_sums(self):
-        # sums[m] = x(S) * scale * d for the coalition S of mask m, d the
-        # least common denominator of x
+        # sums[m] = X(S) * scale for the coalition S of mask m, where
+        # x = X / d and d is the least common denominator of x
         rng = random.Random(67)
         for n in range(1, 11):
             for _ in range(5):
                 x = rand_payoff(rng, n)
                 scale = rng.choice((1, 2, 3, 7))
-                sums, d = solutions._scaled_sums(x, scale)
+                ints, d = integers(x)
                 assert d == lcm(*(xi.denominator for xi in x))
+                sums = solutions._scaled_sums(ints, scale)
                 assert sums == [plain_coalition_sum(x, m) * scale * d for m in range(1 << n)], (x, scale)
 
     def test_shortfall_order_matches_the_fraction_scan(self):
@@ -1203,7 +1213,7 @@ class TestIntegerBorderTest:
             for p in off_scale_points(rng, x):
                 for form in (IntegerForm(lo, up, scale), IntegerForm(up, lo, scale)):
                     floor = [F(a, scale) for a in form.lower]
-                    got = [m for _, m in sorted(solutions._shortfalls(p, form))]
+                    got = [m for _, m in sorted(solutions._shortfalls(*integers(p), form))]
                     assert got == [m for _, m in sorted(fraction_shortfalls(p, floor))]
 
 
