@@ -111,9 +111,9 @@ lo(S+i) + lo(S+j) <= up(S+i) + up(S+j) <= lo(S+i+j) + lo(S) and
 up(S+i) + up(S+j) <= lo(S+i+j) + lo(S) <= up(S+i+j) + up(S); and
 up(S) + up(T) <= lo(S | T) gives lo(S) + lo(T) <= lo(S | T) and
 up(S) + up(T) <= up(S | T).  So ``classify`` decides the selection
-classes first, runs for each border only the kernels its selection pair
-failed, decides each distinct game and property once, packing each game
-at most once, and reads the interval classes off the same verdicts.
+classes first and runs for each border only the kernels its selection pair
+failed.  Every verdict is cached by ``_verdict`` on borders interned by
+their worths, so each distinct game is packed and decided once.
 """
 
 import sys
@@ -163,20 +163,19 @@ def _additive(vals, n: int) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _verdict(lo: tuple[int, ...], up: tuple[int, ...], n: int, prop: ClassicalProperty) -> bool:
-    # keyed on the integer forms: a classical game passes (v, v), and
-    # additivity is asked of classical games only
+def _verdict(lo: "_Border", up: "_Border", prop: ClassicalProperty) -> bool:
+    # keyed on interned borders, hashed by identity: the cache holds its keys,
+    # so no id is reused while an entry lives.  Additivity is asked of (v, v)
     if prop is ClassicalProperty.ADDITIVE:
-        return _additive(lo, n)
+        return _additive(lo.worths, lo.n)
     if prop is ClassicalProperty.SUPERADDITIVE:
         # convexity implies superadditivity; its verdict is cached, so the
         # convexity kernel runs once per pair of borders
-        return _verdict(lo, up, n, ClassicalProperty.CONVEX) or _superadditive_kernel(lo, up, n)
+        return _verdict(lo, up, ClassicalProperty.CONVEX) or _superadditive_kernel(lo.worths, up.worths, lo.n)
     kernel = _KERNELS.get(prop)
     if kernel is None:
         raise ValueError(f"unknown classical property: {prop!r}")
-    left = _Border(lo, n)
-    return kernel(left, left if up is lo else _Border(up, n), n)
+    return kernel(lo, up, lo.n)
 
 
 def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
@@ -185,8 +184,10 @@ def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
     Monotonicity, superadditivity and convexity run the selection kernel
     with both borders set to v; additivity is one pass over the coalitions.
     """
-    lo, up, _ = v.integer_form
-    return _verdict(lo, up, v.n, prop)
+    if not isinstance(v, ClassicalGame):
+        raise TypeError(f"expected a ClassicalGame, got {type(v).__name__}")
+    border = _border(v.integer_form.lower, v.n)
+    return _verdict(border, border, prop)
 
 
 # the cache behind the public name reports its hits under that name too
@@ -201,6 +202,15 @@ _INTERVAL_TERMS = {
 }
 
 
+def _borders(w: IntervalGame) -> dict[str, "_Border"]:
+    """The interned lower, upper and length games of w."""
+    if not isinstance(w, IntervalGame):
+        raise TypeError(f"expected an IntervalGame, got {type(w).__name__}")
+    lower, upper, _ = w.integer_form
+    worths = (lower, upper, length_game(w).integer_form.lower)
+    return {name: _border(v, w.n) for name, v in zip(("lower", "upper", "length"), worths)}
+
+
 def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
     """Interval classes are conjunctions of classical properties of the
     border and length games."""
@@ -208,23 +218,7 @@ def check_interval_class(w: IntervalGame, cls: IntervalClass) -> bool:
     if terms is None:
         raise ValueError(f"unknown interval class: {cls!r}")
     prop, names = terms
-    lower, upper, _ = w.integer_form
-    worths = {"lower": lower, "upper": upper, "length": length_game(w).integer_form.lower}
-    return all(_verdict(worths[name], worths[name], w.n, prop) for name in names)
-
-
-def _decide(lo: "_Border", up: "_Border", n: int, implied=None) -> dict[ClassicalProperty, bool]:
-    """Monotonicity, convexity and superadditivity of the borders (lo, up),
-    each kernel run at most once; a property ``implied`` marks True holds
-    without a run."""
-    implied = implied or {}
-    out = {prop: implied.get(prop) or kernel(lo, up, n) for prop, kernel in _KERNELS.items()}
-    out[ClassicalProperty.SUPERADDITIVE] = (
-        implied.get(ClassicalProperty.SUPERADDITIVE)
-        or out[ClassicalProperty.CONVEX]
-        or _superadditive_kernel(lo.worths, up.worths, n)
-    )
-    return out
+    return all(_verdict(b, b, prop) for b in map(_borders(w).get, names))
 
 
 def classify(w: IntervalGame) -> tuple[dict, dict[IntervalClass, bool], dict[SelectionClass, bool]]:
@@ -233,26 +227,16 @@ def classify(w: IntervalGame) -> tuple[dict, dict[IntervalClass, bool], dict[Sel
     Returns the classical properties of the lower, upper and length games
     (keyed by those names), the interval classes and the selection classes.
     The selection classes are decided first, and a border runs only the
-    kernels its selection pair failed (module docstring).  Games with equal
-    worths share their verdicts, each game is packed at most once, and the
-    interval classes are read off the border and length verdicts.
+    kernels its selection pair failed (module docstring).  The interval
+    classes are read off the border and length verdicts.
     """
-    lower, upper, _ = w.integer_form
-    n = w.n
-    lo = _Border(lower, n)
-    up = lo if upper == lower else _Border(upper, n)
-    wide = _Border(length_game(w).integer_form.lower, n)
-    selection = _decide(lo, up, n)
-    # a degenerate game's borders are its selection pair
-    decided = [(lo, {**selection, ClassicalProperty.ADDITIVE: _additive(lower, n)})] if lo is up else []
-    games = {}
-    for name, game in (("lower", lo), ("upper", up), ("length", wide)):
-        verdicts = next((known for seen, known in decided if seen.worths == game.worths), None)
-        if verdicts is None:
-            verdicts = _decide(game, game, n, None if game is wide else selection)
-            verdicts[ClassicalProperty.ADDITIVE] = _additive(game.worths, n)
-            decided.append((game, verdicts))
-        games[name] = {prop: verdicts[prop] for prop in ClassicalProperty}
+    borders = _borders(w)
+    pair = borders["lower"], borders["upper"]
+    selection = {prop: _verdict(*pair, prop) for prop in _SELECTION_TO_CLASSICAL.values()}
+    games = {
+        name: {p: (name != "length" and selection.get(p)) or _verdict(b, b, p) for p in ClassicalProperty}
+        for name, b in borders.items()
+    }
     interval = {
         cls: all(games[name][prop] for name in names) for cls, (prop, names) in _INTERVAL_TERMS.items()
     }
@@ -458,6 +442,11 @@ class _Border:
         return self._lanes[width]
 
 
+# the one _Border of each worth tuple: equal games share their packed lanes
+# and their verdicts; _Border keeps object's identity __eq__ and __hash__
+_border = lru_cache(maxsize=256)(_Border)
+
+
 def _monotonic_lanes(lo: int, up: int, n: int, width: int) -> bool:
     # for each player i at once over every S: lane S+i holds
     # 2^(W-1) + lo(S+i) - up(S), whose top bit is set exactly when it holds
@@ -510,9 +499,8 @@ def _convex_kernel(lo: _Border, up: _Border, n: int) -> bool:
 
 
 # the kernels every verdict runs (superadditivity is read off convexity,
-# else _superadditive_kernel, in _verdict and _decide), and the pair and 3^n
-# scans they replaced, which stay as the oracles the local forms are tested
-# against
+# else _superadditive_kernel, in _verdict), and the pair and 3^n scans they
+# replaced, which stay as the oracles the local forms are tested against
 _KERNELS = {
     ClassicalProperty.MONOTONIC: _monotonic_kernel,
     ClassicalProperty.CONVEX: _convex_kernel,
@@ -540,8 +528,8 @@ def _selection_property(cls: SelectionClass) -> ClassicalProperty:
 
 def check_selection_class(w: IntervalGame, cls: SelectionClass) -> bool:
     """Endpoint characterization of a selection class."""
-    lo, up, _ = w.integer_form
-    return _verdict(lo, up, w.n, _selection_property(cls))
+    borders = _borders(w)
+    return _verdict(borders["lower"], borders["upper"], _selection_property(cls))
 
 
 def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:

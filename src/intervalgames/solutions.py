@@ -42,11 +42,11 @@ slack and counterexample is built and checked as (X, d).
 Convex borders are decided in closed form, without a linear program or
 vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
 closed form runs behind one gate, ``check_classical(border, CONVEX)``,
-the per-border verdict ``classes`` caches; coincidence asks it of both
-borders (a supermodular interval game).  Any other input takes the
-general route below, which is also the oracle the tests compare the
-closed forms with.  Below, v, lo and up are supermodular with worth 0 on
-the empty set, and y(S) is the sum of y over S.
+the verdict ``classes`` caches on the border interned by its worths;
+coincidence asks it of both borders (a supermodular interval game).  Any
+other input takes the general route below, which is also the oracle the
+tests compare the closed forms with.  Below, v, lo and up are supermodular
+with worth 0 on the empty set, and y(S) is the sum of y over S.
 
 * Marginal vectors.  Along any order of the players, the vector paying
   each player what it adds to those before it lies in core(v).  The sum
@@ -327,20 +327,25 @@ def core_system(v: ClassicalGame) -> LinearSystem:
     return _core_system(v.n, v.integer_form)
 
 
-def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
-    """A core point: the identity-order marginal vector of a convex game,
-    otherwise row generation."""
+def _core_point(v: ClassicalGame) -> tuple[list[int], int] | None:
+    """A core point (X, d): the identity-order marginal vector of a convex
+    game, otherwise row generation."""
     if not check_classical(v, ClassicalProperty.CONVEX):
-        x = _core_feasible(v.n, v.integer_form)
-    else:
-        x = _marginal_vector(v.integer_form, range(v.n))
-        if not _accepts(*x, v.integer_form, core=True):
-            raise AssertionError("internal error: marginal vector of a convex game left its core")
+        return _core_feasible(v.n, v.integer_form)
+    x = _marginal_vector(v.integer_form, range(v.n))
+    if not _accepts(*x, v.integer_form, core=True):
+        raise AssertionError("internal error: marginal vector of a convex game left its core")
+    return x
+
+
+def core_witness(v: ClassicalGame) -> tuple[Fraction, ...] | None:
+    """A core point, or None when the core is empty (``_core_point``)."""
+    x = _core_point(v)
     return None if x is None else _fractions(*x)
 
 
 def core_nonempty(v: ClassicalGame) -> bool:
-    return core_witness(v) is not None
+    return _core_point(v) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -34,3 +34,13 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             outside += [(path.name, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_the_benchmark_reads_the_verdict_cache_through_the_cli():
+    # perfbench reads both after every op; its own tests are not part of
+    # this suite, so a refactor that dropped either would show only as a
+    # failed benchmark run
+    from intervalgames import classes, cli
+
+    assert isinstance(classes.check_classical.cache_info().hits, int)
+    assert cli.check_classical is classes.check_classical

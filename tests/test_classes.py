@@ -292,6 +292,17 @@ class TestSelectionClasses:
         # ValueError, none leaks the KeyError of an internal lookup
         w = family("sel-convex", 2)
         v, _ = border_games(w)
+        # a game of the other type is a TypeError: a classical check of an
+        # interval game would answer the selection question, whose verdict
+        # differs from its lower border's here
+        u = family("interval-superadditive", 3)
+        assert check_classical(border_games(u)[0], ClassicalProperty.SUPERADDITIVE)
+        assert not check_selection_class(u, SelectionClass.SUPERADDITIVE)
+        with pytest.raises(TypeError, match="expected a ClassicalGame, got IntervalGame"):
+            check_classical(u, ClassicalProperty.SUPERADDITIVE)
+        for check, cls in ((check_interval_class, IntervalClass.CONVEX), (check_selection_class, SelectionClass.CONVEX)):
+            with pytest.raises(TypeError, match="expected an IntervalGame, got ClassicalGame"):
+                check(v, cls)
         with pytest.raises(ValueError, match="unknown classical property"):
             check_classical(v, "convex")
         with pytest.raises(ValueError, match="unknown interval class"):
@@ -376,7 +387,8 @@ class TestSeparations:
 def superadditive_verdict(lo, up, n: int) -> bool:
     """The cached route every superadditivity verdict takes: convexity,
     else the superadditivity kernel."""
-    return classes._verdict(tuple(lo), tuple(up), n, ClassicalProperty.SUPERADDITIVE)
+    lo, up = classes._border(tuple(lo), n), classes._border(tuple(up), n)
+    return classes._verdict(lo, up, ClassicalProperty.SUPERADDITIVE)
 
 
 LOCAL_AND_ORACLE = {
@@ -841,6 +853,8 @@ def test_scaled_families_classify_as_the_family(kind, monkeypatch):
         table = classify_report(w)
         lower, upper, _ = w.integer_form
         for factor, lanes in ((1 << 20, (32, 64)), (1 << 70, (128,))):
+            # interned borders keep their lanes, so pack afresh
+            classes._border.cache_clear()
             widths.clear()
             scaled = IntervalGame(n, [(factor * a, factor * b) for a, b in zip(lower, upper)])
             assert classify_report(scaled) == table, (n, factor)
@@ -879,6 +893,48 @@ class TestOneReport:
             }
             assert interval == {c: check_interval_class(w, c) for c in IntervalClass}
             assert selection == {c: check_selection_class(w, c) for c in SelectionClass}
+
+    def test_the_checks_reuse_the_verdicts_of_classify(self, monkeypatch):
+        # one cache serves classify and the single checks: after classify a
+        # check runs a kernel only on a border whose verdict classify read
+        # off its passing selection pair, so a game failing every selection
+        # class runs none.  interval-superadditive is one, and its upper and
+        # length games, with equal worths, are decided once
+        runs = []
+        for prop, name in ((ClassicalProperty.CONVEX, "convex"), (ClassicalProperty.MONOTONIC, "monotonic")):
+            monkeypatch.setitem(classes._KERNELS, prop, recording(runs, name, classes._KERNELS[prop]))
+        for name in ("_superadditive_kernel", "_additive"):
+            monkeypatch.setattr(classes, name, recording(runs, name, getattr(classes, name)))
+        implies = {"convex": SelectionClass.CONVEX, "monotonic": SelectionClass.MONOTONIC}
+        implies["_superadditive_kernel"] = SelectionClass.SUPERADDITIVE
+
+        def games_of(run):
+            # the kernels take borders, the scan and additivity worths
+            return {getattr(game, "worths", game) for game in run[1:-1]}
+
+        failing = 0
+        for w in [family("interval-superadditive", n) for n in (4, classes._PACKED_MIN_PLAYERS)] + self.games():
+            classes._verdict.cache_clear()
+            runs.clear()
+            _, _, selection = classes.classify(w)
+            decided = [(run[0], *sorted(games_of(run))) for run in runs]
+            assert len(set(decided)) == len(decided)
+            runs.clear()
+            hits = check_classical.cache_info().hits
+            for v in (*border_games(w), length_game(w)):
+                for prop in ClassicalProperty:
+                    check_classical(v, prop)
+            for check, kinds in ((check_interval_class, IntervalClass), (check_selection_class, SelectionClass)):
+                for cls in kinds:
+                    check(w, cls)
+            assert check_classical.cache_info().hits > hits
+            lower, upper, _ = w.integer_form
+            for run in runs:
+                games = games_of(run)
+                assert run[0] in implies and selection[implies[run[0]]], (run[0], w)
+                assert len(games) == 1 and games <= {lower, upper}, (run[0], w)
+            failing += not any(selection.values())
+        assert failing >= 20, failing
 
     def test_a_parsed_report_rescales_nothing_and_runs_each_kernel_once(self, monkeypatch):
         calls = {"convex": 0, "monotonic": 0, "scan": 0, "integers": 0, "interval": 0}

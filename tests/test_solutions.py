@@ -983,12 +983,21 @@ class TestStronglyBalanced:
             seen[got] += 1
         assert seen[True] >= 10 and seen[False] >= 10
 
-    def test_knowns(self):
+    def test_knowns(self, monkeypatch):
         assert is_strongly_balanced(
             IntervalGame.from_map(2, {(1,): (0, 0), (2,): (0, 0), (1, 2): (1, 2)})
         )
         assert not is_strongly_balanced(embed_classical(majority_game()))
         assert is_strongly_balanced(TIGHT)
+        # a convex game with its grand worth widened upwards is its own worst
+        # selection: decided by its marginal vector, with no Fraction built
+        v = rand_convex_classical(random.Random(63), 5)
+        full = grand_coalition(5)
+        w = IntervalGame.from_function(5, lambda m: (v.values[m], v.values[m] + (m == full)))
+        calls, fractions = [], solutions._fractions
+        monkeypatch.setattr(solutions, "_fractions", lambda *x: calls.append(x) or fractions(*x))
+        assert is_strongly_balanced(w)
+        assert calls == []
 
     def test_equivalent_to_all_selections_having_cores(self):
         rng = random.Random(59)
