@@ -19,7 +19,23 @@ reason exhaustive) route to the same answer.
 One kernel per property takes the two borders ``(lo, up)``.  A classical
 property is the lo = up case of its selection kernel: a classical game
 passes its worths as both borders.  Additivity, which no selection class
-uses, is the one classical-only check.
+uses, is classical only, and a classical pair asks it first: an additive
+game decides the other three properties.  It is modular,
+v(S) + v(T) = v(S | T) + v(S & T), as both sides sum the same singletons
+the same number of times, so it is convex, and, with v(empty set) = 0,
+superadditive.  It is monotonic exactly when no singleton is worth less
+than 0: for S inside T, v(T) - v(S) is the sum of the singletons of T - S,
+and S = empty set, T = {i} asks v({i}) >= 0.  There no other kernel runs
+and nothing is packed.
+
+Additivity, v(S) the sum of its singletons for every S, is checked in two
+steps.  The loop over the first ``_SCREEN_PLAYERS`` = 4 players'
+coalitions compares each worth with the worth without its lowest player
+plus that player's; up to 4 players it is the verdict.  Then one
+comparison of all 2^n worths with the singleton sums, built by doubling
+in mask order: the sums over the first i players' coalitions, then the
+same sums plus v({i}).  ``_additive``, the loop over all n players, stays
+as the oracle.
 
 The kernels check local forms, which cost far less than the pair scans:
 
@@ -112,8 +128,9 @@ up(S+i) + up(S+j) <= lo(S+i+j) + lo(S) <= up(S+i+j) + up(S); and
 up(S) + up(T) <= lo(S | T) gives lo(S) + lo(T) <= lo(S | T) and
 up(S) + up(T) <= up(S | T).  So ``classify`` decides the selection
 classes first and runs for each border only the kernels its selection pair
-failed.  Every verdict is cached by ``_verdict`` on borders interned by
-their worths, so each distinct game is packed and decided once.
+failed, none on an additive border.  Every verdict is cached by
+``_verdict`` on borders interned by their worths, so each distinct game is
+packed and decided once.
 """
 
 import sys
@@ -125,7 +142,7 @@ from math import comb
 from operator import itemgetter
 
 from .errors import BudgetExceededError
-from .games import ClassicalGame, IntervalGame, length_game
+from .games import ClassicalGame, IntegerForm, IntervalGame, length_game
 
 ORACLE_MAX_PLAYERS = 4
 
@@ -162,12 +179,30 @@ def _additive(vals, n: int) -> bool:
     return True
 
 
+def _additive_kernel(worths: tuple[int, ...], n: int) -> bool:
+    """Additivity: the loop over the first ``_SCREEN_PLAYERS`` players'
+    coalitions, then every worth against its singleton sum, the sums built
+    by doubling in mask order (module docstring)."""
+    if not _additive(worths, min(n, _SCREEN_PLAYERS)):
+        return False
+    if n <= _SCREEN_PLAYERS:
+        return True
+    sums = [0]
+    for i in range(n):
+        share = worths[1 << i]
+        sums += [s + share for s in sums]
+    return tuple(sums) == worths
+
+
 @lru_cache(maxsize=256)
 def _verdict(lo: "_Border", up: "_Border", prop: ClassicalProperty) -> bool:
     # keyed on interned borders, hashed by identity: the cache holds its keys,
-    # so no id is reused while an entry lives.  Additivity is asked of (v, v)
+    # so no id is reused while an entry lives.  Additivity is asked of (v, v),
+    # and a classical pair asks it first: an additive game is modular
     if prop is ClassicalProperty.ADDITIVE:
-        return _additive(lo.worths, lo.n)
+        return _additive_kernel(lo.worths, lo.n)
+    if lo is up and prop in _MODULAR and _verdict(lo, up, ClassicalProperty.ADDITIVE):
+        return prop is not ClassicalProperty.MONOTONIC or all(lo.worths[1 << i] >= 0 for i in range(lo.n))
     if prop is ClassicalProperty.SUPERADDITIVE:
         # convexity implies superadditivity; its verdict is cached, so the
         # convexity kernel runs once per pair of borders
@@ -181,8 +216,9 @@ def _verdict(lo: "_Border", up: "_Border", prop: ClassicalProperty) -> bool:
 def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
     """Exact check of a classical property.
 
-    Monotonicity, superadditivity and convexity run the selection kernel
-    with both borders set to v; additivity is one pass over the coalitions.
+    Additivity is checked first, and where it holds it decides the other
+    three (module docstring); otherwise monotonicity, superadditivity and
+    convexity run the selection kernel with both borders set to v.
     """
     if not isinstance(v, ClassicalGame):
         raise TypeError(f"expected a ClassicalGame, got {type(v).__name__}")
@@ -202,11 +238,17 @@ _INTERVAL_TERMS = {
 }
 
 
-def _borders(w: IntervalGame) -> dict[str, "_Border"]:
-    """The interned lower, upper and length games of w."""
+def _interval_form(w: IntervalGame) -> IntegerForm:
+    """The integer form of w, which every selection and interval check reads;
+    a game of another type is refused."""
     if not isinstance(w, IntervalGame):
         raise TypeError(f"expected an IntervalGame, got {type(w).__name__}")
-    lower, upper, _ = w.integer_form
+    return w.integer_form
+
+
+def _borders(w: IntervalGame) -> dict[str, "_Border"]:
+    """The interned lower, upper and length games of w."""
+    lower, upper, _ = _interval_form(w)
     worths = (lower, upper, length_game(w).integer_form.lower)
     return {name: _border(v, w.n) for name, v in zip(("lower", "upper", "length"), worths)}
 
@@ -498,13 +540,17 @@ def _convex_kernel(lo: _Border, up: _Border, n: int) -> bool:
     return _kernel(_convex_local, _convex_lanes, lo, up, n)
 
 
-# the kernels every verdict runs (superadditivity is read off convexity,
-# else _superadditive_kernel, in _verdict), and the pair and 3^n scans they
-# replaced, which stay as the oracles the local forms are tested against
+# the kernels every verdict runs (in _verdict: additivity first on a
+# classical pair; superadditivity read off convexity, else
+# _superadditive_kernel), and the pair and 3^n scans they replaced, which
+# stay as the oracles the local forms are tested against
 _KERNELS = {
     ClassicalProperty.MONOTONIC: _monotonic_kernel,
     ClassicalProperty.CONVEX: _convex_kernel,
 }
+
+# the properties an additive game's verdict decides (module docstring)
+_MODULAR = (ClassicalProperty.MONOTONIC, ClassicalProperty.SUPERADDITIVE, ClassicalProperty.CONVEX)
 
 _ORACLE_KERNELS = {
     ClassicalProperty.MONOTONIC: _monotonic,
@@ -540,7 +586,7 @@ def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
                          with the base coalition
     ``marginal-single``  the same with single-player additions only
     """
-    lo, up, _ = w.integer_form
+    lo, up, _ = _interval_form(w)
     if variant == "pairs":
         return _convex_pairs(lo, up, w.n)
     if variant == "marginal":
@@ -558,12 +604,12 @@ def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
     selection goes through the pair and 3^n scans, not the local kernels
     that ``check_selection_class`` runs.
     """
+    lo, up, _ = _interval_form(w)
     if w.n > ORACLE_MAX_PLAYERS:
         raise BudgetExceededError(
             f"endpoint selection oracle supports at most {ORACLE_MAX_PLAYERS} players, got {w.n}"
         )
     kernel = _ORACLE_KERNELS[_selection_property(cls)]
-    lo, up, _ = w.integer_form
     n = w.n
     m = (1 << n) - 1
     vals = [0] * (m + 1)

@@ -28,6 +28,7 @@ from intervalgames import (
 from intervalgames import classes, games, numerics
 from intervalgames.cli import classify_report
 from helpers import (
+    additive_worths,
     endpoint_selections,
     majority_game,
     rand_additive_classical,
@@ -300,9 +301,20 @@ class TestSelectionClasses:
         assert not check_selection_class(u, SelectionClass.SUPERADDITIVE)
         with pytest.raises(TypeError, match="expected a ClassicalGame, got IntervalGame"):
             check_classical(u, ClassicalProperty.SUPERADDITIVE)
-        for check, cls in ((check_interval_class, IntervalClass.CONVEX), (check_selection_class, SelectionClass.CONVEX)):
-            with pytest.raises(TypeError, match="expected an IntervalGame, got ClassicalGame"):
-                check(v, cls)
+        # the convexity variants and the oracle too: a classical game would
+        # pass as a degenerate interval game, ClassicalGame(2, (0, 1, 1, 3))
+        # as selection-convex
+        c = ClassicalGame(2, (0, 1, 1, 3))
+        interval_checks = (
+            (check_interval_class, IntervalClass.CONVEX),
+            (check_selection_class, SelectionClass.CONVEX),
+            (check_selection_convex_variant, "pairs"),
+            (selection_class_oracle, SelectionClass.CONVEX),
+        )
+        for check, cls in interval_checks:
+            for game in (v, c):
+                with pytest.raises(TypeError, match="expected an IntervalGame, got ClassicalGame"):
+                    check(game, cls)
         with pytest.raises(ValueError, match="unknown classical property"):
             check_classical(v, "convex")
         with pytest.raises(ValueError, match="unknown interval class"):
@@ -838,7 +850,9 @@ def test_classify_families_at_twelve_players(kind):
 @pytest.mark.parametrize("kind", sorted(FAMILY_LABELS))
 def test_scaled_families_classify_as_the_family(kind, monkeypatch):
     # scaled by 2^20 the worths need 32- or 64-bit lanes, by 2^70 128-bit
-    # ones; a positive scale keeps every verdict
+    # ones; a positive scale keeps every verdict.  interval-superadditive
+    # packs nothing: its selection pair fails before the lanes and its
+    # three borders are additive
     widths = []
     pack = classes._pack
 
@@ -858,7 +872,10 @@ def test_scaled_families_classify_as_the_family(kind, monkeypatch):
             widths.clear()
             scaled = IntervalGame(n, [(factor * a, factor * b) for a, b in zip(lower, upper)])
             assert classify_report(scaled) == table, (n, factor)
-            assert max(widths) in lanes, (n, factor, widths)
+            if kind == "interval-superadditive":
+                assert widths == [], (n, factor, widths)
+            else:
+                assert max(widths) in lanes, (n, factor, widths)
 
 
 class TestOneReport:
@@ -937,7 +954,7 @@ class TestOneReport:
         assert failing >= 20, failing
 
     def test_a_parsed_report_rescales_nothing_and_runs_each_kernel_once(self, monkeypatch):
-        calls = {"convex": 0, "monotonic": 0, "scan": 0, "integers": 0, "interval": 0}
+        calls = {"convex": 0, "monotonic": 0, "scan": 0, "additive": 0, "integers": 0, "interval": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -950,6 +967,7 @@ class TestOneReport:
             monkeypatch.setitem(classes._KERNELS, prop, counting(name, classes._KERNELS[prop]))
         scan = classes._superadditive_kernel
         monkeypatch.setattr(classes, "_superadditive_kernel", counting("scan", scan))
+        monkeypatch.setattr(classes, "_additive_kernel", counting("additive", classes._additive_kernel))
         for module in (games, numerics):
             monkeypatch.setattr(module, "integers", counting("integers", numerics.integers))
         monkeypatch.setattr(numerics.Interval, "__init__", counting("interval", numerics.Interval.__init__))
@@ -961,6 +979,8 @@ class TestOneReport:
             for maker in (convex_with_widths, perturbed_upper):
                 lo, up = maker(rng, n)
                 made.append(IntervalGame(n, list(zip(lo, up))))
+        # a degenerate additive game: its selection pair is decided by additivity
+        made += [embed_classical(rand_additive_classical(rng, n)) for n in (4, classes._PACKED_MIN_PLAYERS)]
         kernels = {"convex": classes._convex_local, "monotonic": classes._monotonic_local}
         for text in map(format_game, made):
             classes._verdict.cache_clear()
@@ -974,17 +994,24 @@ class TestOneReport:
             assert "values" not in vars(w)
             # the selection pair once; a border only where its selection
             # verdict failed (a degenerate game's borders are its selection
-            # pair); the length game once; games with equal worths once
+            # pair); the length game once; games with equal worths once;
+            # additivity once per distinct game, and nothing else on an
+            # additive one, selection pair included
             n = w.n
             lower, upper, _ = w.integer_form
             length = tuple(b - a for a, b in zip(lower, upper))
             selection = {name: kernel(lower, upper, n) for name, kernel in kernels.items()}
             superadditive = selection["convex"] or scan(lower, upper, n)
             expected = {"convex": 1, "monotonic": 1, "scan": int(not selection["convex"])}
+            expected["additive"] = len({lower, upper, length})
+            if lower == upper and classes._additive(lower, n):
+                expected.update(convex=0, monotonic=0, scan=0)
             decided = [lower] if lower == upper else []
             for game in (lower, upper, length):
                 if game not in decided:
                     decided.append(game)
+                    if classes._additive(game, n):
+                        continue
                     for name in kernels:
                         expected[name] += game is length or not selection[name]
                     # the superadditivity kernel where convexity failed and
@@ -992,3 +1019,98 @@ class TestOneReport:
                     implied = game is not length and superadditive
                     expected["scan"] += not implied and not kernels["convex"](game, game, n)
             assert {name: calls[name] for name in expected} == expected
+
+
+# ---------------------------------------------------------------------------
+# additivity first: an additive classical pair is decided without its kernels
+
+def additive_border(rng, n: int, least: int = -3) -> list:
+    """Integer additive worths with singletons in least..3."""
+    return [int(w) for w in additive_worths([rng.randint(least, 3) for _ in range(n)], n)]
+
+
+def off_by_one(rng, worths: list, n: int) -> list:
+    """worths with one coalition of two or more players, one of them past
+    the first ``_SCREEN_PLAYERS``, moved by 1: additive on the first
+    players' coalitions, which the screen checks, and not past them."""
+    m = rng.choice([m for m in range(1 << classes._SCREEN_PLAYERS, 1 << n) if m & (m - 1)])
+    moved = list(worths)
+    moved[m] += rng.choice((-1, 1))
+    return moved
+
+
+def additive_first_games(rng, n: int) -> list:
+    """(lo, up) of seeded games around the additive ones: additive borders
+    with and without negative singletons and with additive widths (all
+    three games additive), the zero game, and from 5 players on, borders
+    off by 1 past the screen's coalitions."""
+    zero = [0] * (1 << n)
+    plain, nonnegative = additive_border(rng, n), additive_border(rng, n, least=0)
+    widths = additive_border(rng, n, least=0)
+    wide = [a + b for a, b in zip(plain, widths)]
+    pairs = [(zero, zero), (plain, plain), (nonnegative, nonnegative), (plain, wide), (zero, widths)]
+    if n > classes._SCREEN_PLAYERS:
+        moved = off_by_one(rng, plain, n)
+        pairs += [(moved, moved), (plain, [max(a, b) for a, b in zip(plain, off_by_one(rng, wide, n))])]
+        pairs += [(zero, off_by_one(rng, widths, n))]
+    return pairs
+
+
+# the loop kernels, which the packed ones are tested against
+LOOP_KERNELS = {
+    ClassicalProperty.MONOTONIC: classes._monotonic_local,
+    ClassicalProperty.SUPERADDITIVE: classes._superadditive_kernel,
+    ClassicalProperty.CONVEX: classes._convex_local,
+}
+
+
+class TestAdditiveFirst:
+    """A classical pair asks additivity first; where it holds, the verdicts
+    read off it must be the oracles' and the loop kernels'."""
+
+    def test_verdicts_agree_with_the_oracles_and_the_loops(self):
+        seen = {"additive, not monotonic": 0, "additive, monotonic": 0, "caught past the screen": 0}
+        rng = random.Random(41)
+        for n in range(1, 11):
+            for _ in range(3 if n < 9 else 1):
+                for lo, up in additive_first_games(rng, n):
+                    lo, up = tuple(lo), tuple(up)
+                    length = tuple(b - a for a, b in zip(lo, up))
+                    for worths in {lo, up, length}:
+                        additive = classes._additive(worths, n)
+                        border = classes._Border(worths, n)
+                        assert classes._additive_kernel(worths, n) == additive, (n, worths)
+                        assert classes._verdict(border, border, ClassicalProperty.ADDITIVE) == additive
+                        for prop, oracle in classes._ORACLE_KERNELS.items():
+                            verdict = oracle(worths, worths, n)
+                            assert LOOP_KERNELS[prop](worths, worths, n) == verdict, (prop, n, worths)
+                            assert classes._verdict(border, border, prop) == verdict, (prop, n, worths)
+                        if additive:
+                            monotonic = classes._monotonic(worths, worths, n)
+                            seen[f"additive, {'' if monotonic else 'not '}monotonic"] += 1
+                        screened = classes._additive(worths, min(n, classes._SCREEN_PLAYERS))
+                        seen["caught past the screen"] += screened and not additive
+                    # the selection pair and classify, through interned borders
+                    w = IntervalGame(n, list(zip(lo, up)))
+                    classes._verdict.cache_clear()
+                    games, _, selection = classes.classify(w)
+                    for cls, prop in MATCHING.items():
+                        assert selection[cls] == classes._ORACLE_KERNELS[prop](lo, up, n), (cls, n, lo, up)
+                    for name, worths in (("lower", lo), ("upper", up), ("length", length)):
+                        expected = {prop: oracle(worths, worths, n) for prop, oracle in classes._ORACLE_KERNELS.items()}
+                        expected[ClassicalProperty.ADDITIVE] = classes._additive(worths, n)
+                        assert games[name] == expected, (name, n, lo, up)
+        assert min(seen.values()) >= 40, seen
+
+    @pytest.mark.parametrize("n", (classes._PACKED_MIN_PLAYERS, 12, 16))
+    def test_interval_superadditive_packs_nothing(self, n, monkeypatch):
+        # its selection pair fails the screens and its three borders are
+        # additive, so classify packs no lanes
+        packs = []
+        monkeypatch.setattr(classes, "_pack", recording(packs, "_pack", classes._pack))
+        classes._border.cache_clear()
+        classes._verdict.cache_clear()
+        report = classify_report(family("interval-superadditive", n))
+        assert report.pop("players") == n
+        assert report == FAMILY_LABELS["interval-superadditive"]
+        assert packs == []

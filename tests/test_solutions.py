@@ -883,21 +883,26 @@ class TestOneConvexityGate:
 
     def test_two_borders_run_the_kernel_twice(self, monkeypatch):
         runs = []
-        kernel = classes._KERNELS[ClassicalProperty.CONVEX]
 
-        def counting(*args):
-            runs.append(args)
-            return kernel(*args)
+        def counting(name, kernel):
+            def wrapped(*args):
+                runs.append(name)
+                return kernel(*args)
 
-        monkeypatch.setitem(classes._KERNELS, ClassicalProperty.CONVEX, counting)
+            return wrapped
+
+        convex = classes._KERNELS[ClassicalProperty.CONVEX]
+        monkeypatch.setitem(classes._KERNELS, ClassicalProperty.CONVEX, counting("convex", convex))
+        monkeypatch.setattr(classes, "_additive_kernel", counting("additive", classes._additive_kernel))
         # w(S) = [|S|, 3|S|/2]: the lower border's own denominator is 1, the
-        # borders' shared one 2
+        # borders' shared one 2.  Both borders are additive, so the gate's
+        # additivity check decides each and no convexity kernel runs
         w = IntervalGame.from_function(6, lambda m: Interval(m.bit_count(), F(3 * m.bit_count(), 2)))
         classes._verdict.cache_clear()
         verdict = core_coincidence(w)
         assert not verdict.coincident
         assert isinstance(generated_core_witness(w, verdict.counterexample), NotGenerated)
-        assert len(runs) == 2
+        assert runs == ["additive", "additive"]
 
 
 class TestStrongConcepts:
