@@ -1,12 +1,32 @@
 """Exact linear feasibility and vertex enumeration.
 
 Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
-nonnegativity marks on individual variables.  Feasibility uses a dense
-phase-one simplex on ``fractions.Fraction`` with Bland's rule (so no
-cycling, no tolerances).  Each call builds one tableau for its system and
-runs phase one on it once; ``_Tableau.solution`` checks the point it
-returns with ``satisfies``.  Every LP question of the solver asks for a
-feasible point, not an optimum, so phase one is the whole simplex.
+nonnegativity marks on individual variables.  ``_integer_system`` scales
+each row by a positive factor to coprime integers (a, b) once; the simplex,
+double description and the point check all read those rows, and Fractions
+are built only for the points returned.
+
+Feasibility is a dense phase-one simplex with Bland's rule (so no cycling,
+no tolerances), run once per call on one tableau.  Every LP question of the
+solver asks for a feasible point, not an optimum, so phase one is the whole
+simplex.  Its pivots are fraction-free (Edmonds 1967; Bareiss 1968): the
+tableau is kept as T = D B^-1 [A | b], A the integer rows with their
+surplus and artificial columns, B the basis and D = det B.  The start basis
+is unit columns, so D = 1.  A pivot on (r, c) with p = T[r][c] keeps row r,
+turns every other row t into (p t - t[c] T[r]) // D, and sets D = p.  By
+Cramer's rule each entry of D B^-1 [A | b] is a minor of [A | b], so an
+integer, and the division is exact.  p = D (B^-1 A)[r][c] is the det of
+the new basis, and the ratio test pivots on positive entries only, so D
+stays positive.  The Fraction tableau of the same rows is T / D, so Bland's
+rule reads the same signs, and the ratio test compares the ratios
+T[i][-1] / T[i][c] by cross-products with positive denominators: the same
+order and the same ties (broken by lowest basic column).  The phase-one
+objective, the sum of the artificials, is one more row of that form.  Row i
+of the system is u_i / v_i times its integer row, so its artificial weighs
+u_i / v_i, times the lcm of the v_i: the objective is a positive multiple
+of the Fraction tableau's on the system's own rows, and the pivot sequence
+and the point X / D are that tableau's.  ``_Tableau.solution`` checks
+(X, D) with ``_satisfies_integer`` on the rows it was built from.
 
 Vertex enumeration runs no simplex.  It uses the double-description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on the
@@ -50,15 +70,15 @@ systems always enumerate identically.  The work follows the rays met along
 the way, not the C(rows, dim) candidate bases of a basis walk.
 
 The simplex and double description share one point check,
-``_satisfies_integer``: the system's own rows, each scaled to coprime
-integers (a, b), hold at the point X / D when a . X >= b D (= for an
-equality row) and X_j >= 0 on a mark.  ``satisfies`` scales its point once
-to X / D and runs that check; a vertex arrives as X / D already.
+``_satisfies_integer``: the rows (a, b) hold at the point X / D when
+a . X >= b D (= for an equality row) and X_j >= 0 on a mark.
+``satisfies`` scales its point once to X / D and runs that check; a
+simplex point and a vertex arrive as X / D already.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .numerics import as_fraction, integers
 
@@ -124,7 +144,7 @@ def _integer_system(system: LinearSystem) -> tuple:
     marks."""
 
     def scaled(rows):
-        return [(r[:-1], r[-1]) for r in (_integer_row(coeffs + (rhs,)) for coeffs, rhs in rows)]
+        return [(r[:-1], r[-1]) for r in (_coprime(integers(coeffs + (rhs,))[0]) for coeffs, rhs in rows)]
 
     return scaled(system.equalities), scaled(system.inequalities), sorted(system.nonneg)
 
@@ -143,7 +163,8 @@ def _satisfies_integer(rows: tuple, X: list[int], D: int) -> bool:
 
 
 class _Tableau:
-    """Dense simplex tableau in equality standard form, all variables >= 0.
+    """Dense simplex tableau in equality standard form, all variables >= 0,
+    on the rows of ``_integer_system``, kept as T = D B^-1 [A | b].
 
     Free variables are split into positive and negative parts; every
     inequality gets a surplus column; rows that cannot start from a surplus
@@ -151,70 +172,50 @@ class _Tableau:
     """
 
     def __init__(self, system: LinearSystem):
-        self.system = system
-        dim = system.dim
-        self.pos = [0] * dim
-        self.neg: list[int | None] = [None] * dim
-        col = 0
-        for j in range(dim):
-            self.pos[j] = col
-            col += 1
-            if j not in system.nonneg:
-                self.neg[j] = col
-                col += 1
-        ncols = col + len(system.inequalities)  # structural plus surplus columns
-        # (row, rhs, basic surplus column, or None when the row needs an artificial)
-        rows: list[tuple[list[Fraction], Fraction, int | None]] = []
-        for coeffs, b in system.equalities:
-            row = self._expand(coeffs, ncols)
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-            rows.append((row, b, None))
-        for k, (coeffs, b) in enumerate(system.inequalities):
-            row = self._expand(coeffs, ncols)
-            row[col + k] = Fraction(-1)
-            if b > 0:
-                rows.append((row, b, None))
-            else:
-                # the surplus column turns +1 and can be basic
-                rows.append(([-v for v in row], -b, col + k))
-        self.art_start = ncols
-        self.ncols = ncols + sum(basic is None for _, _, basic in rows)
+        self.rows = _integer_system(system)
+        equalities, inequalities, _ = self.rows
+        self.dim = system.dim
+        # structural columns: (j, 1) for x_j, then (j, -1) for the negative part of a free x_j
+        self.cols = [(j, s) for j in range(self.dim) for s in ((1,) if j in system.nonneg else (1, -1))]
+        self.art_start = len(self.cols) + len(inequalities)  # structural plus surplus columns
+        self.ncols = self.art_start + len(equalities) + sum(b > 0 for _, b in inequalities)
         self.basis: list[int] = []
-        self.T: list[list[Fraction]] = []
-        art_col = ncols
-        for row, b, basic in rows:
-            full = row + [Fraction(0)] * (self.ncols - ncols) + [b]
-            if basic is None:
-                basic = art_col
-                full[art_col] = Fraction(1)
+        self.T: list[list[int]] = []
+        self.D = 1  # the last pivot; the starting basis is unit columns
+        self.factors = []  # (u, v) with the system's own row i = u / v times row i here
+        art_col = self.art_start
+        raw = system.equalities + system.inequalities
+        for i, ((a, b), (coeffs, rhs)) in enumerate(zip(equalities + inequalities, raw)):
+            c, v = next(((c, v) for c, v in zip(coeffs + (rhs,), a + [b]) if c), (1, 1))
+            self.factors.append((abs(c.numerator), abs(c.denominator * v)))
+            row = [s * a[j] for j, s in self.cols] + [0] * (self.ncols - len(self.cols)) + [b]
+            surplus = len(self.cols) + i - len(equalities)
+            if i >= len(equalities):
+                row[surplus] = -1
+            if i >= len(equalities) and b <= 0:
+                # negated, the surplus column turns +1 and can be basic
+                row, basic = [-v for v in row], surplus
+            else:
+                if b < 0:
+                    row = [-v for v in row]
+                row[art_col], basic = 1, art_col
                 art_col += 1
             self.basis.append(basic)
-            self.T.append(full)
+            self.T.append(row)
 
-    def _expand(self, coeffs, ncols: int) -> list[Fraction]:
-        row = [Fraction(0)] * ncols
-        for j, c in enumerate(coeffs):
-            if c:
-                row[self.pos[j]] = c
-                if self.neg[j] is not None:
-                    row[self.neg[j]] = -c
-        return row
-
-    def _pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
-        T = self.T
-        piv = T[r][c]
-        T[r] = [v / piv for v in T[r]]
+    def _pivot(self, r: int, c: int, obj: list[int]) -> None:
+        """Pivot on (r, c): row r stays, every other row and obj become
+        (p row - row[c] row_r) // D with p = T[r][c], and D becomes p."""
+        T, D = self.T, self.D
         prow = T[r]
-        for i in range(len(T)):
+        p = prow[c]
+        for i, row in enumerate(T):
             if i != r:
-                f = T[i][c]
-                if f:
-                    T[i] = [a - f * b for a, b in zip(T[i], prow)]
-        if obj[c]:
-            f = obj[c]
-            obj[:] = [a - f * b for a, b in zip(obj, prow)]
+                f = row[c]
+                T[i] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        f = obj[c]
+        obj[:] = [(p * a - f * b) // D for a, b in zip(obj, prow)]
+        self.D = p
         self.basis[r] = c
 
     def phase_one(self) -> bool:
@@ -226,14 +227,13 @@ class _Tableau:
         """
         T = self.T
         basis = self.basis
-        obj = [Fraction(0)] * (self.ncols + 1)
-        for i, b in enumerate(basis):
-            if b >= self.art_start:
-                row = T[i]
-                for j in range(self.ncols + 1):
-                    obj[j] += row[j]
-        for j in range(self.art_start, self.ncols):
-            obj[j] -= 1
+        # the sum of the artificials of the system's own rows, times scale
+        art = [(i, *self.factors[i]) for i, b in enumerate(basis) if b >= self.art_start]
+        scale = lcm(*(v for _, _, v in art))
+        obj = [0] * (self.ncols + 1)
+        for i, u, v in art:
+            obj = [o + scale // v * u * t for o, t in zip(obj, T[i])]
+            obj[basis[i]] = 0
         while True:
             enter = -1
             for j in range(self.art_start):  # artificials never re-enter
@@ -243,33 +243,31 @@ class _Tableau:
             if enter < 0:
                 return obj[-1] == 0
             leave = -1
-            best = None
-            for i in range(len(T)):
-                a = T[i][enter]
+            for i, row in enumerate(T):
+                a = row[enter]
                 if a > 0:
-                    ratio = T[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # ratio row[-1] / a against the best's, by cross-products
+                    lhs, rhs = row[-1] * T[leave][enter], T[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 raise AssertionError("phase one cannot be unbounded")
             self._pivot(leave, enter, obj)
 
-    def solution(self) -> tuple[Fraction, ...]:
-        """The current basic point, checked exactly against the system."""
-        vals = [Fraction(0)] * self.ncols
-        for i, b in enumerate(self.basis):
-            vals[b] = self.T[i][-1]
-        out = []
-        for j in range(self.system.dim):
-            v = vals[self.pos[j]]
-            if self.neg[j] is not None:
-                v -= vals[self.neg[j]]
-            out.append(v)
-        point = tuple(out)
-        if not satisfies(self.system, point):
+    def solution(self) -> tuple[list[int], int]:
+        """The current basic point as (X, D), checked exactly against the
+        rows the tableau was built from."""
+        X = [0] * self.dim
+        for row, b in zip(self.T, self.basis):
+            if b < len(self.cols):
+                j, s = self.cols[b]
+                X[j] += s * row[-1]
+        if not _satisfies_integer(self.rows, X, self.D):
             raise AssertionError("internal error: simplex point failed verification")
-        return point
+        return X, self.D
 
 
 def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -277,18 +275,14 @@ def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
     tab = _Tableau(system)
     if not tab.phase_one():
         return False, None
-    return True, tab.solution()
+    X, D = tab.solution()
+    return True, tuple(Fraction(v, D) for v in X)
 
 
 def _coprime(ints: list[int]) -> list[int]:
     """Integers divided by their gcd; an all-zero list stays as it is."""
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
-
-
-def _integer_row(values) -> list[int]:
-    """Rational entries scaled by a positive factor to coprime integers."""
-    return _coprime(integers(values)[0])
 
 
 def _cone_generators(

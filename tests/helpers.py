@@ -127,6 +127,146 @@ def fraction_satisfies(system: LinearSystem, point) -> bool:
     return all(point[j] >= 0 for j in system.nonneg)
 
 
+class FractionTableau:
+    """Dense simplex tableau in equality standard form, all variables >= 0,
+    pivoting on Fractions: the phase-one simplex that ``lpcore._Tableau``
+    replaced with its integer tableau.
+
+    Free variables are split into positive and negative parts; every
+    inequality gets a surplus column; rows that cannot start from a surplus
+    basis get an artificial column.
+    """
+
+    def __init__(self, system: LinearSystem):
+        self.system = system
+        dim = system.dim
+        self.pos = [0] * dim
+        self.neg: list[int | None] = [None] * dim
+        col = 0
+        for j in range(dim):
+            self.pos[j] = col
+            col += 1
+            if j not in system.nonneg:
+                self.neg[j] = col
+                col += 1
+        ncols = col + len(system.inequalities)  # structural plus surplus columns
+        # (row, rhs, basic surplus column, or None when the row needs an artificial)
+        rows: list[tuple[list[Fraction], Fraction, int | None]] = []
+        for coeffs, b in system.equalities:
+            row = self._expand(coeffs, ncols)
+            if b < 0:
+                row = [-v for v in row]
+                b = -b
+            rows.append((row, b, None))
+        for k, (coeffs, b) in enumerate(system.inequalities):
+            row = self._expand(coeffs, ncols)
+            row[col + k] = Fraction(-1)
+            if b > 0:
+                rows.append((row, b, None))
+            else:
+                # the surplus column turns +1 and can be basic
+                rows.append(([-v for v in row], -b, col + k))
+        self.art_start = ncols
+        self.ncols = ncols + sum(basic is None for _, _, basic in rows)
+        self.basis: list[int] = []
+        self.T: list[list[Fraction]] = []
+        art_col = ncols
+        for row, b, basic in rows:
+            full = row + [Fraction(0)] * (self.ncols - ncols) + [b]
+            if basic is None:
+                basic = art_col
+                full[art_col] = Fraction(1)
+                art_col += 1
+            self.basis.append(basic)
+            self.T.append(full)
+
+    def _expand(self, coeffs, ncols: int) -> list[Fraction]:
+        row = [Fraction(0)] * ncols
+        for j, c in enumerate(coeffs):
+            if c:
+                row[self.pos[j]] = c
+                if self.neg[j] is not None:
+                    row[self.neg[j]] = -c
+        return row
+
+    def _pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
+        T = self.T
+        piv = T[r][c]
+        T[r] = [v / piv for v in T[r]]
+        prow = T[r]
+        for i in range(len(T)):
+            if i != r:
+                f = T[i][c]
+                if f:
+                    T[i] = [a - f * b for a, b in zip(T[i], prow)]
+        if obj[c]:
+            f = obj[c]
+            obj[:] = [a - f * b for a, b in zip(obj, prow)]
+        self.basis[r] = c
+
+    def phase_one(self) -> bool:
+        """Drive artificial variables to zero by Bland-rule pivoting; True
+        when the system is feasible.
+
+        An artificial may stay basic at zero on a redundant row; that is
+        harmless, since ``solution`` reads the structural columns only.
+        """
+        T = self.T
+        basis = self.basis
+        obj = [Fraction(0)] * (self.ncols + 1)
+        for i, b in enumerate(basis):
+            if b >= self.art_start:
+                row = T[i]
+                for j in range(self.ncols + 1):
+                    obj[j] += row[j]
+        for j in range(self.art_start, self.ncols):
+            obj[j] -= 1
+        while True:
+            enter = -1
+            for j in range(self.art_start):  # artificials never re-enter
+                if obj[j] > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return obj[-1] == 0
+            leave = -1
+            best = None
+            for i in range(len(T)):
+                a = T[i][enter]
+                if a > 0:
+                    ratio = T[i][-1] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                raise AssertionError("phase one cannot be unbounded")
+            self._pivot(leave, enter, obj)
+
+    def solution(self) -> tuple[Fraction, ...]:
+        """The current basic point, checked exactly against the system."""
+        vals = [Fraction(0)] * self.ncols
+        for i, b in enumerate(self.basis):
+            vals[b] = self.T[i][-1]
+        out = []
+        for j in range(self.system.dim):
+            v = vals[self.pos[j]]
+            if self.neg[j] is not None:
+                v -= vals[self.neg[j]]
+            out.append(v)
+        point = tuple(out)
+        if not fraction_satisfies(self.system, point):
+            raise AssertionError("internal error: simplex point failed verification")
+        return point
+
+
+def fraction_feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
+    """``lpcore.feasible`` on the Fraction tableau it replaced, kept as its oracle."""
+    tab = FractionTableau(system)
+    if not tab.phase_one():
+        return False, None
+    return True, tab.solution()
+
+
 def rand_additive_classical(rng: random.Random, n: int, lo: int = -4, hi: int = 8) -> ClassicalGame:
     a = [rand_fraction(rng, lo, hi) for _ in range(n)]
     return ClassicalGame(n=n, values=tuple(additive_worths(a, n)))

@@ -28,7 +28,9 @@ from intervalgames.lpcore import (
     satisfies,
 )
 from helpers import (
+    FractionTableau,
     fraction_satisfies,
+    rand_fraction,
     rand_additive_border_game,
     rand_convex_classical,
     rand_interval_game,
@@ -622,3 +624,101 @@ class TestIntegerEnumeration:
                 vertices = enumerate_vertices(system)
             assert len(vertices) == count
             assert len(built) == system.dim * count
+
+
+def around_a_point(rng):
+    """A feasible system built around a point x, some of whose coordinates
+    are 0: equality rows through x, inequality rows at or below it,
+    fractional coefficients or 0 and +-1 ones, free and nonnegative
+    variables, now and then a redundant multiple of an equality and zero
+    rows."""
+    dim = rng.randint(1, 5)
+    zeros = rng.random()  # the share of zero coordinates
+    x = [F(0) if rng.random() < zeros else rand_fraction(rng, -3, 3) for _ in range(dim)]
+    nonneg = frozenset(j for j in range(dim) if x[j] >= 0 and rng.random() < 0.5)
+
+    unit = rng.random() < 0.5  # 0 and +-1 coefficients, as in the coalition rows
+
+    def row():
+        if unit:
+            return tuple(F(rng.randint(-1, 1)) for _ in range(dim))
+        return tuple(rand_fraction(rng, -3, 3) if rng.random() < 0.7 else F(0) for _ in range(dim))
+
+    def at_x(coeffs):
+        return sum(c * v for c, v in zip(coeffs, x))
+
+    eqs = [(a, at_x(a)) for a in (row() for _ in range(rng.randint(0, dim)))]
+    # half of the inequality rows are tight at x, so the ratio test meets ties
+    ineqs = [
+        (a, at_x(a) - (abs(rand_fraction(rng, 0, 2)) if rng.random() < 0.5 else 0))
+        for a in (row() for _ in range(rng.randint(0, 3 * dim)))
+    ]
+    if eqs and rng.random() < 0.5:
+        a, b = eqs[0]
+        eqs.append((tuple(2 * c for c in a), 2 * b))
+    if rng.random() < 0.3:
+        ineqs.append(((F(0),) * dim, F(-1)))
+    if rng.random() < 0.2:
+        eqs.append(((F(0),) * dim, F(0)))
+    return LinearSystem(dim=dim, equalities=eqs, inequalities=ineqs, nonneg=nonneg)
+
+
+def perturbed(rng, system):
+    """An infeasible copy: an inequality row a . x >= b joined by
+    a . x <= b - 1, or an equality row a . x = b by 2a . x = 2b + 1."""
+    if system.equalities and (not system.inequalities or rng.random() < 0.5):
+        (a, b), *_ = system.equalities
+        extra = {"equalities": system.equalities + ((tuple(2 * c for c in a), 2 * b + 1),)}
+    else:
+        a, b = rng.choice(system.inequalities) if system.inequalities else ((F(0),) * system.dim, F(0))
+        extra = {"inequalities": system.inequalities + ((tuple(-c for c in a), 1 - b),)}
+    return replace(system, **extra)
+
+
+class TestIntegerSimplex:
+    """feasible pivots on the integer rows of _integer_system.  The Fraction
+    tableau it replaced, helpers.FractionTableau, is its oracle: the same
+    status, the identical point and the same final basis on every system."""
+
+    def test_matches_the_fraction_tableau(self):
+        rng = random.Random(81)
+        seen = Counter()
+        for _ in range(400):
+            system = around_a_point(rng)
+            for case in (system, perturbed(rng, system)):
+                fraction = FractionTableau(case)
+                ok = fraction.phase_one()
+                assert feasible(case) == (ok, fraction.solution() if ok else None)
+                # the same pivot sequence ends in the same basis, even where
+                # a degenerate pivot leaves the point as it is
+                integer = lpcore._Tableau(case)
+                assert integer.phase_one() == ok and integer.basis == fraction.basis
+                seen[ok, bool(case.equalities), bool(case.nonneg)] += 1
+        assert len(seen) == 8 and min(seen.values()) >= 30
+
+    def test_fractions_only_for_the_point(self, monkeypatch):
+        # the tableau, its pivots and its point check run on Python ints: a
+        # feasible system builds one Fraction per coordinate of its point, an
+        # infeasible one none, and neither calls satisfies
+        rng = random.Random(82)
+        systems = [around_a_point(rng) for _ in range(30)]
+        systems += [perturbed(rng, system) for system in systems]
+        built, checks = [], []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return F(*args)
+
+        def counting_satisfies(*args):
+            checks.append(args)
+            return satisfies(*args)
+
+        for system in systems:
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lpcore, "Fraction", counting_fraction)
+                patch.setattr(lpcore, "satisfies", counting_satisfies)
+                ok, x = feasible(system)
+            assert len(built) == (system.dim if ok else 0)
+            assert x is None or fraction_satisfies(system, x)
+        assert not checks

@@ -58,6 +58,7 @@ from helpers import (
     endpoint_selections,
     fraction_accepts,
     fraction_coincidence,
+    fraction_feasible,
     fraction_halves,
     fraction_shortfalls,
     majority_game,
@@ -681,7 +682,23 @@ def lp_halves(w, point) -> tuple[bool, bool]:
 
 class TestRowGeneration:
     """Every coalition LP is solved by row generation on an active set of
-    coalitions; the full 2^n-row system solved by ``feasible`` is its oracle."""
+    coalitions; the full 2^n-row system solved by ``feasible`` is its oracle.
+    Each subsystem that row generation solves on these corpora is also
+    solved by the Fraction tableau ``feasible`` replaced, which must give
+    the same status and the identical point."""
+
+    @pytest.fixture
+    def subsystems(self, monkeypatch):
+        solved = Counter()
+
+        def checked(system):
+            got = feasible(system)
+            assert got == fraction_feasible(system)
+            solved[got[0]] += 1
+            return got
+
+        monkeypatch.setattr(solutions, "feasible", checked)
+        return solved
 
     def check_game(self, w, points, seen):
         # the public functions decide convex borders in closed form, so row
@@ -720,7 +737,7 @@ class TestRowGeneration:
         outside[i] = w.worth(1 << i).upper + abs(rand_fraction(rng, 0, 2)) + 1
         return corner, tuple(outside), rand_payoff(rng, w.n, -4, 8)
 
-    def test_agrees_with_the_full_lp(self):
+    def test_agrees_with_the_full_lp(self, subsystems):
         rng = random.Random(70)
         seen = Counter()
         sizes = [2 + i % 2 for i in range(200)] + [4] * 20 + [5] * 4
@@ -728,8 +745,9 @@ class TestRowGeneration:
             w = SEEDED_KINDS[i % 4](rng, n)
             self.check_game(w, self.points(rng, w), seen)
         assert len(seen) == 10 and min(seen.values()) >= 50
+        assert min(subsystems[True], subsystems[False]) >= 1000
 
-    def test_agrees_with_the_full_lp_at_six_and_seven_players(self):
+    def test_agrees_with_the_full_lp_at_six_and_seven_players(self, subsystems):
         # one full-system LP takes seconds here, so only a few questions are asked
         rng = random.Random(71)
         for kind in (SEEDED_KINDS[0], rand_degenerate_grand_convex, rand_additive_border_game):
@@ -743,6 +761,7 @@ class TestRowGeneration:
         halves = lp_halves(w, corner)
         assert halves == (False, True)
         assert generated_core_witness(w, corner) == NotGenerated(*halves)
+        assert subsystems[True] and subsystems[False]
 
 
 CRITERION_10 = IntervalGame.from_function(
