@@ -142,7 +142,7 @@ from math import comb
 from operator import itemgetter
 
 from .errors import BudgetExceededError
-from .games import ClassicalGame, IntegerForm, IntervalGame, length_game
+from .games import ClassicalGame, IntervalGame, _checked_form, length_game
 
 ORACLE_MAX_PLAYERS = 4
 
@@ -220,9 +220,7 @@ def check_classical(v: ClassicalGame, prop: ClassicalProperty) -> bool:
     three (module docstring); otherwise monotonicity, superadditivity and
     convexity run the selection kernel with both borders set to v.
     """
-    if not isinstance(v, ClassicalGame):
-        raise TypeError(f"expected a ClassicalGame, got {type(v).__name__}")
-    border = _border(v.integer_form.lower, v.n)
+    border = _border(_checked_form(v, ClassicalGame).lower, v.n)
     return _verdict(border, border, prop)
 
 
@@ -238,17 +236,9 @@ _INTERVAL_TERMS = {
 }
 
 
-def _interval_form(w: IntervalGame) -> IntegerForm:
-    """The integer form of w, which every selection and interval check reads;
-    a game of another type is refused."""
-    if not isinstance(w, IntervalGame):
-        raise TypeError(f"expected an IntervalGame, got {type(w).__name__}")
-    return w.integer_form
-
-
 def _borders(w: IntervalGame) -> dict[str, "_Border"]:
     """The interned lower, upper and length games of w."""
-    lower, upper, _ = _interval_form(w)
+    lower, upper, _ = _checked_form(w, IntervalGame)
     worths = (lower, upper, length_game(w).integer_form.lower)
     return {name: _border(v, w.n) for name, v in zip(("lower", "upper", "length"), worths)}
 
@@ -586,7 +576,7 @@ def check_selection_convex_variant(w: IntervalGame, variant: str) -> bool:
                          with the base coalition
     ``marginal-single``  the same with single-player additions only
     """
-    lo, up, _ = _interval_form(w)
+    lo, up, _ = _checked_form(w, IntervalGame)
     if variant == "pairs":
         return _convex_pairs(lo, up, w.n)
     if variant == "marginal":
@@ -604,7 +594,7 @@ def selection_class_oracle(w: IntervalGame, cls: SelectionClass) -> bool:
     selection goes through the pair and 3^n scans, not the local kernels
     that ``check_selection_class`` runs.
     """
-    lo, up, _ = _interval_form(w)
+    lo, up, _ = _checked_form(w, IntervalGame)
     if w.n > ORACLE_MAX_PLAYERS:
         raise BudgetExceededError(
             f"endpoint selection oracle supports at most {ORACLE_MAX_PLAYERS} players, got {w.n}"

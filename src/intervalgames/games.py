@@ -244,15 +244,26 @@ class IntervalGame(_Game):
         return ClassicalGame._from_form(self.n, IntegerForm(length, length, scale))
 
 
+def _checked_form(game: _Game, kind: type[_Game]) -> IntegerForm:
+    """The integer form of a game of type kind, which every class check and
+    solution concept reads; a game of the other type is refused."""
+    if not isinstance(game, kind):
+        article = "an" if kind is IntervalGame else "a"
+        raise TypeError(f"expected {article} {kind.__name__}, got {type(game).__name__}")
+    return game.integer_form
+
+
 def border_games(w: IntervalGame) -> tuple[ClassicalGame, ClassicalGame]:
     """The lower and upper border games of an interval game, built once per
     game, on its integer form's scale."""
+    _checked_form(w, IntervalGame)
     return w._borders
 
 
 def length_game(w: IntervalGame) -> ClassicalGame:
     """Pointwise interval widths as a classical game, built once per game, on
     its integer form's scale."""
+    _checked_form(w, IntervalGame)
     return w._length
 
 
@@ -260,7 +271,7 @@ def is_selection(v: ClassicalGame, w: IntervalGame) -> bool:
     """Whether v picks a worth inside w's interval for every coalition."""
     if v.n != w.n:
         raise ValueError(f"player counts differ: {v.n} vs {w.n}")
-    return _within(v.integer_form, w.integer_form)
+    return _within(_checked_form(v, ClassicalGame), _checked_form(w, IntervalGame))
 
 
 def embed_classical(v: ClassicalGame) -> IntervalGame:

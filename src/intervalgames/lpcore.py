@@ -1,10 +1,10 @@
 """Exact linear feasibility and vertex enumeration.
 
 Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
-nonnegativity marks on individual variables.  ``_integer_system`` scales
-each row by a positive factor to coprime integers (a, b) once; the simplex,
-double description and the point check all read those rows, and Fractions
-are built only for the points returned.
+nonnegativity marks on individual variables.  ``LinearSystem`` stores each
+row scaled by a positive factor to coprime integers (a, b), the only row
+form: the simplex, double description and the point check all read it, and
+Fractions are built only for the points returned.
 
 Feasibility is a dense phase-one simplex with Bland's rule (so no cycling,
 no tolerances), run once per call on one tableau.  Every LP question of the
@@ -21,12 +21,16 @@ stays positive.  The Fraction tableau of the same rows is T / D, so Bland's
 rule reads the same signs, and the ratio test compares the ratios
 T[i][-1] / T[i][c] by cross-products with positive denominators: the same
 order and the same ties (broken by lowest basic column).  The phase-one
-objective, the sum of the artificials, is one more row of that form.  Row i
-of the system is u_i / v_i times its integer row, so its artificial weighs
-u_i / v_i, times the lcm of the v_i: the objective is a positive multiple
-of the Fraction tableau's on the system's own rows, and the pivot sequence
-and the point X / D are that tableau's.  ``_Tableau.solution`` checks
-(X, D) with ``_satisfies_integer`` on the rows it was built from.
+objective is one more row of that form, in which artificial i weighs
+1 / |l_i|, l_i the first nonzero entry of row i's (a, b) (1 on a zero row),
+times the lcm of the |l_i|.  Dividing row i by c > 0, its artificial with
+it, changes no structural or surplus entry of B^-1 [A | b] (c cancels in
+B^-1), and artificials never re-enter; so the pivots and the point X / D
+are those of the Fraction tableau, artificials unweighted, on the rows
+divided by |l_i|.  They depend on the stored rows alone, not on how a
+caller scaled them; a coalition row of ``solutions`` so divided is its
++-1-indicator row as written.  ``_Tableau.solution`` checks (X, D) with
+``_satisfies_integer``.
 
 Vertex enumeration runs no simplex.  It uses the double-description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on the
@@ -70,7 +74,7 @@ systems always enumerate identically.  The work follows the rays met along
 the way, not the C(rows, dim) candidate bases of a basis walk.
 
 The simplex and double description share one point check,
-``_satisfies_integer``: the rows (a, b) hold at the point X / D when
+``_satisfies_integer``: the stored rows (a, b) hold at the point X / D when
 a . X >= b D (= for an equality row) and X_j >= 0 on a mark.
 ``satisfies`` scales its point once to X / D and runs that check; a
 simplex point and a vertex arrive as X / D already.
@@ -82,7 +86,7 @@ from math import gcd, lcm
 
 from .numerics import as_fraction, integers
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+Row = tuple[tuple[int, ...], int]
 
 
 class UnboundedRegionError(RuntimeError):
@@ -90,12 +94,15 @@ class UnboundedRegionError(RuntimeError):
 
 
 def _norm_rows(rows, dim: int) -> tuple[Row, ...]:
+    """Each row (coeffs, rhs) scaled by a positive factor to coprime integers."""
     out = []
     for coeffs, rhs in rows:
-        coeffs = tuple(as_fraction(c) for c in coeffs)
-        if len(coeffs) != dim:
-            raise ValueError(f"row has {len(coeffs)} coefficients, expected {dim}")
-        out.append((coeffs, as_fraction(rhs)))
+        # ints go to integers as they are; as_fraction refuses floats and bools
+        values = [v if type(v) is int else as_fraction(v) for v in (*coeffs, rhs)]
+        if len(values) != dim + 1:
+            raise ValueError(f"row has {len(values) - 1} coefficients, expected {dim}")
+        *a, b = _coprime(integers(values)[0])
+        out.append((tuple(a), b))
     return tuple(out)
 
 
@@ -105,6 +112,8 @@ class LinearSystem:
 
     ``equalities`` hold with equality, ``inequalities`` are of the form
     ``coeffs . x >= rhs``, and variables listed in ``nonneg`` must be >= 0.
+    Each row is stored scaled by a positive factor to coprime integers
+    ``(a, b)``, so scaling a row changes neither the system nor any answer.
     """
 
     dim: int
@@ -135,36 +144,24 @@ def satisfies(system: LinearSystem, x) -> bool:
     if len(point) != system.dim:
         raise ValueError(f"point has {len(point)} coordinates, expected {system.dim}")
     X, D = integers(point)
-    return _satisfies_integer(_integer_system(system), X, D)
+    return _satisfies_integer(system, X, D)
 
 
-def _integer_system(system: LinearSystem) -> tuple:
-    """The system's own equality and inequality rows, each scaled by a
-    positive factor to coprime integers ``(a, b)``, and its nonnegativity
-    marks."""
-
-    def scaled(rows):
-        return [(r[:-1], r[-1]) for r in (_coprime(integers(coeffs + (rhs,))[0]) for coeffs, rhs in rows)]
-
-    return scaled(system.equalities), scaled(system.inequalities), sorted(system.nonneg)
-
-
-def _satisfies_integer(rows: tuple, X: list[int], D: int) -> bool:
-    """Whether the point X / D (D > 0) satisfies rows from ``_integer_system``:
+def _satisfies_integer(system: LinearSystem, X: list[int], D: int) -> bool:
+    """Whether the point X / D (D > 0) satisfies the system's rows (a, b):
     a . X = b D on equalities, a . X >= b D on inequalities, X_j >= 0 on marks."""
-    equalities, inequalities, nonneg = rows
-    for a, b in equalities:
+    for a, b in system.equalities:
         if sum(c * v for c, v in zip(a, X) if c) != b * D:
             return False
-    for a, b in inequalities:
+    for a, b in system.inequalities:
         if sum(c * v for c, v in zip(a, X) if c) < b * D:
             return False
-    return all(X[j] >= 0 for j in nonneg)
+    return all(X[j] >= 0 for j in system.nonneg)
 
 
 class _Tableau:
     """Dense simplex tableau in equality standard form, all variables >= 0,
-    on the rows of ``_integer_system``, kept as T = D B^-1 [A | b].
+    on the system's integer rows, kept as T = D B^-1 [A | b].
 
     Free variables are split into positive and negative parts; every
     inequality gets a surplus column; rows that cannot start from a surplus
@@ -172,22 +169,17 @@ class _Tableau:
     """
 
     def __init__(self, system: LinearSystem):
-        self.rows = _integer_system(system)
-        equalities, inequalities, _ = self.rows
-        self.dim = system.dim
+        self.system = system
+        equalities, inequalities = system.equalities, system.inequalities
         # structural columns: (j, 1) for x_j, then (j, -1) for the negative part of a free x_j
-        self.cols = [(j, s) for j in range(self.dim) for s in ((1,) if j in system.nonneg else (1, -1))]
+        self.cols = [(j, s) for j in range(system.dim) for s in ((1,) if j in system.nonneg else (1, -1))]
         self.art_start = len(self.cols) + len(inequalities)  # structural plus surplus columns
         self.ncols = self.art_start + len(equalities) + sum(b > 0 for _, b in inequalities)
         self.basis: list[int] = []
         self.T: list[list[int]] = []
         self.D = 1  # the last pivot; the starting basis is unit columns
-        self.factors = []  # (u, v) with the system's own row i = u / v times row i here
         art_col = self.art_start
-        raw = system.equalities + system.inequalities
-        for i, ((a, b), (coeffs, rhs)) in enumerate(zip(equalities + inequalities, raw)):
-            c, v = next(((c, v) for c, v in zip(coeffs + (rhs,), a + [b]) if c), (1, 1))
-            self.factors.append((abs(c.numerator), abs(c.denominator * v)))
+        for i, (a, b) in enumerate(equalities + inequalities):
             row = [s * a[j] for j, s in self.cols] + [0] * (self.ncols - len(self.cols)) + [b]
             surplus = len(self.cols) + i - len(equalities)
             if i >= len(equalities):
@@ -227,12 +219,15 @@ class _Tableau:
         """
         T = self.T
         basis = self.basis
-        # the sum of the artificials of the system's own rows, times scale
-        art = [(i, *self.factors[i]) for i, b in enumerate(basis) if b >= self.art_start]
-        scale = lcm(*(v for _, _, v in art))
+        # artificial i weighs 1 / |l_i|, l_i the leading nonzero entry of row
+        # i, times the lcm of the |l_i| (module docstring)
+        rows = self.system.equalities + self.system.inequalities
+        art = [i for i, b in enumerate(basis) if b >= self.art_start]
+        lead = {i: abs(next((c for c in rows[i][0] if c), rows[i][1]) or 1) for i in art}
+        scale = lcm(*lead.values())
         obj = [0] * (self.ncols + 1)
-        for i, u, v in art:
-            obj = [o + scale // v * u * t for o, t in zip(obj, T[i])]
+        for i, l in lead.items():
+            obj = [o + scale // l * t for o, t in zip(obj, T[i])]
             obj[basis[i]] = 0
         while True:
             enter = -1
@@ -260,12 +255,12 @@ class _Tableau:
     def solution(self) -> tuple[list[int], int]:
         """The current basic point as (X, D), checked exactly against the
         rows the tableau was built from."""
-        X = [0] * self.dim
+        X = [0] * self.system.dim
         for row, b in zip(self.T, self.basis):
             if b < len(self.cols):
                 j, s = self.cols[b]
                 X[j] += s * row[-1]
-        if not _satisfies_integer(self.rows, X, self.D):
+        if not _satisfies_integer(self.system, X, self.D):
             raise AssertionError("internal error: simplex point failed verification")
         return X, self.D
 
@@ -350,15 +345,13 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
     is not described by its vertices.  The error names the first unbounded
     direction in the order +x1, -x1, +x2, ...
     """
-    rows = _integer_system(system)
-    equalities, inequalities, nonneg = rows
     width = system.dim + 1
     # homogenise over (lam, x): a . x >= b becomes -b lam + a . x >= 0
     rays, lineality = _cone_generators(
-        [[-b] + a for a, b in equalities],
+        [[-b, *a] for a, b in system.equalities],
         [[1] + [0] * system.dim]
-        + [[-b] + a for a, b in inequalities]
-        + [[int(c == j + 1) for c in range(width)] for j in nonneg],
+        + [[-b, *a] for a, b in system.inequalities]
+        + [[int(c == j + 1) for c in range(width)] for j in sorted(system.nonneg)],
         width,
     )
     if all(ray[0] == 0 for ray in rays):
@@ -373,7 +366,7 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
                 raise UnboundedRegionError(f"region is unbounded in direction {sign}x{j}")
     points = []
     for ray in rays:
-        if not _satisfies_integer(rows, ray[1:], ray[0]):
+        if not _satisfies_integer(system, ray[1:], ray[0]):
             raise AssertionError("internal error: enumerated vertex failed verification")
         points.append(tuple(Fraction(v, ray[0]) for v in ray[1:]))
     return tuple(sorted(points))

@@ -142,6 +142,7 @@ from .games import (
     IntegerForm,
     IntervalGame,
     _as_interval,
+    _checked_form,
     _within,
     border_games,
     grand_coalition,
@@ -252,10 +253,10 @@ def _accepts(ints: list[int], d: int, form: IntegerForm, core: bool) -> bool:
 
 
 def _rows(n: int, masks, worths, scale: int, sign: int = 1) -> tuple:
-    """One row ``sign * y(S) >= worths[S] / scale`` (or ``=``) per coalition S in masks."""
-    return tuple(
-        (tuple(sign if m >> i & 1 else 0 for i in range(n)), Fraction(worths[m], scale)) for m in masks
-    )
+    """One row ``sign * y(S) >= worths[S] / scale`` (or ``=``) per coalition S
+    in masks, given as ``sign * scale * y(S) >= worths[S]``."""
+    step = sign * scale
+    return tuple((tuple(step if m >> i & 1 else 0 for i in range(n)), worths[m]) for m in masks)
 
 
 def _core_system(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset(), masks=None) -> LinearSystem:
@@ -314,17 +315,17 @@ def _marginal_vector(form: IntegerForm, order) -> tuple[list[int], int]:
 
 def is_imputation(v: ClassicalGame, x) -> bool:
     """Efficiency plus individual rationality, checked exactly."""
-    return _accepts(*_payoff(x, v.n), v.integer_form, core=False)
+    return _accepts(*_payoff(x, v.n), _checked_form(v, ClassicalGame), core=False)
 
 
 def is_core_member(v: ClassicalGame, x) -> bool:
     """Efficient and no coalition can improve on its summed payoff."""
-    return _accepts(*_payoff(x, v.n), v.integer_form, core=True)
+    return _accepts(*_payoff(x, v.n), _checked_form(v, ClassicalGame), core=True)
 
 
 def core_system(v: ClassicalGame) -> LinearSystem:
     """Core of a classical game as an exact linear system over payoffs."""
-    return _core_system(v.n, v.integer_form)
+    return _core_system(v.n, _checked_form(v, ClassicalGame))
 
 
 def _core_point(v: ClassicalGame) -> tuple[list[int], int] | None:
@@ -354,12 +355,12 @@ def core_nonempty(v: ClassicalGame) -> bool:
 
 def is_selection_imputation(w: IntervalGame, x) -> bool:
     """Some selection accepts x as an imputation: the test on (lower, upper)."""
-    return _accepts(*_payoff(x, w.n), w.integer_form, core=False)
+    return _accepts(*_payoff(x, w.n), _checked_form(w, IntervalGame), core=False)
 
 
 def is_selection_core_member(w: IntervalGame, x) -> bool:
     """Some selection puts x in its core (x lies in the SC polytope)."""
-    return _accepts(*_payoff(x, w.n), w.integer_form, core=True)
+    return _accepts(*_payoff(x, w.n), _checked_form(w, IntervalGame), core=True)
 
 
 def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
@@ -369,10 +370,10 @@ def selection_core_witness(w: IntervalGame, x) -> IntervalGame | None:
     other coalition at what x pays it; any selection of the result is a
     selection of w that accepts x, built over w's scale times x's denominator.
     """
+    lo, up, scale = form = _checked_form(w, IntervalGame)
     ints, d = _payoff(x, w.n)
-    if not _accepts(ints, d, w.integer_form, core=True):
+    if not _accepts(ints, d, form, core=True):
         return None
-    lo, up, scale = w.integer_form
     sums = _scaled_sums(ints, scale)
     lower = [b * d for b in lo[:-1]] + sums[-1:]
     upper = [min(s, b * d) for s, b in zip(sums[:-1], up)] + sums[-1:]
@@ -390,15 +391,16 @@ def verify_selection_core_witness(w: IntervalGame, x, s: IntervalGame) -> bool:
 
 def _verified(w: IntervalGame, ints: list[int], d: int, s: IntervalGame) -> bool:
     """``verify_selection_core_witness`` on the point x = X / d."""
-    if s.n != w.n or not _within(s.integer_form, w.integer_form):
+    outer = _checked_form(w, IntervalGame)
+    lo, up, scale = inner = _checked_form(s, IntervalGame)
+    if s.n != w.n or not _within(inner, outer):
         return False
-    lo, up, scale = s.integer_form
     return _accepts(ints, d, IntegerForm(up, lo, scale), core=True)
 
 
 def selection_core_system(w: IntervalGame) -> LinearSystem:
     """The SC polytope over payoff vectors: the border test on (lower, upper)."""
-    return _core_system(w.n, w.integer_form)
+    return _core_system(w.n, _checked_form(w, IntervalGame))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +411,7 @@ def _accepts_endpoints(w: IntervalGame, payoff, core: bool) -> bool:
     # interval sums and the weakly-better order both act endpoint by endpoint
     entries = _interval_payoff(payoff, w.n)
     lows, ups = tuple(p.lower for p in entries), tuple(p.upper for p in entries)
-    lo, up, scale = w.integer_form
+    lo, up, scale = _checked_form(w, IntervalGame)
     lower, upper = IntegerForm(lo, lo, scale), IntegerForm(up, up, scale)
     return _accepts(*integers(lows), lower, core) and _accepts(*integers(ups), upper, core)
 
@@ -432,7 +434,7 @@ def _slack_halves(w: IntervalGame, ints: list[int], d: int) -> tuple[tuple, tupl
     x = X / d, on one scaling of its coalition sums.  Sink slacks l >= 0 with
     x - l in the lower border core are -l on the gap lower - x; rise slacks
     u >= 0 with x + u in the upper border core are u on the gap upper - x."""
-    lo, up, scale = w.integer_form
+    lo, up, scale = _checked_form(w, IntervalGame)
     sums = _scaled_sums(ints, scale)
     nonneg = frozenset(range(w.n))
 
@@ -593,33 +595,34 @@ def is_strong_imputation(w: IntervalGame, x) -> bool:
     Efficiency under every choice of grand worth forces w(N) degenerate;
     individual rationality must survive each singleton's upper endpoint.
     """
-    lo, up, scale = w.integer_form
+    lo, up, scale = _checked_form(w, IntervalGame)
     return _accepts(*_payoff(x, w.n), IntegerForm(up, lo, scale), core=False)
 
 
 def is_strong_core_member(w: IntervalGame, x) -> bool:
     """x is in the core of every selection (worst case: upper endpoints)."""
-    lo, up, scale = w.integer_form
+    lo, up, scale = _checked_form(w, IntervalGame)
     return _accepts(*_payoff(x, w.n), IntegerForm(up, lo, scale), core=True)
 
 
 def strong_core_system(w: IntervalGame) -> LinearSystem:
     """The strong core: the border test on (upper, lower), whose two grand
     rows contradict each other when w(N) is non-degenerate."""
-    lo, up, scale = w.integer_form
+    lo, up, scale = _checked_form(w, IntervalGame)
     return _core_system(w.n, IntegerForm(up, lo, scale))
 
 
 def strong_core_witness(w: IntervalGame) -> tuple[Fraction, ...] | None:
     """A strong core member when one exists: any core point of the upper border."""
-    lo, up, _ = w.integer_form
+    lo, up, _ = _checked_form(w, IntervalGame)
     if lo[-1] != up[-1]:
         return None
     return core_witness(border_games(w)[1])
 
 
 def strong_core_nonempty(w: IntervalGame) -> bool:
-    return strong_core_witness(w) is not None
+    lo, up, _ = _checked_form(w, IntervalGame)
+    return lo[-1] == up[-1] and core_nonempty(border_games(w)[1])
 
 
 def is_strongly_balanced(w: IntervalGame) -> bool:
@@ -632,7 +635,7 @@ def is_strongly_balanced(w: IntervalGame) -> bool:
     With w(N) degenerate the worst selection is the upper border game, so
     the answer is strong-core nonemptiness.
     """
-    lo, up, scale = w.integer_form
+    lo, up, scale = _checked_form(w, IntervalGame)
     # the grand coalition has the last mask
     worst = up[:-1] + lo[-1:]
     return core_nonempty(ClassicalGame._from_form(w.n, IntegerForm(worst, worst, scale)))
@@ -664,6 +667,7 @@ def _candidate_selections(w: IntervalGame, total: Fraction):
 
 
 def _selection_oracle(w: IntervalGame, x, accept) -> bool:
+    _checked_form(w, IntervalGame)
     if w.n > ORACLE_MAX_PLAYERS:
         raise BudgetExceededError(
             f"selection oracle enumerates endpoint games; {w.n} players exceeds {ORACLE_MAX_PLAYERS}"

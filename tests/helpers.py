@@ -127,10 +127,25 @@ def fraction_satisfies(system: LinearSystem, point) -> bool:
     return all(point[j] >= 0 for j in system.nonneg)
 
 
+def unit_lead(rows) -> list[tuple[list[Fraction], Fraction]]:
+    """Each stored row divided by the absolute value of its leading entry:
+    its first nonzero coefficient, else its right-hand side (a zero row
+    stays).  A coalition row leads with a +-1 indicator, so this gives back
+    the Fraction row it was written as."""
+    out = []
+    for coeffs, rhs in rows:
+        lead = abs(next((c for c in coeffs if c), rhs) or 1)
+        out.append(([Fraction(c, lead) for c in coeffs], Fraction(rhs, lead)))
+    return out
+
+
 class FractionTableau:
     """Dense simplex tableau in equality standard form, all variables >= 0,
     pivoting on Fractions: the phase-one simplex that ``lpcore._Tableau``
-    replaced with its integer tableau.
+    replaced with its integer tableau.  It solves each row of the system
+    divided by the absolute value of its leading entry (``unit_lead``), the
+    rows whose unweighted phase-one objective the integer tableau's weights
+    reproduce.
 
     Free variables are split into positive and negative parts; every
     inequality gets a surplus column; rows that cannot start from a surplus
@@ -152,13 +167,13 @@ class FractionTableau:
         ncols = col + len(system.inequalities)  # structural plus surplus columns
         # (row, rhs, basic surplus column, or None when the row needs an artificial)
         rows: list[tuple[list[Fraction], Fraction, int | None]] = []
-        for coeffs, b in system.equalities:
+        for coeffs, b in unit_lead(system.equalities):
             row = self._expand(coeffs, ncols)
             if b < 0:
                 row = [-v for v in row]
                 b = -b
             rows.append((row, b, None))
-        for k, (coeffs, b) in enumerate(system.inequalities):
+        for k, (coeffs, b) in enumerate(unit_lead(system.inequalities)):
             row = self._expand(coeffs, ncols)
             row[col + k] = Fraction(-1)
             if b > 0:
@@ -373,8 +388,8 @@ def majority_game(n: int = 3) -> ClassicalGame:
 
 def _extend_echelon(echelon, coeffs, rhs, dim):
     """Reduce a row against a Gauss-Jordan echelon; None when dependent."""
-    r = list(coeffs)
-    c = rhs
+    r = [Fraction(v) for v in coeffs]
+    c = Fraction(rhs)
     for pc, er, eb in echelon:
         f = r[pc]
         if f:

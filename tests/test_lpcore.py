@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -15,6 +16,8 @@ from intervalgames import (
     IntervalGame,
     border_games,
     check_classical,
+    core_system,
+    core_witness,
     embed_classical,
     lpcore,
     selection_core_system,
@@ -29,6 +32,7 @@ from intervalgames.lpcore import (
 )
 from helpers import (
     FractionTableau,
+    fraction_feasible,
     fraction_satisfies,
     rand_fraction,
     rand_additive_border_game,
@@ -114,10 +118,17 @@ def brute_vertices(system):
 
 class TestLinearSystem:
     def test_row_normalization(self):
-        sys_ = LinearSystem(dim=2, equalities=[([1, 2], 3)])
-        ((coeffs, rhs),) = sys_.equalities
-        assert coeffs == (F(1), F(2)) and rhs == F(3)
-        assert all(isinstance(c, F) for c in coeffs)
+        # each row is stored scaled by a positive factor to coprime integers
+        for row, stored in ((([1, 2], 3), ((1, 2), 3)), (([1], F(1, 2)), ((2,), 1))):
+            ((coeffs, rhs),) = LinearSystem(dim=len(row[0]), equalities=[row]).equalities
+            assert (coeffs, rhs) == stored
+            assert all(type(c) is int for c in coeffs + (rhs,))
+        # so proportional systems compare equal and give the same point
+        rows = [([1, -2], F(-1, 3)), ([2, 1], 1)]
+        scaled = [([F(5, 2) * c for c in a], F(5, 2) * b) for a, b in rows]
+        system = LinearSystem(dim=2, inequalities=rows, nonneg={0})
+        assert system == LinearSystem(dim=2, inequalities=scaled, nonneg={0})
+        assert feasible(system) == feasible(LinearSystem(dim=2, inequalities=scaled, nonneg={0}))
 
     @pytest.mark.parametrize("dim", [0, -1, "2"])
     def test_bad_dimension(self, dim):
@@ -529,7 +540,8 @@ class TestDoubleDescription:
 
 def rescaled(rng, system):
     """The same region with every row multiplied by a random positive
-    fraction, so coefficients and right-hand sides are fractional."""
+    fraction, so coefficients and right-hand sides are fractional: the
+    system built from those rows, and the Fraction rows as written."""
 
     def scale(rows):
         out = []
@@ -538,39 +550,39 @@ def rescaled(rng, system):
             out.append((tuple(f * c for c in coeffs), f * rhs))
         return out
 
-    return LinearSystem(
-        dim=system.dim,
+    written = SimpleNamespace(
         equalities=scale(system.equalities),
         inequalities=scale(system.inequalities),
         nonneg=system.nonneg,
     )
+    return LinearSystem(dim=system.dim, **vars(written)), written
 
 
 class TestIntegerVertexCheck:
     """satisfies and enumerate_vertices check points X / D against the
-    system's own rows scaled to integers; satisfies and that check must both
-    agree with the Fraction row check satisfies used to run."""
+    system's stored integer rows; satisfies and that check must both agree
+    with the Fraction row check on the fractional rows the system was built
+    from, so the stored rows keep the caller's region."""
 
     def test_agrees_with_satisfies(self):
         rng = random.Random(67)
         seen = Counter()
         for system in seeded_systems(rng, 240):
-            system = rescaled(rng, system)
-            rows = lpcore._integer_system(system)
+            system, written = rescaled(rng, system)
             points = [tuple(F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(system.dim))]
             vertices = outcome(enumerate_vertices, system)
             if not isinstance(vertices, str):
                 for vertex in vertices[:6]:
-                    assert fraction_satisfies(system, vertex)
+                    assert fraction_satisfies(written, vertex)
                     step = F(rng.choice([-1, 1]), rng.randint(2, 7))
                     j = rng.randrange(system.dim)
                     points += [vertex, vertex[:j] + (vertex[j] + step,) + vertex[j + 1 :]]
             for point in points:
-                expected = fraction_satisfies(system, point)
+                expected = fraction_satisfies(written, point)
                 assert satisfies(system, point) == expected
                 D = lcm(*(v.denominator for v in point)) * rng.randint(1, 3)
                 X = [int(v * D) for v in point]
-                assert lpcore._satisfies_integer(rows, X, D) == expected
+                assert lpcore._satisfies_integer(system, X, D) == expected
                 seen[expected, bool(system.equalities)] += 1
         assert min(seen.values()) >= 50
 
@@ -676,7 +688,7 @@ def perturbed(rng, system):
 
 
 class TestIntegerSimplex:
-    """feasible pivots on the integer rows of _integer_system.  The Fraction
+    """feasible pivots on the system's integer rows.  The Fraction
     tableau it replaced, helpers.FractionTableau, is its oracle: the same
     status, the identical point and the same final basis on every system."""
 
@@ -695,6 +707,17 @@ class TestIntegerSimplex:
                 assert integer.phase_one() == ok and integer.basis == fraction.basis
                 seen[ok, bool(case.equalities), bool(case.nonneg)] += 1
         assert len(seen) == 8 and min(seen.values()) >= 30
+
+    def test_coalition_rows_keep_the_point_of_the_rows_as_written(self):
+        # stored as coprime integers, this game's core rows lead with 1, 3, 4
+        # or 6; the phase-one weights keep the point the Fraction tableau finds
+        # on the +-1 rows as written, where unweighted artificials would
+        # reach the core point (7/3, -3/2, -7/4)
+        v = ClassicalGame(3, tuple(F(s) for s in ("0", "4/3", "-2", "5/6", "-19/4", "-5/3", "-13/4", "-11/12")))
+        point = (F(4, 3), F(-1, 2), F(-7, 4))
+        assert {abs(a[0] or a[1] or a[2]) for a, _ in core_system(v).inequalities} == {1, 3, 4, 6}
+        assert core_witness(v) == point
+        assert feasible(core_system(v)) == fraction_feasible(core_system(v)) == (True, point)
 
     def test_fractions_only_for_the_point(self, monkeypatch):
         # the tableau, its pivots and its point check run on Python ints: a

@@ -18,6 +18,7 @@ from intervalgames import (
     LinearSystem,
     NotGenerated,
     border_games,
+    check_classical,
     check_interval_class,
     core_coincidence,
     core_nonempty,
@@ -39,6 +40,7 @@ from intervalgames import (
     is_strong_core_member,
     is_strong_imputation,
     is_strongly_balanced,
+    length_game,
     satisfies,
     selection_core_oracle,
     selection_core_system,
@@ -93,6 +95,52 @@ TIGHT = IntervalGame.from_map(
         (1, 2, 3): (6, 6),
     },
 )
+
+
+# every public function that takes a game (the solution concepts and the
+# games functions that read a game's form), with the type it takes and a
+# call on a game of the other type (both have two players)
+OTHER_TYPE_CALLS = {
+    "is_imputation": (ClassicalGame, lambda g: is_imputation(g, (1, 2))),
+    "is_core_member": (ClassicalGame, lambda g: is_core_member(g, (1, 2))),
+    "core_system": (ClassicalGame, core_system),
+    "core_witness": (ClassicalGame, core_witness),
+    "core_nonempty": (ClassicalGame, core_nonempty),
+    "border_games": (IntervalGame, border_games),
+    "length_game": (IntervalGame, length_game),
+    "is_selection/v": (ClassicalGame, lambda g: is_selection(g, BAND)),
+    "is_selection/w": (IntervalGame, lambda g: is_selection(border_games(BAND)[0], g)),
+    "is_selection_imputation": (IntervalGame, lambda g: is_selection_imputation(g, (1, 2))),
+    "is_selection_core_member": (IntervalGame, lambda g: is_selection_core_member(g, (1, 2))),
+    "selection_core_witness": (IntervalGame, lambda g: selection_core_witness(g, (1, 2))),
+    "verify_selection_core_witness/w": (IntervalGame, lambda g: verify_selection_core_witness(g, (1, 2), BAND)),
+    "verify_selection_core_witness/s": (IntervalGame, lambda g: verify_selection_core_witness(BAND, (1, 2), g)),
+    "selection_core_system": (IntervalGame, selection_core_system),
+    "is_interval_imputation": (IntervalGame, lambda g: is_interval_imputation(g, ((1, 2), (1, 2)))),
+    "is_interval_core_member": (IntervalGame, lambda g: is_interval_core_member(g, ((1, 2), (1, 2)))),
+    "generated_core_system": (IntervalGame, lambda g: generated_core_system(g, (1, 2))),
+    "generated_core_witness": (IntervalGame, lambda g: generated_core_witness(g, (1, 2))),
+    "is_generated_core_member": (IntervalGame, lambda g: is_generated_core_member(g, (1, 2))),
+    "core_coincidence": (IntervalGame, core_coincidence),
+    "is_strong_imputation": (IntervalGame, lambda g: is_strong_imputation(g, (1, 2))),
+    "is_strong_core_member": (IntervalGame, lambda g: is_strong_core_member(g, (1, 2))),
+    "strong_core_system": (IntervalGame, strong_core_system),
+    "strong_core_witness": (IntervalGame, strong_core_witness),
+    "strong_core_nonempty": (IntervalGame, strong_core_nonempty),
+    "is_strongly_balanced": (IntervalGame, is_strongly_balanced),
+    "selection_imputation_oracle": (IntervalGame, lambda g: selection_imputation_oracle(g, (1, 2))),
+    "selection_core_oracle": (IntervalGame, lambda g: selection_core_oracle(g, (1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_TYPE_CALLS)
+def test_a_game_of_the_other_type_is_refused(name):
+    # a classical game read as an interval game, or the reverse, would
+    # answer another question or fail deep inside; the one guard refuses it
+    kind, call = OTHER_TYPE_CALLS[name]
+    other = BAND if kind is ClassicalGame else ClassicalGame(2, (0, 1, 1, 3))
+    with pytest.raises(TypeError, match=f"expected an? {kind.__name__}, got {type(other).__name__}"):
+        call(other)
 
 
 def test_system_rows_for_the_band_game():
@@ -944,6 +992,33 @@ class TestStrongConcepts:
         assert strong_core_witness(BAND) is None
         assert enumerate_vertices(strong_core_system(BAND)) == ()
 
+    def test_nonemptiness_builds_no_fraction(self, monkeypatch):
+        # strong_core_nonempty decides on the upper border's core point as
+        # (X, d), in closed form or by row generation, and turns no witness
+        # into Fractions
+        rng = random.Random(65)
+
+        def below_a_point(n):
+            # upper worths at or below p(S), a degenerate grand worth p(N)
+            p = [rand_fraction(rng, 0, 4) for _ in range(n)]
+            full = grand_coalition(n)
+            tops = [sum(p[i] for i in range(n) if m >> i & 1) for m in range(full + 1)]
+            tops = [t if m in (0, full) else t - abs(rand_fraction(rng, 0, 2)) for m, t in enumerate(tops)]
+            return IntervalGame.from_function(n, lambda m: (tops[m] - (m != full), tops[m]))
+
+        games = [TIGHT, BAND] + [below_a_point(4) for _ in range(6)]
+        games += [rand_degenerate_grand_convex(rng, 4) for _ in range(3)]
+        games += [rand_interval_game(rng, 4, degenerate_grand=True) for _ in range(6)]
+        expected = [strong_core_witness(w) is not None for w in games]
+        routes = Counter(
+            (got, check_classical(border_games(w)[1], ClassicalProperty.CONVEX)) for w, got in zip(games, expected)
+        )
+        assert routes[True, True] and routes[True, False] and routes[False, False]
+        calls, fractions = [], solutions._fractions
+        monkeypatch.setattr(solutions, "_fractions", lambda *x: calls.append(x) or fractions(*x))
+        assert [strong_core_nonempty(w) for w in games] == expected
+        assert calls == []
+
     def test_strong_core_points_are_generated_with_zero_slack(self):
         verts = enumerate_vertices(strong_core_system(TIGHT))
         assert verts
@@ -1293,5 +1368,6 @@ class TestRowFormMatchesPointForm:
                 inequalities=((grand, w.worth(full).lower), (tuple([-1] * n), -w.worth(full).upper))
                 + selection_core_system(w).inequalities,
             )
-            assert selection_core_system(w).equalities == ((grand, w.worth(full).lower),)
+            one_row = LinearSystem(dim=n, equalities=((grand, w.worth(full).lower),))
+            assert selection_core_system(w).equalities == one_row.equalities
             assert enumerate_vertices(selection_core_system(w)) == enumerate_vertices(two_rows)
