@@ -52,6 +52,7 @@ from .games import (
     ClassicalGame,
     IntervalGame,
     _decimal,
+    _worth_texts,
     border_games,
     coalition_labels,
     family,
@@ -115,13 +116,8 @@ def _vec(values) -> list[str]:
 
 
 def _game_entries(w: IntervalGame) -> dict[str, str]:
-    # read from the integer form: its endpoints are ordered already, so no
-    # Interval is built and checked again
-    labels = coalition_labels(w.n)
-    lower, upper, scale = w.integer_form
-    return {
-        labels[m]: f"[{Fraction(lower[m], scale)}, {Fraction(upper[m], scale)}]" for m in range(1, 1 << w.n)
-    }
+    # the worths as format_game writes them, read from the integer form
+    return dict(zip(coalition_labels(w.n)[1:], _worth_texts(w.integer_form)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,7 @@ def _arg(*flags, **options):
 
 
 _FORMAT = _arg("--format", choices=("text", "json"), default="text")
-_BUDGET_HELP = "player cap for vertex enumeration only; games whose borders are both convex need none"
+_BUDGET_HELP = "player cap for vertex enumeration only; a game whose lower border is convex needs none"
 
 # name -> (help, handler, the add_argument calls of its parser)
 _COMMANDS = {

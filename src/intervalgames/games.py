@@ -30,7 +30,6 @@ from .numerics import (
     Interval,
     ZERO_INTERVAL,
     as_fraction,
-    format_scalar,
     integers,
     parse_endpoints,
 )
@@ -275,24 +274,26 @@ def is_selection(v: ClassicalGame, w: IntervalGame) -> bool:
 
 
 def embed_classical(v: ClassicalGame) -> IntervalGame:
-    """Degenerate interval game whose only selection is v."""
-    return IntervalGame(v.n, tuple(Interval(x) for x in v.values))
+    """Degenerate interval game whose only selection is v, on v's scale."""
+    worths, _, scale = _checked_form(v, ClassicalGame)
+    return IntervalGame._from_form(v.n, IntegerForm(worths, worths, scale))
 
 
 def to_classical(w: IntervalGame) -> ClassicalGame:
-    """Collapse a fully degenerate interval game to its unique selection."""
-    for m in range(1 << w.n):
-        if not w.values[m].degenerate:
-            raise ValueError(f"coalition {members(m)} has a nondegenerate worth {w.values[m]}")
-    return ClassicalGame(w.n, tuple(iv.lower for iv in w.values))
+    """Collapse a fully degenerate interval game to its unique selection, on
+    w's scale."""
+    lower, upper, scale = _checked_form(w, IntervalGame)
+    if lower != upper:
+        m = next(m for m, (a, b) in enumerate(zip(lower, upper)) if a != b)
+        raise ValueError(f"coalition {members(m)} has a nondegenerate worth {w.values[m]}")
+    return ClassicalGame._from_form(w.n, IntegerForm(lower, lower, scale))
 
 
 def truncate_grand(w: IntervalGame) -> IntervalGame:
     """Replace the grand coalition's worth by its degenerate lower endpoint."""
-    grand = grand_coalition(w.n)
-    vals = list(w.values)
-    vals[grand] = Interval(vals[grand].lower)
-    return IntervalGame(w.n, tuple(vals))
+    lower, upper, scale = _checked_form(w, IntervalGame)
+    # dropping the grand upper endpoint may leave a smaller common denominator
+    return _least_form(w.n, lower, upper[:-1] + lower[-1:], scale)
 
 
 def family(kind: str, n: int) -> IntervalGame:
@@ -547,12 +548,23 @@ def _parse_coalition_token(token: str, n: int, lineno: int) -> int:
     return mask
 
 
+def _worth_texts(form: IntegerForm) -> list[str]:
+    """``[p, q]`` for every coalition's worth in mask order, read from the
+    integer form: each endpoint in lowest terms, as ``format_scalar`` writes
+    it.  The endpoints are ordered already, so no Interval is built."""
+    lower, upper, scale = form
+
+    def text(a: int) -> str:
+        # a / scale as str(Fraction(a, scale)) writes it, with no Fraction built
+        g = gcd(a, scale)
+        return str(a // g) if g == scale else f"{a // g}/{scale // g}"
+
+    return [f"[{text(a)}, {text(b)}]" for a, b in zip(lower, upper)]
+
+
 def format_game(w: IntervalGame) -> str:
     """Canonical text for an interval game: header plus one line per coalition
     in bitmask order.  ``parse_game(format_game(w))`` reproduces w."""
-    labels = coalition_labels(w.n)
-    lines = [f"players {w.n}"]
-    for m in range(1, 1 << w.n):
-        iv = w.values[m]
-        lines.append(f"{labels[m]} [{format_scalar(iv.lower)}, {format_scalar(iv.upper)}]")
-    return "\n".join(lines) + "\n"
+    texts = _worth_texts(_checked_form(w, IntervalGame))
+    rows = map("{} {}\n".format, coalition_labels(w.n)[1:], texts[1:])
+    return f"players {w.n}\n" + "".join(rows)

@@ -43,10 +43,11 @@ Convex borders are decided in closed form, without a linear program or
 vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
 closed form runs behind one gate, ``check_classical(border, CONVEX)``,
 the verdict ``classes`` caches on the border interned by its worths;
-coincidence asks it of both borders (a supermodular interval game).  Any
-other input takes the general route below, which is also the oracle the
-tests compare the closed forms with.  Below, v, lo and up are supermodular
-with worth 0 on the empty set, and y(S) is the sum of y over S.
+coincidence asks it of the lower border alone.  Any other input takes the
+general route below, which is also the oracle the tests compare the
+closed forms with.  Below, v is supermodular, and so is each border a
+closed form reads; every game is worth 0 on the empty set, and y(S) is the
+sum of y over S.
 
 * Marginal vectors.  Along any order of the players, the vector paying
   each player what it adds to those before it lies in core(v).  The sum
@@ -79,19 +80,26 @@ with worth 0 on the empty set, and y(S) is the sum of y over S.
   scan that ends row generation, ``_accepts(sign * z, g)``, decides the
   half.  In x, the sinks exist iff x(S) >= lo(S) for every S, N included,
   and the rises iff x(S) + up(N - S) <= up(N) for every S.
-* Coincidence.  On a convex lower border the lower half holds on all of
-  SC, since SC asks x(S) >= lo(S) for proper S and x(N) >= lo(N).  If
-  every proper coalition's worth is degenerate, the upper half holds too:
-  for proper S, up(N - S) = lo(N - S) <= x(N - S), so x(S) + up(N - S) <=
-  x(N) <= up(N).  So the game is coincident.  Otherwise let T be the
-  lowest-mask proper coalition with lo(T) < up(T), and let lo' be lo with
-  lo'(N) raised to up(N).  lo' is still supermodular: N is the union of an
-  incomparable pair only on the left-hand side of the inequality.  The
-  marginal vector x of lo' along T's players and then the rest, each in
-  ascending order, lies in core(lo'), hence in SC, with x(N) = up(N) and
-  x(T) = lo(T).  It is not generated: a rise slack u >= 0 with x + u in
-  core(up) has u(N) = up(N) - x(N) = 0, so u = 0, and x itself would need
-  x(T) >= up(T) > lo(T) = x(T).  The upper test fails at S = N - T.
+* Coincidence.  Only the lower border is convex here; up is any upper
+  border.  Let lo' be lo with lo'(N) raised to up(N).  lo' is still
+  supermodular: N is the union of an incomparable pair only on the
+  left-hand side of the inequality.  The lower half holds on all of SC,
+  since SC asks x(S) >= lo(S) for proper S and x(N) >= lo(N).  The upper
+  half holds on all of SC iff core(lo') is contained in core(up), for any
+  up.  If: for x in SC, hand up(N) - x(N) >= 0 to one player; the result
+  x' keeps x'(S) >= lo(S) and has x'(N) = up(N), so x' lies in core(lo'),
+  hence in core(up), and u = x' - x >= 0 is a rise slack.  Only if: a
+  point x' of core(lo') lies in SC, and a rise slack u >= 0 with x' + u in
+  core(up) has u(N) = up(N) - x'(N) = 0, so u = 0: x' has a rise slack
+  only if x' itself lies in core(up).  If every proper coalition's worth is degenerate, up = lo',
+  which is supermodular, so the containment holds and the game is
+  coincident.  Otherwise let T be the lowest-mask proper coalition with
+  lo(T) < up(T).  The marginal vector x of lo' along T's players and then
+  the rest, each in ascending order, lies in core(lo'), hence in SC, with
+  x(N) = up(N) and x(T) = lo(T).  It is not generated: x(T) = lo(T) <
+  up(T) puts x outside core(up), and by the only-if step no rise slack
+  lifts it there.  On a convex up the rise test fails at S = N - T; on any
+  other, row generation finds the rise half infeasible.
 
 Every other coalition LP (core nonemptiness, the strong core, strong
 balancedness and the generated-core halves of a non-convex border) is
@@ -120,8 +128,8 @@ sub-game by the test of ``verify_selection_core_witness`` (``_verified``); and
 selection-core test.  Callers, the command line included, use the results
 without checking them again.
 
-Off the supermodular interval class, the coincidence question is decided
-by vertices (``_coincidence_by_vertices``).  The generated set is the
+Off a convex lower border, the coincidence question is decided by
+vertices (``_coincidence_by_vertices``).  The generated set is the
 projection of a polyhedron (the joint system with x free) and hence
 convex, and it is always contained in SC, so equality holds exactly when
 every vertex of the SC polytope is generated.  Vertices are enumerated
@@ -528,16 +536,16 @@ def is_generated_core_member(w: IntervalGame, x) -> bool:
 def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     """Decide whether the generated set fills the whole SC polytope.
 
-    A game whose borders both pass the convexity gate
-    ``check_classical(border, CONVEX)`` (a supermodular interval game) is
-    decided in closed form (``_supermodular_coincidence``); any other game
-    by its SC vertices (``_coincidence_by_vertices``).  The budget caps the
-    player count of that vertex enumeration only.
+    A game whose lower border passes the convexity gate
+    ``check_classical(lower, CONVEX)`` is decided in closed form
+    (``_convex_lower_coincidence``), whatever its upper border; any other
+    game by its SC vertices (``_coincidence_by_vertices``).  The budget
+    caps the player count of that vertex enumeration only.
     """
     if isinstance(budget, bool) or not isinstance(budget, int):
         raise TypeError(f"budget must be an int, got {type(budget).__name__} {budget!r}")
-    if all(check_classical(border, ClassicalProperty.CONVEX) for border in border_games(w)):
-        return _supermodular_coincidence(w)
+    if check_classical(border_games(w)[0], ClassicalProperty.CONVEX):
+        return _convex_lower_coincidence(w)
     if w.n > budget:
         raise BudgetExceededError(
             f"coincidence needs vertex enumeration; {w.n} players exceeds budget {budget}"
@@ -545,14 +553,14 @@ def core_coincidence(w: IntervalGame, budget: int = 6) -> CoincidenceVerdict:
     return _coincidence_by_vertices(w)
 
 
-def _supermodular_coincidence(w: IntervalGame) -> CoincidenceVerdict:
+def _convex_lower_coincidence(w: IntervalGame) -> CoincidenceVerdict:
     """Coincident iff every proper coalition's worth is degenerate.
 
     Otherwise T is the lowest-mask proper coalition with a real interval,
     and the counterexample is the marginal vector of the lower border, its
     grand worth raised to up(N), along T's players and then the rest, each
-    part in ascending order (module docstring).  Both of w's border games
-    have passed the convexity gate.
+    part in ascending order (module docstring).  w's lower border has
+    passed the convexity gate; its upper border may be any.
     """
     n = w.n
     full = grand_coalition(n)

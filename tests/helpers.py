@@ -352,6 +352,30 @@ def rand_convex_with_widths(rng: random.Random, n: int, degenerate_grand: bool =
     return IntervalGame.from_function(n, worth)
 
 
+WIDTH_MODES = ("every", "sparse", "grand")
+
+
+def rand_convex_lower_with_widths(rng: random.Random, n: int, mode: str) -> IntervalGame:
+    """A convex lower border (``rand_convex_classical``) with widths in
+    [0, 3] on every coalition (``"every"``), on about 15% of them
+    (``"sparse"``), or on N only (``"grand"``).  Unlike
+    ``rand_convex_with_widths``, no surplus absorbs the widths, so the first
+    two modes often give a non-convex upper border.  A raised grand worth
+    keeps a border convex, so ``"grand"`` games are coincident."""
+    if mode not in WIDTH_MODES:
+        raise ValueError(f"unknown width mode {mode!r}")
+    lower = rand_convex_classical(rng, n)
+    full = grand_coalition(n)
+
+    def worth(mask: int) -> Interval:
+        low = lower.values[mask]
+        if mode == "every" or mode == "sparse" and rng.random() < 0.15 or mask == full and mode == "grand":
+            return Interval(low, low + abs(rand_fraction(rng, 0, 3)))
+        return Interval(low)
+
+    return IntervalGame.from_function(n, worth)
+
+
 def rand_payoff(rng: random.Random, n: int, lo: int = -6, hi: int = 10) -> tuple[Fraction, ...]:
     return tuple(rand_fraction(rng, lo, hi) for _ in range(n))
 

@@ -13,12 +13,15 @@ import intervalgames
 from intervalgames import (
     FAMILY_KINDS,
     ClassicalGame,
+    ClassicalProperty,
     IntervalGame,
     border_games,
+    check_classical,
     embed_classical,
     family,
     format_game,
     format_interval,
+    is_selection_core_member,
     parse_game,
     solutions,
 )
@@ -29,6 +32,7 @@ from helpers import (
     majority_game,
     rand_additive_border_game,
     rand_convex_classical,
+    rand_convex_lower_with_widths,
     rand_degenerate_grand_convex,
 )
 
@@ -505,8 +509,8 @@ class TestTwelvePlayers:
 
 
 class TestSixteenPlayers:
-    """Supermodular interval games at the player cap, decided in closed form
-    with the default budget; the verdicts are known by construction."""
+    """Games with a convex lower border at the player cap, decided in closed
+    form with the default budget; the verdicts are known by construction."""
 
     def test_coincidence_on_an_additive_border_game(self, game_file, capsys):
         # the generated set is the box between the corners, SC is larger
@@ -517,6 +521,16 @@ class TestSixteenPlayers:
         assert code == 1 and doc["coincident"] is False
         assert doc["infeasible_subsystems"] == {"lower_feasible": True, "upper_feasible": False}
         assert sum(Fraction(v) for v in doc["counterexample"]) == w.worth((1 << 16) - 1).upper
+
+    def test_coincidence_on_a_convex_lower_border_with_widths(self, game_file, capsys):
+        # widths on every coalition leave the upper border non-convex
+        w = rand_convex_lower_with_widths(random.Random(16), 16, "every")
+        assert not check_classical(border_games(w)[1], ClassicalProperty.CONVEX)
+        code, out, _ = run_cli(["coincidence", game_file(w), "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 1 and doc["coincident"] is False
+        assert doc["infeasible_subsystems"] == {"lower_feasible": True, "upper_feasible": False}
+        assert is_selection_core_member(w, [Fraction(v) for v in doc["counterexample"]])
 
     def test_coincidence_on_an_embedded_convex_game(self, game_file, capsys):
         w = embed_classical(rand_convex_classical(random.Random(16), 16))

@@ -29,7 +29,7 @@ from intervalgames import (
 from helpers import parse_game_oracle, rand_interval_game, random_selection
 from intervalgames import games
 from intervalgames.games import coalition_labels
-from intervalgames.numerics import integers
+from intervalgames.numerics import format_scalar, integers
 
 WORKED_EXAMPLE = IntervalGame.from_map(
     2, {(1,): (1, 3), (2,): (1, 3), (1, 2): (1, 4)}
@@ -217,6 +217,28 @@ class TestEmbedding:
         w = embed_classical(v)
         assert truncate_grand(w) == w
 
+    def test_transforms_keep_the_least_integer_form(self):
+        # the grand upper endpoint holds the only denominator 2, which
+        # truncation drops; each result's form is the one its worths give
+        w = IntervalGame.from_map(2, {(1,): 1, (2,): (0, 2), (1, 2): (3, Fraction(7, 2))})
+        v = ClassicalGame.from_map(2, {(1,): "1/3", (2,): 0, (1, 2): 2})
+        for game in (truncate_grand(w), embed_classical(v), to_classical(embed_classical(v))):
+            assert game.integer_form == type(game)._form_of(game.values)
+        assert truncate_grand(w).integer_form.scale == 1
+
+    @pytest.mark.parametrize(
+        "transform, game, expected",
+        [
+            (format_game, ClassicalGame.from_map(1, {(1,): 1}), "an IntervalGame"),
+            (to_classical, ClassicalGame.from_map(1, {(1,): 1}), "an IntervalGame"),
+            (truncate_grand, ClassicalGame.from_map(1, {(1,): 1}), "an IntervalGame"),
+            (embed_classical, WORKED_EXAMPLE, "a ClassicalGame"),
+        ],
+    )
+    def test_the_wrong_game_type_is_refused(self, transform, game, expected):
+        with pytest.raises(TypeError, match=f"expected {expected}, got {type(game).__name__}"):
+            transform(game)
+
 
 class TestFamilies:
     def test_two_player_goldens(self):
@@ -367,6 +389,14 @@ players 2
         assert format_game(WORKED_EXAMPLE) == (
             "players 2\n1 [1, 3]\n2 [1, 3]\n1,2 [1, 4]\n"
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**30), st.integers(min_value=1, max_value=4))
+    def test_format_writes_each_worth_in_lowest_terms(self, seed, n):
+        w = rand_interval_game(random.Random(seed), n)
+        labels = coalition_labels(n)
+        rows = [f"{labels[m]} [{format_scalar(iv.lower)}, {format_scalar(iv.upper)}]\n" for m, iv in enumerate(w.values) if m]
+        assert format_game(w) == f"players {n}\n" + "".join(rows)
 
     def test_round_trip_fixed(self):
         text = format_game(WORKED_EXAMPLE)

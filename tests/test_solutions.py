@@ -57,6 +57,7 @@ from intervalgames.games import IntegerForm
 from intervalgames.lpcore import feasible
 from intervalgames.numerics import integers
 from helpers import (
+    WIDTH_MODES,
     endpoint_selections,
     fraction_accepts,
     fraction_coincidence,
@@ -68,6 +69,7 @@ from helpers import (
     rand_additive_classical,
     rand_classical,
     rand_convex_classical,
+    rand_convex_lower_with_widths,
     rand_convex_with_widths,
     rand_degenerate_grand_convex,
     rand_fraction,
@@ -943,8 +945,46 @@ class TestConvexClosedForms:
         assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
+class TestConvexLowerBorder:
+    """A convex lower border alone decides coincidence in closed form,
+    whatever the upper border: the upper half holds on SC iff core(lo') lies
+    in core(up), lo' being lo with its grand worth raised to up(N)
+    (``solutions`` docstring).  The vertex route is the oracle."""
+
+    def check_game(self, w, seen):
+        verdict = core_coincidence(w, budget=0)
+        upper_convex = check_classical(border_games(w)[1], ClassicalProperty.CONVEX)
+        seen["upper convex", upper_convex] += 1
+        seen["coincident", verdict.coincident] += 1
+        if not verdict.coincident:
+            assert is_selection_core_member(w, verdict.counterexample)
+            assert verdict.miss == NotGenerated(lower_feasible=True, upper_feasible=False)
+            assert generated_core_witness(w, verdict.counterexample) == verdict.miss
+        return verdict
+
+    def test_agrees_with_the_vertex_route(self):
+        rng = random.Random(31)
+        seen = Counter()
+        for i in range(300):
+            w = rand_convex_lower_with_widths(rng, 2 + i % 4, WIDTH_MODES[i % 3])
+            verdict = self.check_game(w, seen)
+            by_vertices = solutions._coincidence_by_vertices(w)
+            assert (by_vertices.coincident, by_vertices.miss) == (verdict.coincident, verdict.miss)
+        assert seen["upper convex", False] >= 100 and seen["coincident", True] >= 50, seen
+
+    def test_seven_players_within_the_default_budget(self):
+        rng = random.Random(7)
+        w = rand_convex_lower_with_widths(rng, 7, "every")
+        while check_classical(border_games(w)[1], ClassicalProperty.CONVEX):
+            w = rand_convex_lower_with_widths(rng, 7, "every")
+        # past the default budget of 6, so only the closed form decides it
+        verdict = core_coincidence(w)
+        assert not verdict.coincident
+        assert self.check_game(w, Counter()) == verdict
+
+
 class TestOneConvexityGate:
-    """Every closed form asks the same gate of each border,
+    """Every closed form asks the same gate of each border it reads,
     ``check_classical(border, CONVEX)``, so a coincidence verdict and a later
     generated-core question share its cached runs."""
 
@@ -970,6 +1010,23 @@ class TestOneConvexityGate:
         assert not verdict.coincident
         assert isinstance(generated_core_witness(w, verdict.counterexample), NotGenerated)
         assert runs == ["additive", "additive"]
+
+    def test_coincidence_asks_the_lower_border_only(self, monkeypatch):
+        seen = []
+        convex = classes._KERNELS[ClassicalProperty.CONVEX]
+
+        def recording(lo, up, n):
+            seen.append(lo.worths)
+            return convex(lo, up, n)
+
+        monkeypatch.setitem(classes._KERNELS, ClassicalProperty.CONVEX, recording)
+        # w(S) = |S|^2 on every proper coalition, and [16, 17] on N: both
+        # borders are convex and not additive, and the game is coincident
+        squares = [m.bit_count() ** 2 for m in range(16)]
+        w = IntervalGame.from_function(4, lambda m: Interval(squares[m], 17 if m == 15 else squares[m]))
+        classes._verdict.cache_clear()
+        assert core_coincidence(w) == CoincidenceVerdict(coincident=True)
+        assert seen == [border_games(w)[0].integer_form.lower]
 
 
 class TestStrongConcepts:
