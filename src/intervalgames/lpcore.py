@@ -20,17 +20,28 @@ the new basis, and the ratio test pivots on positive entries only, so D
 stays positive.  The Fraction tableau of the same rows is T / D, so Bland's
 rule reads the same signs, and the ratio test compares the ratios
 T[i][-1] / T[i][c] by cross-products with positive denominators: the same
-order and the same ties (broken by lowest basic column).  The phase-one
-objective is one more row of that form, in which artificial i weighs
-1 / |l_i|, l_i the first nonzero entry of row i's (a, b) (1 on a zero row),
-times the lcm of the |l_i|.  Dividing row i by c > 0, its artificial with
-it, changes no structural or surplus entry of B^-1 [A | b] (c cancels in
-B^-1), and artificials never re-enter; so the pivots and the point X / D
-are those of the Fraction tableau, artificials unweighted, on the rows
-divided by |l_i|.  They depend on the stored rows alone, not on how a
-caller scaled them; a coalition row of ``solutions`` so divided is its
-+-1-indicator row as written.  ``_Tableau.solution`` checks (X, D) with
-``_satisfies_integer``.
+order and the same ties (broken by lowest basic column).
+
+Artificial columns are not stored; a row holds its structural and surplus
+entries and its right-hand side.  A pivot updates each column from that
+column and the pivot column alone, so leaving some columns out changes no
+stored entry.  No step reads an artificial column: artificials never
+re-enter (Bland 1977), so the entering scan stops before them, the ratio
+test reads the entering column and the right-hand side, and the point reads
+the right-hand side and the basis.  An artificial-basic row keeps the basis
+number of its artificial, so the tie-break compares the same numbers.
+
+The phase-one objective is one more row of that form, in which artificial
+i weighs 1 / |l_i|, l_i the first nonzero entry of row i's (a, b) (1 on a
+zero row), times the lcm of the |l_i|: the sum of the artificial-basic rows
+so weighted, over the same stored columns.  Dividing row i by c > 0, its
+artificial with it, changes no structural or surplus entry of
+B^-1 [A | b] (c cancels in B^-1), and artificials never re-enter; so the
+pivots and the point X / D are those of the Fraction tableau, artificials
+unweighted, on the rows divided by |l_i|.  They depend on the stored rows
+alone, not on how a caller scaled them; a coalition row of ``solutions`` so
+divided is its +-1-indicator row as written.  ``_Tableau.solution`` checks
+(X, D) with ``_satisfies_integer``.
 
 Vertex enumeration runs no simplex.  It uses the double-description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on the
@@ -165,7 +176,10 @@ class _Tableau:
 
     Free variables are split into positive and negative parts; every
     inequality gets a surplus column; rows that cannot start from a surplus
-    basis get an artificial column.
+    basis start from an artificial.  Artificial columns are not stored (the
+    module docstring says why that is exact): each row holds its
+    ``art_start`` structural and surplus entries and its right-hand side, and
+    the k-th artificial is basic as column number ``art_start + k``.
     """
 
     def __init__(self, system: LinearSystem):
@@ -174,13 +188,12 @@ class _Tableau:
         # structural columns: (j, 1) for x_j, then (j, -1) for the negative part of a free x_j
         self.cols = [(j, s) for j in range(system.dim) for s in ((1,) if j in system.nonneg else (1, -1))]
         self.art_start = len(self.cols) + len(inequalities)  # structural plus surplus columns
-        self.ncols = self.art_start + len(equalities) + sum(b > 0 for _, b in inequalities)
         self.basis: list[int] = []
         self.T: list[list[int]] = []
         self.D = 1  # the last pivot; the starting basis is unit columns
-        art_col = self.art_start
+        art = self.art_start  # the basis number of the next artificial
         for i, (a, b) in enumerate(equalities + inequalities):
-            row = [s * a[j] for j, s in self.cols] + [0] * (self.ncols - len(self.cols)) + [b]
+            row = [s * a[j] for j, s in self.cols] + [0] * len(inequalities) + [b]
             surplus = len(self.cols) + i - len(equalities)
             if i >= len(equalities):
                 row[surplus] = -1
@@ -190,8 +203,8 @@ class _Tableau:
             else:
                 if b < 0:
                     row = [-v for v in row]
-                row[art_col], basic = 1, art_col
-                art_col += 1
+                basic = art
+                art += 1
             self.basis.append(basic)
             self.T.append(row)
 
@@ -225,10 +238,9 @@ class _Tableau:
         art = [i for i, b in enumerate(basis) if b >= self.art_start]
         lead = {i: abs(next((c for c in rows[i][0] if c), rows[i][1]) or 1) for i in art}
         scale = lcm(*lead.values())
-        obj = [0] * (self.ncols + 1)
+        obj = [0] * (self.art_start + 1)
         for i, l in lead.items():
             obj = [o + scale // l * t for o, t in zip(obj, T[i])]
-            obj[basis[i]] = 0
         while True:
             enter = -1
             for j in range(self.art_start):  # artificials never re-enter

@@ -53,6 +53,21 @@ def rand_interval_game(
     return IntervalGame(n=n, values=tuple(values))
 
 
+def rand_around_point_game(rng: random.Random, n: int) -> IntervalGame:
+    """Both borders around a random point p: lo(S) = p(S) - e and
+    up(S) = p(S) + e' with independent draws e, e' >= 0, the grand worth
+    included.  Its borders are as a rule not convex, so LPs decide its
+    cores."""
+    p = [rand_fraction(rng, -3, 6) for _ in range(n)]
+    values = [Interval(0)]
+    for m in range(1, 1 << n):
+        total = sum(p[i] for i in range(n) if m >> i & 1)
+        lower = total - abs(rand_fraction(rng, 0, 3))
+        upper = total + abs(rand_fraction(rng, 0, 3))
+        values.append(Interval(lower, upper))
+    return IntervalGame(n=n, values=tuple(values))
+
+
 def additive_worths(a, n: int) -> list[Fraction]:
     """worths[m] = sum of a over the players of coalition m."""
     worths = [Fraction(0)] * (1 << n)
@@ -149,7 +164,8 @@ class FractionTableau:
 
     Free variables are split into positive and negative parts; every
     inequality gets a surplus column; rows that cannot start from a surplus
-    basis get an artificial column.
+    basis get an artificial column.  Unlike ``lpcore._Tableau``, which leaves
+    them out, it stores and updates the artificial columns.
     """
 
     def __init__(self, system: LinearSystem):

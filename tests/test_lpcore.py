@@ -708,6 +708,35 @@ class TestIntegerSimplex:
                 seen[ok, bool(case.equalities), bool(case.nonneg)] += 1
         assert len(seen) == 8 and min(seen.values()) >= 30
 
+    def test_no_artificial_column_and_the_fraction_tableau_pivots(self, monkeypatch):
+        # every row holds its structural and surplus entries and its
+        # right-hand side only, and phase one pivots on the same (r, c) as
+        # the Fraction tableau, which stores its artificial columns
+        pivots = {lpcore._Tableau: [], FractionTableau: []}
+        for cls, calls in pivots.items():
+
+            def recording(self, r, c, obj, calls=calls, pivot=cls._pivot):
+                calls.append((r, c))
+                pivot(self, r, c, obj)
+
+            monkeypatch.setattr(cls, "_pivot", recording)
+        rng = random.Random(83)
+        artificials = pivoted = 0
+        for _ in range(200):
+            system = around_a_point(rng)
+            for case in (system, perturbed(rng, system)):
+                for calls in pivots.values():
+                    calls.clear()
+                integer = lpcore._Tableau(case)
+                width = integer.art_start + 1
+                artificials += sum(b >= integer.art_start for b in integer.basis)
+                assert all(len(row) == width for row in integer.T)
+                assert integer.phase_one() == FractionTableau(case).phase_one()
+                assert all(len(row) == width for row in integer.T)
+                assert pivots[lpcore._Tableau] == pivots[FractionTableau]
+                pivoted += len(pivots[FractionTableau])
+        assert artificials >= 1000 and pivoted >= 1000
+
     def test_coalition_rows_keep_the_point_of_the_rows_as_written(self):
         # stored as coprime integers, this game's core rows lead with 1, 3, 4
         # or 6; the phase-one weights keep the point the Fraction tableau finds

@@ -67,6 +67,7 @@ from helpers import (
     majority_game,
     rand_additive_border_game,
     rand_additive_classical,
+    rand_around_point_game,
     rand_classical,
     rand_convex_classical,
     rand_convex_lower_with_widths,
@@ -793,6 +794,10 @@ class TestRowGeneration:
         sizes = [2 + i % 2 for i in range(200)] + [4] * 20 + [5] * 4
         for i, n in enumerate(sizes):
             w = SEEDED_KINDS[i % 4](rng, n)
+            self.check_game(w, self.points(rng, w), seen)
+        # borders around a point, the games of README's LP wall
+        for n in [2, 3, 4, 5] * 10:
+            w = rand_around_point_game(rng, n)
             self.check_game(w, self.points(rng, w), seen)
         assert len(seen) == 10 and min(seen.values()) >= 50
         assert min(subsystems[True], subsystems[False]) >= 1000
