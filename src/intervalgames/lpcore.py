@@ -3,8 +3,10 @@
 Systems mix equality rows, ``coeffs . x >= rhs`` inequality rows, and
 nonnegativity marks on individual variables.  ``LinearSystem`` stores each
 row scaled by a positive factor to coprime integers (a, b), the only row
-form: the simplex, double description and the point check all read it, and
-Fractions are built only for the points returned.
+form: the simplex, double description and the point check all read it.
+Points stay integers too: ``_solve`` and ``_vertices`` return each as
+(X, D) in lowest terms, the form ``solutions`` reads, and only the public
+``feasible`` and ``enumerate_vertices`` turn them into Fractions.
 
 Feasibility is a dense phase-one simplex with Bland's rule (so no cycling,
 no tolerances), run once per call on one tableau.  Every LP question of the
@@ -13,7 +15,8 @@ simplex.  Its pivots are fraction-free (Edmonds 1967; Bareiss 1968): the
 tableau is kept as T = D B^-1 [A | b], A the integer rows with their
 surplus and artificial columns, B the basis and D = det B.  The start basis
 is unit columns, so D = 1.  A pivot on (r, c) with p = T[r][c] keeps row r,
-turns every other row t into (p t - t[c] T[r]) // D, and sets D = p.  By
+turns every other row t into (p t - t[c] T[r]) // D (p t // D when
+t[c] = 0), and sets D = p.  By
 Cramer's rule each entry of D B^-1 [A | b] is a minor of [A | b], so an
 integer, and the division is exact.  p = D (B^-1 A)[r][c] is the det of
 the new basis, and the ratio test pivots on positive entries only, so D
@@ -79,9 +82,10 @@ ray with lam > 0 means an empty region.  The rays with lam = 0 and
 +-lineality generate the recession cone: the region is unbounded in +x_j
 or -x_j exactly when one of them moves x_j that way, and the first such
 direction in the order +x1, -x1, +x2, ... is reported.  Otherwise each ray
-r is the vertex X / D with X = r[1:] and D = r[0], checked before it
-becomes Fractions.  Vertex output is sorted lexicographically, so identical
-systems always enumerate identically.  The work follows the rays met along
+r is the vertex X / D with X = r[1:] and D = r[0], in lowest terms since r
+is coprime, and is checked.  Vertices are sorted lexicographically by X / D,
+compared as integers over their common denominator, so identical systems
+always enumerate identically.  The work follows the rays met along
 the way, not the C(rows, dim) candidate bases of a basis walk.
 
 The simplex and double description share one point check,
@@ -217,7 +221,7 @@ class _Tableau:
         for i, row in enumerate(T):
             if i != r:
                 f = row[c]
-                T[i] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+                T[i] = [(p * a - f * b) // D for a, b in zip(row, prow)] if f else [p * a // D for a in row]
         f = obj[c]
         obj[:] = [(p * a - f * b) // D for a, b in zip(obj, prow)]
         self.D = p
@@ -277,12 +281,23 @@ class _Tableau:
         return X, self.D
 
 
-def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Decide feasibility; on success the witness satisfies the system exactly."""
+def _solve(system: LinearSystem) -> tuple[list[int], int] | None:
+    """The verified phase-one point (X, D) of the system, X / D in lowest
+    terms (gcd(D, *X) = 1), or None when the system is infeasible."""
     tab = _Tableau(system)
     if not tab.phase_one():
-        return False, None
+        return None
     X, D = tab.solution()
+    D, *X = _coprime([D, *X])
+    return X, D
+
+
+def feasible(system: LinearSystem) -> tuple[bool, tuple[Fraction, ...] | None]:
+    """Decide feasibility; on success the witness satisfies the system exactly."""
+    point = _solve(system)
+    if point is None:
+        return False, None
+    X, D = point
     return True, tuple(Fraction(v, D) for v in X)
 
 
@@ -349,14 +364,9 @@ def _cone_generators(
     return rays, lineality
 
 
-def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices (basic feasible points) of a bounded feasible region.
-
-    Returns () for an infeasible system and raises ``UnboundedRegionError``
-    when some coordinate direction is unbounded, since an unbounded region
-    is not described by its vertices.  The error names the first unbounded
-    direction in the order +x1, -x1, +x2, ...
-    """
+def _vertices(system: LinearSystem) -> list[tuple[list[int], int]]:
+    """``enumerate_vertices`` as integer points (X, D), X / D in lowest
+    terms, sorted lexicographically by X / D."""
     width = system.dim + 1
     # homogenise over (lam, x): a . x >= b becomes -b lam + a . x >= 0
     rays, lineality = _cone_generators(
@@ -367,7 +377,7 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
         width,
     )
     if all(ray[0] == 0 for ray in rays):
-        return ()
+        return []
     # the recession cone is generated by the rays at lam = 0 and by +-lineality
     directions = [ray for ray in rays if ray[0] == 0] + lineality
     directions += [[-v for v in vec] for vec in lineality]
@@ -376,9 +386,21 @@ def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]
         for sign, hit in (("+", any(s > 0 for s in steps)), ("-", any(s < 0 for s in steps))):
             if hit:
                 raise UnboundedRegionError(f"region is unbounded in direction {sign}x{j}")
-    points = []
     for ray in rays:
         if not _satisfies_integer(system, ray[1:], ray[0]):
             raise AssertionError("internal error: enumerated vertex failed verification")
-        points.append(tuple(Fraction(v, ray[0]) for v in ray[1:]))
-    return tuple(sorted(points))
+    # every ray is coprime; over the common denominator X / D compares as integers
+    common = lcm(*[ray[0] for ray in rays])
+    rays.sort(key=lambda ray: [v * (common // ray[0]) for v in ray[1:]])
+    return [(ray[1:], ray[0]) for ray in rays]
+
+
+def enumerate_vertices(system: LinearSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """All vertices (basic feasible points) of a bounded feasible region.
+
+    Returns () for an infeasible system and raises ``UnboundedRegionError``
+    when some coordinate direction is unbounded, since an unbounded region
+    is not described by its vertices.  The error names the first unbounded
+    direction in the order +x1, -x1, +x2, ...
+    """
+    return tuple(tuple(Fraction(v, D) for v in X) for X, D in _vertices(system))

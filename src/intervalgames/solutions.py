@@ -37,7 +37,9 @@ point is one equality row.  The test reads the game's integer form
 not necessarily reduced, for x = X / d: ``_accepts`` compares X(S) * scale
 with lo(S) * d.  A public function converts its payoff to (X, d) once and
 makes Fractions once, for what it returns; in between, every witness,
-slack and counterexample is built and checked as (X, d).
+slack and counterexample is built and checked as (X, d).  The simplex's
+points (``lpcore._solve``) and the SC vertices (``lpcore._vertices``)
+arrive in that form, in lowest terms.
 
 Convex borders are decided in closed form, without a linear program or
 vertex enumeration (polymatroid facts: Shapley 1971, Edmonds 1970).  Each
@@ -134,10 +136,11 @@ projection of a polyhedron (the joint system with x free) and hence
 convex, and it is always contained in SC, so equality holds exactly when
 every vertex of the SC polytope is generated.  Vertices are enumerated
 exactly by double description (``lpcore``), whose work follows the
-vertices it finds (120 at n = 5, 720 at n = 6 for a strictly convex
-game), and checked in lexicographic order; the first failure is returned
-as the counterexample.  Its budget caps the player count of that
-enumeration only.
+intermediate rays it meets, not the vertices it returns (a strictly
+convex game has 120 vertices at n = 5 and 720 at n = 6, while a game with
+one vertex can meet hundreds of rays at n = 8), and checked in
+lexicographic order; the first failure is returned as the counterexample.
+Its budget caps the player count of that enumeration only.
 """
 
 from dataclasses import dataclass
@@ -155,7 +158,7 @@ from .games import (
     border_games,
     grand_coalition,
 )
-from .lpcore import LinearSystem, enumerate_vertices, feasible
+from .lpcore import LinearSystem, _solve, _vertices
 from .numerics import Interval, Scalar, as_fraction, integers
 
 
@@ -295,10 +298,10 @@ def _core_feasible(n: int, form: IntegerForm, sign: int = 1, nonneg=frozenset())
     """
     active = [1 << i for i in range(n)]
     while True:
-        ok, y = feasible(_core_system(n, form, sign, nonneg, masks=active))
-        if not ok:
+        point = _solve(_core_system(n, form, sign, nonneg, masks=active))
+        if point is None:
             return None
-        ints, d = integers(y)
+        ints, d = point
         missed = sorted(_shortfalls([sign * a for a in ints], d, form))
         if not missed:
             return ints, d
@@ -583,13 +586,12 @@ def _coincidence_by_vertices(w: IntervalGame) -> CoincidenceVerdict:
     polyhedron) and contained in SC, so equality holds iff every SC vertex
     is generated.  Vertices are visited in lexicographic order and the
     first failure is reported; an empty SC is vacuously coincident."""
-    for vertex in enumerate_vertices(selection_core_system(w)):
-        x = integers(vertex)
+    for x in _vertices(selection_core_system(w)):
         result = _generated(w, *x)
         if isinstance(result, NotGenerated):
             if not _accepts(*x, w.integer_form, core=True):
                 raise AssertionError("internal error: counterexample lies outside the selection core")
-            return CoincidenceVerdict(coincident=False, counterexample=vertex, miss=result)
+            return CoincidenceVerdict(coincident=False, counterexample=_fractions(*x), miss=result)
     return CoincidenceVerdict(coincident=True)
 
 

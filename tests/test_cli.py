@@ -344,13 +344,13 @@ class TestCounts:
 def systems(monkeypatch):
     """Every system the solution layer hands to the simplex during one run."""
     recorded = []
-    original = solutions.feasible
+    original = solutions._solve
 
     def record(system, *args, **kwargs):
         recorded.append(system)
         return original(system, *args, **kwargs)
 
-    monkeypatch.setattr(solutions, "feasible", record)
+    monkeypatch.setattr(solutions, "_solve", record)
     return recorded
 
 

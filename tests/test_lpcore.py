@@ -30,6 +30,7 @@ from intervalgames.lpcore import (
     feasible,
     satisfies,
 )
+from intervalgames.numerics import integers
 from helpers import (
     FractionTableau,
     fraction_feasible,
@@ -537,6 +538,23 @@ class TestDoubleDescription:
                 nonempty[i % 4] += bool(got)
         assert min(nonempty.values()) >= 20
 
+    def test_integer_vertices_are_those_of_enumerate_vertices(self):
+        # enumerate_vertices is the Fraction edge of _vertices: the same
+        # points as (X, D) in lowest terms, in the same order, and the same
+        # refusal of an unbounded region
+        rng = random.Random(67)
+        systems = list(seeded_systems(rng, 200))
+        systems += [rank_deficient_system(rng, rng.randint(1, 4)) for _ in range(40)]
+        for i in range(60):
+            w = rand_interval_game(rng, 2 + i % 3, lo=-2, hi=3)
+            systems += [selection_core_system(w), strong_core_system(w)]
+        seen = Counter()
+        for system in systems:
+            want = outcome(lambda s: [integers(v) for v in enumerate_vertices(s)], system)
+            assert outcome(lpcore._vertices, system) == want
+            seen["unbounded" if isinstance(want, str) else "bounded" if want else "empty"] += 1
+        assert min(seen.values()) >= 30
+
 
 def rescaled(rng, system):
     """The same region with every row multiplied by a random positive
@@ -736,6 +754,48 @@ class TestIntegerSimplex:
                 assert pivots[lpcore._Tableau] == pivots[FractionTableau]
                 pivoted += len(pivots[FractionTableau])
         assert artificials >= 1000 and pivoted >= 1000
+
+    def test_solve_is_the_point_of_feasible_in_integers(self):
+        # feasible is the Fraction edge of _solve: (X, D) is its point over
+        # the least common denominator, None when there is none
+        rng = random.Random(84)
+        seen = Counter()
+        for _ in range(200):
+            system = around_a_point(rng)
+            for case in (system, perturbed(rng, system)):
+                ok, x = feasible(case)
+                assert lpcore._solve(case) == (integers(x) if ok else None)
+                seen[ok] += 1
+        assert min(seen.values()) >= 100
+
+    def test_rows_off_the_pivot_column_are_only_rescaled(self, monkeypatch):
+        # a row with 0 in the pivot column becomes p row // D, each entry
+        # divided exactly, and phase one keeps the Fraction tableau's status,
+        # point and final basis
+        rescaled_rows = 0
+        pivot = lpcore._Tableau._pivot
+
+        def checking(self, r, c, obj):
+            nonlocal rescaled_rows
+            p, D = self.T[r][c], self.D
+            before = {i: row for i, row in enumerate(self.T) if i != r and row[c] == 0}
+            pivot(self, r, c, obj)
+            for i, row in before.items():
+                assert all(p * a % D == 0 for a in row)
+                assert self.T[i] == [p * a // D for a in row]
+            rescaled_rows += len(before)
+
+        monkeypatch.setattr(lpcore._Tableau, "_pivot", checking)
+        rng = random.Random(85)
+        for _ in range(200):
+            system = around_a_point(rng)
+            for case in (system, perturbed(rng, system)):
+                fraction = FractionTableau(case)
+                ok = fraction.phase_one()
+                assert feasible(case) == (ok, fraction.solution() if ok else None)
+                integer = lpcore._Tableau(case)
+                assert integer.phase_one() == ok and integer.basis == fraction.basis
+        assert rescaled_rows >= 1000
 
     def test_coalition_rows_keep_the_point_of_the_rows_as_written(self):
         # stored as coprime integers, this game's core rows lead with 1, 3, 4

@@ -52,9 +52,9 @@ from intervalgames import (
     verify_selection_core_witness,
     weakly_better,
 )
-from intervalgames import classes, solutions
+from intervalgames import classes, lpcore, solutions
 from intervalgames.games import IntegerForm
-from intervalgames.lpcore import feasible
+from intervalgames.lpcore import _solve, feasible
 from intervalgames.numerics import integers
 from helpers import (
     WIDTH_MODES,
@@ -743,12 +743,13 @@ class TestRowGeneration:
         solved = Counter()
 
         def checked(system):
-            got = feasible(system)
-            assert got == fraction_feasible(system)
-            solved[got[0]] += 1
+            got = _solve(system)
+            ok, y = fraction_feasible(system)
+            assert got == (integers(y) if ok else None)
+            solved[got is not None] += 1
             return got
 
-        monkeypatch.setattr(solutions, "feasible", checked)
+        monkeypatch.setattr(solutions, "_solve", checked)
         return solved
 
     def check_game(self, w, points, seen):
@@ -1433,3 +1434,34 @@ class TestRowFormMatchesPointForm:
             one_row = LinearSystem(dim=n, equalities=((grand, w.worth(full).lower),))
             assert selection_core_system(w).equalities == one_row.equalities
             assert enumerate_vertices(selection_core_system(w)) == enumerate_vertices(two_rows)
+
+
+class TestIntegerSolverPoints:
+    """``solutions`` reads the simplex's and double description's points as
+    integers (X, D); a Fraction is built only for the value returned."""
+
+    # x(S) >= 2 on every pair and x(N) = 3: not convex, core {(1, 1, 1)}
+    PAIRS = ClassicalGame.from_function(3, lambda m: {3: 2, 5: 2, 6: 2, 7: 3}.get(m, 0))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+
+        def counting_fraction(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        for module in (lpcore, solutions):
+            monkeypatch.setattr(module, "Fraction", counting_fraction)
+        return made
+
+    def test_row_generation_builds_fractions_for_the_witness_only(self, built):
+        v = self.PAIRS
+        assert not check_classical(v, ClassicalProperty.CONVEX)
+        assert core_nonempty(v) and not built
+        assert core_witness(v) == (1, 1, 1) and len(built) == v.n
+
+    def test_vertex_route_builds_fractions_for_the_counterexample_only(self, built):
+        assert not check_classical(border_games(BAND)[0], ClassicalProperty.CONVEX)
+        verdict = core_coincidence(BAND)
+        assert verdict.counterexample == (1, 1) and len(built) == BAND.n
